@@ -11,37 +11,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-
-MODEL_NAMES = (
-    "ae",
-    "jmvae",
-    "dccae",
-    "dvcca",
-    "mcvae",
-    "mvae",
-    "me_mvae",
-    "mmvae",
-    "mvtcae",
-    "mopoe",
-    "weighted_mvae",
-    "mmjsd",
-    "mmvaeplus",
-    "dmvae",
-    "maae",
-    "mwae",
-)
+from .objectives import MODEL_SPECS
 
 SUPPORTED_JOIN = ("PoE", "Mean")
 SUPPORTED_DISTRIBUTIONS = ("Normal", "Bernoulli", "Laplace", "Categorical", "Default")
 SUPPORTED_ACTIVATIONS = ("relu", "tanh")
-
-# models that inherit the squared-error reconstruction of the plain autoencoder
-FORCED_DEFAULT_LIKELIHOOD = ("ae", "dccae", "maae", "mwae")
-
-# models with modality-specific private latents (need s_dim > 0)
-PRIVATE_LATENT_MODELS = ("mmvaeplus", "dmvae")
-
-TWO_VIEW_MODELS = ("jmvae", "dccae", "dvcca")
 
 
 @dataclass
@@ -188,8 +162,6 @@ def _validate_net_section(section: str, entries: dict[str, dict[str, object]],
     specs: dict = {}
     for slot, keys in entries.items():
         spec = NetSpecConfig()
-        if is_decoder and slot != "default":
-            pass
         for key, value in keys.items():
             path = f"{section}.{slot}.{key}"
             if key not in _NET_KEYS:
@@ -260,7 +232,7 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     if "name" not in model_keys:
         raise ConfigError("model.name: required key missing")
     name = _as_str(model_keys["name"], "model.name")
-    if name not in MODEL_NAMES:
+    if name not in MODEL_SPECS:
         raise ConfigError(f"model.name: unknown model '{name}'")
     if "z_dim" not in model_keys:
         raise ConfigError("model.z_dim: required key missing")
@@ -355,20 +327,35 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     cfg.trainer = trainer
 
     # cross-field checks
-    if name in PRIVATE_LATENT_MODELS:
+    spec = MODEL_SPECS[name]
+    if spec.has_private(cfg.private):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")
-    if name == "dvcca" and cfg.private:
-        _expect(cfg.s_dim >= 1, "model.s_dim",
-                "dvcca with private=true requires s_dim >= 1")
-    if name == "dccae":
-        # the correlation objective degrades under mini-batching
+    if spec.full_batch:
         cfg.trainer.full_batch = True
-    if name == "mcvae" and cfg.sparse:
-        pass
-    elif cfg.sparse:
-        raise ConfigError("model.sparse: only supported for model 'mcvae'")
+    if spec.alpha_range is not None:
+        lo, hi = spec.alpha_range
+        _expect(lo <= cfg.alpha <= hi, "model.alpha",
+                f"model '{name}' requires {lo:g} <= alpha <= {hi:g}")
+    if cfg.sparse and not spec.sparse:
+        allowed = ", ".join(f"'{n}'" for n, other in MODEL_SPECS.items() if other.sparse)
+        raise ConfigError(f"model.sparse: only supported for model {allowed}")
     return cfg
+
+
+def check_views(cfg: ModelConfig, n_views: int) -> None:
+    """Reject data whose view count the model, or a per-modality key, does not fit."""
+    required = MODEL_SPECS[cfg.name].n_views
+    if required is not None and n_views != required:
+        raise ConfigError(
+            f"model.name: '{cfg.name}' requires exactly {required} views, got {n_views}"
+        )
+    for section, specs in (("encoder", cfg.encoders), ("decoder", cfg.decoders)):
+        for slot in specs:
+            if slot != "default" and slot >= n_views:
+                raise ConfigError(
+                    f"{section}.{slot}: modality index out of range for {n_views} views"
+                )
 
 
 def load_config(path: str | Path) -> ModelConfig:

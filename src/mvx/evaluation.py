@@ -10,36 +10,24 @@ import numpy as np
 
 from . import numcore as nc
 from .data import MultiViewBatch
-from .distributions import GaussianParams, Likelihood, gaussian_log_prob, rsample, standard_normal
+from .distributions import Likelihood, gaussian_log_prob, rsample, standard_normal
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import ModelState, gpoe_weights
-from .pooling import (
-    ExpertSet,
-    enumerate_subsets,
-    geometric_poe,
-    gpoe,
-    mean_pool,
-    moe_log_prob,
-    poe,
-    subset_experts,
+from .objectives import MODEL_SPECS
+from .pooling import ExpertSet, enumerate_subsets, moe_log_prob
+from .training import (
+    Adam,
+    RunState,
+    _as_views,
+    _decode_mean,
+    _encoder_posteriors,
+    _zero_grads,
 )
-from .training import Adam, RunState, _as_views, _encoder_posteriors, _zero_grads
 
 PROBE_HIDDEN = 64
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
-
-SUBSET_CAPABLE_MODELS = (
-    "mvae", "me_mvae", "mvtcae", "mopoe", "weighted_mvae", "mmjsd",
-    "mmvae", "mmvaeplus", "dmvae",
-)
-
-LOGLIK_CAPABLE_MODELS = (
-    "jmvae", "dvcca", "mvae", "me_mvae", "mvtcae", "mopoe", "weighted_mvae",
-    "mmjsd", "mmvae",
-)
 
 
 class ProbeClassifier:
@@ -108,45 +96,6 @@ class CoherenceReport:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def _pool_subset(state: ModelState, posteriors: list[GaussianParams],
-                 members: tuple[int, ...]) -> GaussianParams:
-    chosen = [posteriors[i] for i in members]
-    name = state.name
-    if name == "mmjsd":
-        k = len(chosen) + 1
-        return geometric_poe(chosen + [standard_normal(chosen[0].shape)],
-                             [1.0 / k] * k)
-    if name in ("mvae", "me_mvae", "dmvae"):
-        return poe(ExpertSet(chosen, include_prior_expert=True))
-    if name == "mvtcae":
-        return poe(ExpertSet(chosen, include_prior_expert=False))
-    if name == "mopoe":
-        return poe(ExpertSet(chosen, include_prior_expert=False))
-    if name == "weighted_mvae":
-        w = gpoe_weights(state)
-        rows = [nc.row(w, i) for i in members]
-        sub_w = nc.concat_cols([nc.reshape_col(r) for r in rows])
-        # rows come back as columns; rebuild the (|S|, d) weight matrix
-        sub_w = nc.transpose(sub_w)
-        return gpoe(ExpertSet(chosen, weights=sub_w, include_prior_expert=True))
-    if name in ("mmvae", "mmvaeplus"):
-        return mean_pool(ExpertSet(chosen))
-    raise UnsupportedMetricError(f"model '{name}' does not define subset encoding")
-
-
-def _decode_from_latent(state: ModelState, z: Tensor, target: int,
-                        eval_rng: np.random.Generator) -> np.ndarray:
-    if state.private_encoders is not None:
-        batch = z.shape[0]
-        if state.name == "mmvaeplus":
-            scale = np.exp(state.aux_log_scales[target].data)
-            h = nc.constant(scale * eval_rng.standard_normal((batch, state.s_dim)))
-        else:
-            h = nc.constant(np.zeros((batch, state.s_dim)))
-        return state.decoders[target].decode(nc.concat_cols([z, h])).mean().data
-    return state.decoders[target].decode(z).mean().data
-
-
 def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier],
               eval_seed: int = 0) -> CoherenceReport:
     """For every modality subset, generate the remaining modalities from the
@@ -156,7 +105,8 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     model defines a joint) is reported as self-coherence at size M.
     """
     state = run.state
-    if state.name not in SUBSET_CAPABLE_MODELS:
+    pool = MODEL_SPECS[state.name].pool
+    if pool is None:
         raise UnsupportedMetricError(
             f"coherence: model '{state.name}' does not support subset encoding"
         )
@@ -170,57 +120,17 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
         posteriors = _encoder_posteriors(state, views)
         by_size: dict[int, list[float]] = {}
         for subset in enumerate_subsets(state.n_views):
-            pooled = _pool_subset(state, posteriors, subset.members)
-            z = pooled.mean
+            z = pool(state, posteriors, subset.members).mean
             absent = [m for m in range(state.n_views) if m not in subset.members]
             targets = absent if absent else list(range(state.n_views))
             accs = []
             for m in targets:
-                generated = _decode_from_latent(state, z, m, eval_rng)
+                generated = _decode_mean(state, z, m, None, eval_rng)
                 predicted = probes[m].predict(generated)
                 accs.append(float(np.mean(predicted == test.labels)))
             by_size.setdefault(len(subset), []).append(float(np.mean(accs)))
         per_size = {size: float(np.mean(vals)) for size, vals in by_size.items()}
     return CoherenceReport(per_size=per_size, n_views=state.n_views)
-
-
-def _joint_density_terms(state: ModelState, posteriors: list[GaussianParams],
-                         views: list[Tensor]):
-    """Sampling distribution and log-density function of the model's joint posterior."""
-    name = state.name
-    if name == "jmvae":
-        q = state.joint_encoder.forward(nc.concat_cols(views))
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name == "dvcca":
-        q = posteriors[0]
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name in ("mvae", "me_mvae"):
-        q = poe(ExpertSet(posteriors, include_prior_expert=True))
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name == "mmjsd":
-        pi = state.pi if state.pi else [1.0 / (state.n_views + 1)] * (state.n_views + 1)
-        q = geometric_poe(posteriors + [standard_normal(posteriors[0].shape)], pi)
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name == "mvtcae":
-        q = poe(ExpertSet(posteriors, include_prior_expert=False))
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name == "weighted_mvae":
-        q = gpoe(ExpertSet(posteriors, weights=gpoe_weights(state),
-                           include_prior_expert=True))
-        return q, lambda z: gaussian_log_prob(q, z)
-    if name == "mmvae":
-        # mixture proposal: the sampler picks a component per draw
-        moe = ExpertSet(posteriors)
-        return moe, lambda z: moe_log_prob(moe, z)
-    if name == "mopoe":
-        subs = enumerate_subsets(state.n_views)
-        base = ExpertSet(posteriors)
-        pooled = [poe(subset_experts(base, s)) for s in subs]
-        mixture = ExpertSet(pooled)
-        return mixture, lambda z: moe_log_prob(mixture, z)
-    raise UnsupportedMetricError(
-        f"joint_log_likelihood: model '{name}' has no tractable joint posterior"
-    )
 
 
 def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
@@ -229,7 +139,9 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
     if K < 1:
         raise ContractError("joint_log_likelihood: K must be >= 1")
     state = run.state
-    if state.name not in LOGLIK_CAPABLE_MODELS or (state.name == "dvcca" and state.private):
+    make_proposal = MODEL_SPECS[state.name].proposal
+    # the decoders of a private-latent model need a private code besides z
+    if make_proposal is None or state.private_encoders is not None:
         raise UnsupportedMetricError(
             f"joint_log_likelihood: model '{state.name}' is not supported"
         )
@@ -237,11 +149,11 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
     with nc.no_grad():
         views = _as_views(test)
         posteriors = _encoder_posteriors(state, views)
-        proposal, log_q = _joint_density_terms(state, posteriors, views)
-        batch = views[0].shape[0]
+        proposal = make_proposal(state, posteriors, tuple(range(state.n_views)))
+        mixture = isinstance(proposal, ExpertSet)
         cols = []
         for _ in range(K):
-            if isinstance(proposal, ExpertSet):
+            if mixture:
                 # i.i.d. mixture draws: uniform component pick per sample
                 comp = proposal.experts[eval_rng.integers(len(proposal.experts))]
                 z = rsample(comp, nc.constant(eval_rng.standard_normal(comp.shape)))
@@ -250,7 +162,8 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
             lw = gaussian_log_prob(standard_normal(z.shape), z)
             for m in range(state.n_views):
                 lw = lw + state.decoders[m].decode(z).log_prob(views[m])
-            lw = lw - log_q(z)
+            log_q = moe_log_prob(proposal, z) if mixture else gaussian_log_prob(proposal, z)
+            lw = lw - log_q
             cols.append(nc.reshape_col(lw))
         log_w = nc.concat_cols(cols)
         per_sample = nc.logsumexp(log_w, axis=1) - nc.constant(np.log(K))

@@ -16,7 +16,7 @@ from .distributions import GaussianParams, Likelihood
 from .errors import ContractError, DimensionError
 from .numcore import Tensor
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid-final")
+ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass
@@ -76,19 +76,6 @@ class Mlp:
             if b is not None:
                 h = h + b
             if i < last and self.spec.non_linear:
-                h = _apply_activation(h, self.spec.activation)
-        if self.spec.activation == "sigmoid-final":
-            h = nc.sigmoid(h)
-        return h
-
-    def hidden(self, x: Tensor) -> Tensor:
-        """Output of the last hidden layer (the input itself if none)."""
-        h = x
-        for w, b in self.layers[:-1]:
-            h = nc.matmul(h, w)
-            if b is not None:
-                h = h + b
-            if self.spec.non_linear:
                 h = _apply_activation(h, self.spec.activation)
         return h
 

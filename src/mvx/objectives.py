@@ -10,6 +10,7 @@ independent recomputations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,14 @@ from .pooling import (
     enumerate_subsets,
     geometric_poe,
     gpoe,
+    mean_pool,
     moe_log_prob,
     poe,
     subset_experts,
 )
 
 DCCAE_RIDGE = 1e-3
+MVTCAE_ALPHA_RANGE = (0.0, 1.0)
 
 
 class EpsStream:
@@ -452,8 +455,9 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    if not 0.0 <= state.alpha <= 1.0:
-        raise ContractError("mvtcae_loss: alpha must lie in [0, 1]")
+    lo, hi = MVTCAE_ALPHA_RANGE
+    if not lo <= state.alpha <= hi:
+        raise ContractError(f"mvtcae_loss: alpha must lie in [{lo:g}, {hi:g}]")
     if state.beta <= 0.0:
         raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
@@ -803,6 +807,151 @@ ADVERSARIAL_OBJECTIVES = {
     "mwae": mwae_losses,
 }
 
-MODEL_NAMES = (
-    tuple(PLAIN_OBJECTIVES) + tuple(VARIATIONAL_OBJECTIVES) + tuple(ADVERSARIAL_OBJECTIVES)
-)
+
+# A pooling hook maps (state, posteriors, members) to the posterior of the
+# modalities in `members`: a GaussianParams, a uniform mixture (ExpertSet), or
+# None when the model has none. `posteriors` holds one posterior per encoder
+# in `state.encoders`, then the joint encoder's when the model has one.
+PoolHook = Callable[[ModelState, list[GaussianParams], tuple[int, ...]],
+                    "GaussianParams | ExpertSet | None"]
+
+
+def _chosen(posteriors: list[GaussianParams], members: tuple[int, ...]) -> list[GaussianParams]:
+    return [posteriors[i] for i in members]
+
+
+def _pool_product(state, posteriors, members):
+    return poe(ExpertSet(_chosen(posteriors, members)))
+
+
+def _pool_product_with_prior(state, posteriors, members):
+    return poe(ExpertSet(_chosen(posteriors, members), include_prior_expert=True))
+
+
+def _pool_gpoe(state, posteriors, members):
+    w = gpoe_weights(state)
+    # rows come back as columns; rebuild the (|S|, d) weight matrix
+    sub_w = nc.transpose(nc.concat_cols([nc.reshape_col(nc.row(w, i)) for i in members]))
+    return gpoe(ExpertSet(_chosen(posteriors, members), weights=sub_w,
+                          include_prior_expert=True))
+
+
+def _pool_geometric(state, posteriors, members, pi=None):
+    """Normalized product of the members and the prior; uniform exponents unless `pi`."""
+    chosen = _chosen(posteriors, members)
+    k = len(chosen) + 1
+    return geometric_poe(chosen + [standard_normal(chosen[0].shape)], pi or [1.0 / k] * k)
+
+
+def _dynamic_prior(state, posteriors, members):
+    """mmJSD's joint: the geometric pooling with `model.pi` as exponents when set."""
+    return _pool_geometric(state, posteriors, members, state.pi)
+
+
+def _pool_mean(state, posteriors, members):
+    return mean_pool(ExpertSet(_chosen(posteriors, members)))
+
+
+def _mixture(state, posteriors, members):
+    return ExpertSet(_chosen(posteriors, members))
+
+
+def _subset_mixture(state, posteriors, members):
+    """MoPoE: the uniform mixture of the PoEs of all non-empty subsets of the members."""
+    base = ExpertSet(_chosen(posteriors, members))
+    return ExpertSet([poe(subset_experts(base, s)) for s in enumerate_subsets(len(members))])
+
+
+def _pool_by_join_type(state, posteriors, members):
+    """mcVAE pools by `model.join_type`; its sparse variant has no joint."""
+    if state.sparse:
+        return None
+    if state.join_type == "Mean":
+        return _pool_mean(state, posteriors, members)
+    return _pool_product(state, posteriors, members)
+
+
+def _joint_encoder_posterior(state, posteriors, members):
+    return posteriors[-1]
+
+
+def _reference_posterior(state, posteriors, members):
+    """The reference view's encoder gives the posterior of the shared latent."""
+    return posteriors[0]
+
+
+def _sparse_log_alphas(state: ModelState) -> None:
+    if state.sparse:
+        state.log_alphas = [nc.parameter(np.full(state.z_dim, -3.0))
+                            for _ in range(state.n_views)]
+
+
+def _gpoe_logits(state: ModelState) -> None:
+    state.alpha_logits = nc.parameter(np.zeros((state.n_views, state.z_dim)))
+
+
+def _aux_log_scales(state: ModelState) -> None:
+    state.aux_log_scales = [nc.parameter(np.zeros(state.s_dim)) for _ in range(state.n_views)]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything but the objective that sets one model apart.
+
+    `pool` pools any modality subset (coherence needs it); `joint` is the
+    joint posterior that the prediction API reports (a mixture by its mean
+    pooling); `proposal` is the importance-sampling proposal of the joint
+    log-likelihood. A model lacks whatever its entry leaves as None.
+    """
+
+    # "plain", "variational", or "reference": one variational encoder, of view 0
+    encoder: str = "variational"
+    joint_encoder: bool = False
+    # private latents: "never", "always", or "optional" (switched on by model.private)
+    private: str = "never"
+    n_views: int | None = None
+    # decoder likelihood forced on every view, overriding the config
+    likelihood: str | None = None
+    # "discriminator" or "critic" (unbounded scores, clipped weights, several steps)
+    adversary: str | None = None
+    # adds the model's trainable tensors that are not network weights
+    extras: Callable[[ModelState], None] | None = None
+    # forced on: the objective degrades under mini-batching
+    full_batch: bool = False
+    # model.sparse is allowed; the sparse variant has plain encoders
+    sparse: bool = False
+    alpha_range: tuple[float, float] | None = None
+    pool: PoolHook | None = None
+    joint: PoolHook | None = None
+    proposal: PoolHook | None = None
+
+    def has_private(self, private: bool) -> bool:
+        return self.private == "always" or (self.private == "optional" and private)
+
+
+MODEL_SPECS = {
+    "ae": ModelSpec(encoder="plain", likelihood="Default"),
+    "jmvae": ModelSpec(n_views=2, joint_encoder=True, joint=_joint_encoder_posterior,
+                       proposal=_joint_encoder_posterior),
+    "dccae": ModelSpec(encoder="plain", n_views=2, likelihood="Default", full_batch=True),
+    "dvcca": ModelSpec(encoder="reference", n_views=2, private="optional",
+                       proposal=_reference_posterior),
+    "mcvae": ModelSpec(sparse=True, extras=_sparse_log_alphas, joint=_pool_by_join_type),
+    "mvae": ModelSpec(pool=_pool_product_with_prior, joint=_pool_product_with_prior,
+                      proposal=_pool_product_with_prior),
+    "me_mvae": ModelSpec(pool=_pool_product_with_prior, joint=_pool_product_with_prior,
+                         proposal=_pool_product_with_prior),
+    "mmvae": ModelSpec(pool=_pool_mean, joint=_mixture, proposal=_mixture),
+    "mvtcae": ModelSpec(alpha_range=MVTCAE_ALPHA_RANGE, pool=_pool_product,
+                        joint=_pool_product, proposal=_pool_product),
+    "mopoe": ModelSpec(pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
+    "weighted_mvae": ModelSpec(extras=_gpoe_logits, pool=_pool_gpoe, joint=_pool_gpoe,
+                               proposal=_pool_gpoe),
+    "mmjsd": ModelSpec(pool=_pool_geometric, joint=_dynamic_prior, proposal=_dynamic_prior),
+    "mmvaeplus": ModelSpec(private="always", extras=_aux_log_scales, pool=_pool_mean,
+                           joint=_mixture),
+    "dmvae": ModelSpec(private="always", pool=_pool_product_with_prior,
+                       joint=_pool_product_with_prior),
+    "maae": ModelSpec(encoder="plain", likelihood="Default", adversary="discriminator"),
+    "mwae": ModelSpec(encoder="plain", likelihood="Default", adversary="critic"),
+}

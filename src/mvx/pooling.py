@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from . import numcore as nc
-from .distributions import GaussianParams, gaussian_log_prob, kl_normal, standard_normal
+from .distributions import GaussianParams, gaussian_log_prob, standard_normal
 from .errors import CapacityError, ContractError, DimensionError, DomainError
 from .numcore import Tensor
 
@@ -124,13 +124,6 @@ def geometric_poe(components: list[GaussianParams], pi) -> GaussianParams:
     return _product_pool(components, [float(w) for w in pi])
 
 
-def moe_select(e: ExpertSet, which: int) -> GaussianParams:
-    """Return mixture component `which` (stratified sampling of the uniform MoE)."""
-    if not 0 <= which < e.n_experts:
-        raise DimensionError(f"moe_select: index {which} out of range for {e.n_experts} experts")
-    return e.experts[which]
-
-
 def moe_log_prob(e: ExpertSet, z: Tensor) -> Tensor:
     """Log-density of the uniform mixture at z -> [batch], via logsumexp."""
     cols = [nc.reshape_col(gaussian_log_prob(comp, z)) for comp in e.experts]
@@ -171,25 +164,3 @@ def subset_experts(e: ExpertSet, subset: SubsetIndex) -> ExpertSet:
         experts=[e.experts[i] for i in subset.members],
         include_prior_expert=e.include_prior_expert,
     )
-
-
-def js_divergence(
-    components: list[GaussianParams], pi: np.ndarray, pooled: GaussianParams
-) -> Tensor:
-    """Weighted sum of KL(component || pooled) -> [batch].
-
-    `pi` must be a probability vector over the components; `pooled` plays the
-    role of the mixture/dynamic-prior distribution.
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    if len(pi) != len(components):
-        raise ContractError(f"js_divergence: {len(pi)} weights for {len(components)} components")
-    if np.any(pi < 0.0):
-        raise ContractError("js_divergence: weights must be non-negative")
-    if abs(pi.sum() - 1.0) > 1e-6:
-        raise ContractError(f"js_divergence: weights sum to {pi.sum():.8f}, expected 1")
-    total: Tensor | None = None
-    for w, comp in zip(pi, components):
-        term = nc.constant(w) * kl_normal(comp, pooled)
-        total = term if total is None else total + term
-    return total

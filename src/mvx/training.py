@@ -12,13 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .config import (
-    FORCED_DEFAULT_LIKELIHOOD,
-    ModelConfig,
-    TWO_VIEW_MODELS,
-    load_config,
-    save_resolved,
-)
+from .config import ModelConfig, check_views, load_config, save_resolved
 from .data import MultiViewBatch
 from .distributions import GaussianParams, dropout_rate
 from .errors import ConfigError, DimensionError, FormatError, NumericError
@@ -26,18 +20,16 @@ from .networks import Decoder, Discriminator, Encoder, MlpSpec, VariationalEncod
 from .numcore import Tensor
 from .objectives import (
     ADVERSARIAL_OBJECTIVES,
+    MODEL_SPECS,
     EpsStream,
     ModelState,
     PLAIN_OBJECTIVES,
     VARIATIONAL_OBJECTIVES,
-    gpoe_weights,
 )
-from .pooling import ExpertSet, enumerate_subsets, gpoe, mean_pool, poe, subset_experts
+from .pooling import ExpertSet, mean_pool
 
 CHECKPOINT_MAGIC = b"MVXC"
 CHECKPOINT_VERSION = 1
-
-PLAIN_ENCODER_MODELS = ("ae", "dccae", "maae", "mwae")
 
 
 def _mlp_spec(cfg_spec, input_dim: int, output_dim: int) -> MlpSpec:
@@ -52,17 +44,16 @@ def _mlp_spec(cfg_spec, input_dim: int, output_dim: int) -> MlpSpec:
 
 
 def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generator) -> ModelState:
-    """Construct all networks for the configured model.
+    """Construct all networks for the configured model from its MODEL_SPECS entry.
 
     Parameter initialization consumes `rng` in a fixed order: per-modality
     encoders, joint encoder, private encoders, decoders, discriminator.
     """
-    name = cfg.name
+    spec = MODEL_SPECS[cfg.name]
     m_total = len(input_dims)
-    if name in TWO_VIEW_MODELS and m_total != 2:
-        raise ConfigError(f"model.name: '{name}' requires exactly 2 views, got {m_total}")
+    check_views(cfg, m_total)
     state = ModelState(
-        name=name,
+        name=cfg.name,
         n_views=m_total,
         z_dim=cfg.z_dim,
         s_dim=cfg.s_dim,
@@ -80,33 +71,22 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     )
 
     # encoders
-    if name in PLAIN_ENCODER_MODELS or (name == "mcvae" and cfg.sparse):
-        state.encoders = [
-            Encoder(_mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.z_dim), rng,
+    kind = "plain" if cfg.sparse else spec.encoder
+    encoder_cls = Encoder if kind == "plain" else VariationalEncoder
+    n_encoders = 1 if kind == "reference" else m_total
+    state.encoders = [
+        encoder_cls(_mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.z_dim), rng,
                     name=f"enc{m}")
-            for m in range(m_total)
-        ]
-    elif name == "dvcca":
-        state.encoders = [
-            VariationalEncoder(
-                _mlp_spec(cfg.encoder_spec(0), input_dims[0], cfg.z_dim), rng, name="enc0"
-            )
-        ]
-    else:
-        state.encoders = [
-            VariationalEncoder(
-                _mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.z_dim), rng,
-                name=f"enc{m}"
-            )
-            for m in range(m_total)
-        ]
+        for m in range(n_encoders)
+    ]
 
-    if name == "jmvae":
+    if spec.joint_encoder:
         state.joint_encoder = VariationalEncoder(
             _mlp_spec(cfg.encoder_spec(0), sum(input_dims), cfg.z_dim), rng, name="enc_joint"
         )
 
-    if name in ("mmvaeplus", "dmvae") or (name == "dvcca" and cfg.private):
+    dec_in = cfg.z_dim
+    if spec.has_private(cfg.private):
         state.private_encoders = [
             VariationalEncoder(
                 _mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.s_dim), rng,
@@ -114,36 +94,29 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
             )
             for m in range(m_total)
         ]
-
-    if name == "mcvae" and cfg.sparse:
-        state.log_alphas = [nc.parameter(np.full(cfg.z_dim, -3.0)) for _ in range(m_total)]
-    if name == "weighted_mvae":
-        state.alpha_logits = nc.parameter(np.zeros((m_total, cfg.z_dim)))
-    if name == "mmvaeplus":
-        state.aux_log_scales = [nc.parameter(np.zeros(cfg.s_dim)) for _ in range(m_total)]
-
-    # decoders
-    dec_in = cfg.z_dim
-    if name in ("mmvaeplus", "dmvae") or (name == "dvcca" and cfg.private):
         dec_in = cfg.z_dim + cfg.s_dim
+
+    if spec.extras is not None:
+        spec.extras(state)
+
     decoders = []
     for m in range(m_total):
-        spec = cfg.decoder_spec(m)
-        dist = "Default" if name in FORCED_DEFAULT_LIKELIHOOD else spec.distribution
+        dec_spec = cfg.decoder_spec(m)
         decoders.append(
-            Decoder(_mlp_spec(spec, dec_in, input_dims[m]), rng,
-                    distribution=dist, scale=spec.scale, name=f"dec{m}")
+            Decoder(_mlp_spec(dec_spec, dec_in, input_dims[m]), rng,
+                    distribution=spec.likelihood or dec_spec.distribution,
+                    scale=dec_spec.scale, name=f"dec{m}")
         )
     state.decoders = decoders
 
-    if name in ("maae", "mwae"):
+    if spec.adversary is not None:
         disc_spec = cfg.encoder_spec(0)
         state.discriminator = Discriminator(
             MlpSpec(cfg.z_dim, list(disc_spec.hidden_layer_dim), 1,
                     non_linear=disc_spec.non_linear, bias=disc_spec.bias,
                     activation=disc_spec.activation),
             rng,
-            critic=(name == "mwae"),
+            critic=(spec.adversary == "critic"),
             name="disc",
         )
     return state
@@ -204,16 +177,14 @@ def _as_views(batch: MultiViewBatch) -> list[Tensor]:
 
 
 def _objective_for(name: str):
-    if name in VARIATIONAL_OBJECTIVES:
-        return VARIATIONAL_OBJECTIVES[name], "variational"
-    if name in PLAIN_OBJECTIVES:
-        return PLAIN_OBJECTIVES[name], "plain"
-    return ADVERSARIAL_OBJECTIVES[name], "adversarial"
+    for table in (VARIATIONAL_OBJECTIVES, PLAIN_OBJECTIVES, ADVERSARIAL_OBJECTIVES):
+        if name in table:
+            return table[name]
 
 
 def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[str, float]:
     cfg, state = run.cfg, run.state
-    objective, family = _objective_for(state.name)
+    objective = _objective_for(state.name)
     n = data.n_samples
     order = run.rng.permutation(n)
     if cfg.trainer.full_batch:
@@ -228,7 +199,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
         views = _as_views(data.subset(idx))
         eps = EpsStream(run.rng)
         try:
-            if family in ("variational", "plain"):
+            if state.discriminator is None:
                 loss = objective(state, views, eps)
                 _zero_grads(all_params)
                 nc.backward(loss.total)
@@ -239,13 +210,14 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
                 _zero_grads(all_params)
                 nc.backward(losses.reconstruction.total + losses.generator)
                 run.optimizer.step(ae_params)
-                steps = cfg.trainer.critic_steps if state.name == "mwae" else 1
+                critic = state.discriminator.critic
+                steps = cfg.trainer.critic_steps if critic else 1
                 for _ in range(steps):
                     fresh = objective(state, views, eps)
                     _zero_grads(all_params)
                     nc.backward(fresh.discriminator)
                     run.optimizer.step(disc_params)
-                    if state.name == "mwae":
+                    if critic:
                         _clip_params(disc_params, cfg.trainer.clip)
                 scalars = losses.scalars()
         except NumericError as err:
@@ -320,14 +292,6 @@ def continue_fit(
     return run
 
 
-def evaluate_loss(run: RunState, data: MultiViewBatch, seed: int = 0):
-    """One full-batch objective evaluation with a fresh seeded eps stream."""
-    objective, family = _objective_for(run.state.name)
-    views = _as_views(data)
-    eps = EpsStream(np.random.default_rng(seed))
-    return objective(run.state, views, eps)
-
-
 # ---------------------------------------------------------------------------
 # prediction API
 # ---------------------------------------------------------------------------
@@ -345,6 +309,8 @@ class LatentResult:
 
 
 def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[GaussianParams]:
+    """One posterior per encoder in `state.encoders` (a plain encoder's has zero
+    log-variance), then the joint encoder's when the model has one."""
     out = []
     for enc, x in zip(state.encoders, views):
         if isinstance(enc, VariationalEncoder):
@@ -352,42 +318,37 @@ def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[Gaussian
         else:
             mu = enc.forward(x)
             out.append(GaussianParams(mu, nc.constant(np.zeros(mu.shape))))
+    if state.joint_encoder is not None:
+        out.append(state.joint_encoder.forward(nc.concat_cols(views)))
     return out
 
 
-def joint_posterior(state: ModelState, posteriors: list[GaussianParams],
-                    views: list[Tensor] | None = None) -> GaussianParams | None:
-    """The model's own pooled posterior, or None for joint-less models."""
-    name = state.name
-    if name in ("mvae", "me_mvae", "dmvae"):
-        return poe(ExpertSet(posteriors, include_prior_expert=True))
-    if name == "mvtcae":
-        return poe(ExpertSet(posteriors, include_prior_expert=False))
-    if name == "weighted_mvae":
-        return gpoe(ExpertSet(posteriors, weights=gpoe_weights(state),
-                              include_prior_expert=True))
-    if name == "mmjsd":
-        from .distributions import standard_normal
-        from .pooling import geometric_poe
+def _joint_posterior(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams | None:
+    """The model's joint posterior, a mixture summarised by its mean pooling."""
+    hook = MODEL_SPECS[state.name].joint
+    joint = hook(state, posteriors, tuple(range(state.n_views))) if hook else None
+    return mean_pool(joint) if isinstance(joint, ExpertSet) else joint
 
-        pi = state.pi if state.pi else [1.0 / (state.n_views + 1)] * (state.n_views + 1)
-        return geometric_poe(posteriors + [standard_normal(posteriors[0].shape)], pi)
-    if name in ("mmvae", "mmvaeplus"):
-        return mean_pool(ExpertSet(posteriors))
-    if name == "mopoe":
-        base = ExpertSet(posteriors)
-        subs = enumerate_subsets(state.n_views)
-        pooled = [poe(subset_experts(base, s)) for s in subs]
-        return mean_pool(ExpertSet(pooled))
-    if name == "jmvae":
-        if views is None:
-            return None
-        return state.joint_encoder.forward(nc.concat_cols(views))
-    if name == "mcvae" and not state.sparse:
-        if state.join_type == "Mean":
-            return mean_pool(ExpertSet(posteriors))
-        return poe(ExpertSet(posteriors, include_prior_expert=False))
-    return None
+
+def _decode_mean(state: ModelState, z: Tensor, target: int, private: np.ndarray | None,
+                 eval_rng: np.random.Generator) -> np.ndarray:
+    """Mean of view `target`'s likelihood given the shared latent `z`.
+
+    A private-latent model also takes `private`, the source's own private
+    code; without one it draws the code from the target's auxiliary prior
+    where the model learns one (seeded by `eval_rng`), else uses the prior mean.
+    """
+    decoder = state.decoders[target]
+    if state.private_encoders is None:
+        return decoder.decode(z).mean().data
+    if private is None:
+        shape = (z.shape[0], state.s_dim)
+        if state.aux_log_scales is None:
+            private = np.zeros(shape)
+        else:
+            scale = np.exp(state.aux_log_scales[target].data)
+            private = scale * eval_rng.standard_normal(shape)
+    return decoder.decode(nc.concat_cols([z, nc.constant(private)])).mean().data
 
 
 def _sparse_masks(state: ModelState) -> list[np.ndarray]:
@@ -401,6 +362,12 @@ def _sparse_masks(state: ModelState) -> list[np.ndarray]:
     return masks
 
 
+def _private_means(state: ModelState, views: list[Tensor]) -> list[np.ndarray] | None:
+    if state.private_encoders is None:
+        return None
+    return [enc.forward(x).mean.data.copy() for enc, x in zip(state.private_encoders, views)]
+
+
 def predict_latent(run: RunState, data: MultiViewBatch) -> LatentResult:
     """Deterministic latents: posterior means, model-specific joint pooling,
     private means where defined, and sparse retained-dimension masks."""
@@ -411,28 +378,14 @@ def predict_latent(run: RunState, data: MultiViewBatch) -> LatentResult:
         )
     with nc.no_grad():
         views = _as_views(data)
-        if state.name == "dvcca":
-            q_z = state.encoders[0].forward(views[0])
-            result = LatentResult(per_modality=[q_z.mean.data.copy()])
-            if state.private:
-                result.private = [
-                    enc.forward(x).mean.data.copy()
-                    for enc, x in zip(state.private_encoders, views)
-                ]
-            return result
         posteriors = _encoder_posteriors(state, views)
-        per_modality = [q.mean.data.copy() for q in posteriors]
-        joint = joint_posterior(state, posteriors, views)
+        joint = _joint_posterior(state, posteriors)
         result = LatentResult(
-            per_modality=per_modality,
+            per_modality=[q.mean.data.copy() for q in posteriors[:len(state.encoders)]],
             joint=None if joint is None else joint.mean.data.copy(),
+            private=_private_means(state, views),
         )
-        if state.private_encoders is not None:
-            result.private = [
-                enc.forward(x).mean.data.copy()
-                for enc, x in zip(state.private_encoders, views)
-            ]
-        if state.sparse and state.log_alphas is not None:
+        if state.log_alphas is not None:
             masks = _sparse_masks(state)
             result.kept_masks = masks
             result.per_modality = [
@@ -441,88 +394,43 @@ def predict_latent(run: RunState, data: MultiViewBatch) -> LatentResult:
         return result
 
 
-def _private_for_target(state: ModelState, target: int, source_is_own: bool,
-                        private_means: list[np.ndarray], batch: int,
-                        eval_rng: np.random.Generator) -> Tensor:
-    if source_is_own:
-        return nc.constant(private_means[target])
-    if state.name == "mmvaeplus":
-        scale = np.exp(state.aux_log_scales[target].data)
-        draw = scale * eval_rng.standard_normal((batch, state.s_dim))
-        return nc.constant(draw)
-    return nc.constant(np.zeros((batch, state.s_dim)))
-
-
 def predict_reconstruction(run: RunState, data: MultiViewBatch,
                            eval_seed: int = 0) -> list[list[np.ndarray]]:
     """Nested [source][target] grid of deterministic reconstructions.
 
     Sources are the per-modality latents followed by the joint latent when
-    the model defines one. Cross-modal private codes come from the target's
-    auxiliary prior (seeded draw) for mmvaeplus and from the prior mean for
-    the other private-latent models.
+    the model defines one; a reference encoder's latent is the shared one.
+    Private-latent models decode each target with the source's own private
+    mean when the source covers the target, else as `_decode_mean` says.
     """
     state = run.state
     if data.dims != run.cfg.input_dims:
         raise DimensionError(
             f"predict_reconstruction: data dims {data.dims} vs model {run.cfg.input_dims}"
         )
-    batch = data.n_samples
     eval_rng = np.random.default_rng(eval_seed)
+    shared = MODEL_SPECS[state.name].encoder == "reference"
     with nc.no_grad():
         views = _as_views(data)
-        if state.name == "dvcca":
-            z = state.encoders[0].forward(views[0]).mean
-            private_means = None
-            if state.private:
-                private_means = [
-                    enc.forward(x).mean.data
-                    for enc, x in zip(state.private_encoders, views)
-                ]
-            grid_row = []
-            for t in range(state.n_views):
-                if state.private:
-                    h = nc.constant(private_means[t])
-                    recon = state.decoders[t].decode(nc.concat_cols([z, h]))
-                else:
-                    recon = state.decoders[t].decode(z)
-                grid_row.append(recon.mean().data.copy())
-            return [grid_row]
-
         posteriors = _encoder_posteriors(state, views)
+        masks = _sparse_masks(state) if state.log_alphas is not None else None
         latent_sources: list[tuple[np.ndarray, int | None]] = []
-        masks = None
-        if state.sparse and state.log_alphas is not None:
-            masks = _sparse_masks(state)
-        for m, q in enumerate(posteriors):
+        for m, q in enumerate(posteriors[:len(state.encoders)]):
             lat = q.mean.data.copy()
             if masks is not None:
                 lat = lat * masks[m]
-            latent_sources.append((lat, m))
-        joint = joint_posterior(state, posteriors, views)
+            latent_sources.append((lat, None if shared else m))
+        joint = _joint_posterior(state, posteriors)
         if joint is not None:
-            lat = joint.mean.data.copy()
-            if masks is not None:
-                lat = lat * np.any(np.stack(masks), axis=0)
-            latent_sources.append((lat, None))
-        private_means = None
-        if state.private_encoders is not None:
-            private_means = [
-                enc.forward(x).mean.data
-                for enc, x in zip(state.private_encoders, views)
-            ]
+            latent_sources.append((joint.mean.data.copy(), None))
+        private_means = _private_means(state, views)
         grid: list[list[np.ndarray]] = []
         for lat, src in latent_sources:
-            row = []
             z = nc.constant(lat)
+            row = []
             for t in range(state.n_views):
-                if private_means is not None:
-                    own = src is None or src == t
-                    h = _private_for_target(state, t, own, private_means, batch, eval_rng)
-                    recon = state.decoders[t].decode(nc.concat_cols([z, h]))
-                else:
-                    recon = state.decoders[t].decode(z)
-                row.append(recon.mean().data.copy())
+                own = private_means[t] if private_means and src in (None, t) else None
+                row.append(_decode_mean(state, z, t, own, eval_rng).copy())
             grid.append(row)
         return grid
 

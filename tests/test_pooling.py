@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from mvx import numcore as nc
-from mvx.distributions import GaussianParams, kl_normal
-from mvx.errors import CapacityError, ContractError, DimensionError, DomainError
+from mvx.distributions import GaussianParams
+from mvx.errors import CapacityError, ContractError, DomainError
 from mvx.pooling import (
     ExpertSet,
     SubsetIndex,
     enumerate_subsets,
     gpoe,
-    js_divergence,
     mean_pool,
     moe_log_prob,
-    moe_select,
     poe,
 )
 
@@ -126,17 +124,6 @@ def test_pooling_permutation_invariance():
     assert np.allclose(ga.mean.data, gb.mean.data, atol=1e-12)
 
 
-def test_moe_select_and_degenerate_mixture():
-    e0 = _gp([[1.0]], [[0.5]])
-    e1 = _gp([[2.0]], [[1.5]])
-    single = moe_select(ExpertSet([e0]), 0)
-    assert single is e0
-    picked = moe_select(ExpertSet([e0, e1]), 1)
-    assert picked is e1
-    with pytest.raises(DimensionError):
-        moe_select(ExpertSet([e0, e1]), 2)
-
-
 def test_moe_mixture_density_integrates_to_one():
     grid = np.linspace(-10, 10, 40001).reshape(-1, 1)
     dx = grid[1, 0] - grid[0, 0]
@@ -179,34 +166,3 @@ def test_subset_index_validation():
         SubsetIndex(())
     with pytest.raises(ContractError):
         SubsetIndex((1, 0))
-
-
-def test_js_divergence_identity_and_positivity():
-    e = _gp([[0.3, -0.1]], [[1.0, 0.8]])
-    zero = js_divergence([e, e], np.array([0.5, 0.5]), e)
-    assert np.all(np.abs(zero.data) < 1e-12)
-    a = _gp([[1.0, 0.0]], [[1.0, 1.0]])
-    b = _gp([[-1.0, 0.5]], [[0.5, 2.0]])
-    pooled = poe(ExpertSet([a, b]))
-    val = js_divergence([a, b], np.array([0.5, 0.5]), pooled)
-    assert np.all(val.data > 0)
-
-
-def test_js_divergence_scalar_recomputation():
-    rng = np.random.default_rng(7)
-    comps = [_gp(rng.normal(size=(3, 2)), rng.uniform(0.5, 2, (3, 2))) for _ in range(3)]
-    pooled = poe(ExpertSet(list(comps), include_prior_expert=True))
-    pi = np.array([0.25, 0.25, 0.5])
-    ours = js_divergence(comps, pi, pooled).data
-    expect = np.zeros(3)
-    for w, c in zip(pi, comps):
-        expect += w * kl_normal(c, pooled).data
-    assert np.abs(ours - expect).max() < 1e-9
-
-
-def test_js_divergence_rejects_bad_weights():
-    e = _gp([[0.0]], [[1.0]])
-    with pytest.raises(ContractError):
-        js_divergence([e, e], np.array([0.6, 0.5]), e)
-    with pytest.raises(ContractError):
-        js_divergence([e], np.array([0.5, 0.5]), e)

@@ -53,6 +53,9 @@ def test_validation_messages_name_key_paths():
     with pytest.raises(ConfigError) as err:
         load_config(FIXTURES / "neg_unknown_key.cfg")
     assert "model.zdim" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        load_config(FIXTURES / "neg_mvtcae_alpha_above_one.cfg")
+    assert str(err.value).startswith("model.alpha:")
 
 
 def test_defaults_filled():
@@ -116,6 +119,15 @@ def test_fit_zero_epochs_returns_initialized_state():
     run = fit(cfg, _toy_data())
     assert run.epoch == 0
     assert run.history == []
+
+
+def test_modality_keys_beyond_the_view_count_are_rejected():
+    for key in ("decoder.5.distribution", "encoder.2.activation"):
+        value = "Bernoulli" if key.startswith("decoder") else "tanh"
+        cfg = build_config({"model.name": "mvae", "model.z_dim": 2, key: value})
+        with pytest.raises(ConfigError) as err:
+            fit(cfg, _toy_data(), max_epochs=1)
+        assert str(err.value).startswith(key.rsplit(".", 1)[0] + ":")
 
 
 def test_fit_same_seed_is_bitwise_identical():
