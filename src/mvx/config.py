@@ -340,16 +340,28 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     if cfg.sparse and not spec.sparse:
         allowed = ", ".join(f"'{n}'" for n, other in MODEL_SPECS.items() if other.sparse)
         raise ConfigError(f"model.sparse: only supported for model {allowed}")
+    if cfg.input_dims is not None:
+        check_views(cfg, len(cfg.input_dims))
     return cfg
 
 
 def check_views(cfg: ModelConfig, n_views: int) -> None:
     """Reject data whose view count the model, or a per-modality key, does not fit."""
-    required = MODEL_SPECS[cfg.name].n_views
-    if required is not None and n_views != required:
+    spec = MODEL_SPECS[cfg.name]
+    if spec.n_views is not None and n_views != spec.n_views:
         raise ConfigError(
-            f"model.name: '{cfg.name}' requires exactly {required} views, got {n_views}"
+            f"model.name: '{cfg.name}' requires exactly {spec.n_views} views, got {n_views}"
         )
+    if spec.view_weights is not None:
+        key, lengths = spec.view_weights
+        weights = {"model.pi": cfg.pi, "model.lambda": cfg.lam}[key]
+        allowed = sorted(set(lengths(n_views)))
+        # an empty or unset list means the objective's default weights
+        if weights and len(weights) not in allowed:
+            raise ConfigError(
+                f"{key}: model '{cfg.name}' needs {' or '.join(map(str, allowed))} "
+                f"entries for {n_views} views, got {len(weights)}"
+            )
     for section, specs in (("encoder", cfg.encoders), ("decoder", cfg.decoders)):
         for slot in specs:
             if slot != "default" and slot >= n_views:

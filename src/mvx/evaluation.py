@@ -10,7 +10,13 @@ import numpy as np
 
 from . import numcore as nc
 from .data import MultiViewBatch
-from .distributions import Likelihood, gaussian_log_prob, rsample, standard_normal
+from .distributions import (
+    GaussianParams,
+    Likelihood,
+    gaussian_log_prob,
+    rsample,
+    standard_normal,
+)
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
@@ -28,6 +34,10 @@ from .training import (
 PROBE_HIDDEN = 64
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
+# rows per stacked batch of the log-likelihood (8 samples of 500 test rows):
+# large enough that per-op overhead no longer dominates, small enough that a
+# chunk's activations stay at a few MB
+LOGLIK_CHUNK_ROWS = 4000
 
 
 class ProbeClassifier:
@@ -133,9 +143,23 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     return CoherenceReport(per_size=per_size, n_views=state.n_views)
 
 
+def _tiled(p: GaussianParams, copies: int) -> GaussianParams:
+    """`copies` stacked copies of a (B, z) Gaussian, as one (copies * B, z)."""
+    return GaussianParams(nc.constant(np.tile(p.mean.data, (copies, 1))),
+                          nc.constant(np.tile(p.log_var.data, (copies, 1))))
+
+
 def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
                          eval_seed: int = 0) -> float:
-    """Importance-sampled estimate of the mean per-sample log p(X) in nats."""
+    """Importance-sampled estimate of the mean per-sample log p(X) in nats.
+
+    Draws from `eval_seed`, per importance sample k = 1..K in turn: for a
+    mixture proposal a uniform component index, then one (B, z) standard
+    normal. The samples are evaluated in chunks of C = LOGLIK_CHUNK_ROWS // B
+    (at least 1): each chunk stacks its samples into one (C * B, z) batch,
+    so every decoder runs once per chunk. At K = 1000 and B = 500 that is
+    125 chunks of 8 samples, and the (B, K) log-weights take 4 MB.
+    """
     if K < 1:
         raise ContractError("joint_log_likelihood: K must be >= 1")
     state = run.state
@@ -151,22 +175,35 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
         posteriors = _encoder_posteriors(state, views)
         proposal = make_proposal(state, posteriors, tuple(range(state.n_views)))
         mixture = isinstance(proposal, ExpertSet)
-        cols = []
-        for _ in range(K):
-            if mixture:
+        components = proposal.experts if mixture else [proposal]
+        rows = views[0].shape[0]
+        chunk = min(K, max(1, LOGLIK_CHUNK_ROWS // rows))
+
+        def stacked(copies: int):
+            return ([nc.constant(np.tile(v.data, (copies, 1))) for v in views],
+                    [_tiled(comp, copies) for comp in components])
+
+        full = stacked(chunk)
+        log_w = np.empty((rows, K))
+        for start in range(0, K, chunk):
+            n = min(chunk, K - start)
+            xs, tiled = full if n == chunk else stacked(n)
+            picks, eps = [], []
+            for _ in range(n):
                 # i.i.d. mixture draws: uniform component pick per sample
-                comp = proposal.experts[eval_rng.integers(len(proposal.experts))]
-                z = rsample(comp, nc.constant(eval_rng.standard_normal(comp.shape)))
-            else:
-                z = rsample(proposal, nc.constant(eval_rng.standard_normal(proposal.shape)))
+                comp = components[eval_rng.integers(len(components))] if mixture else proposal
+                picks.append(comp)
+                eps.append(eval_rng.standard_normal(comp.shape))
+            q = GaussianParams(nc.constant(np.concatenate([p.mean.data for p in picks])),
+                               nc.constant(np.concatenate([p.log_var.data for p in picks])))
+            z = rsample(q, nc.constant(np.concatenate(eps)))
             lw = gaussian_log_prob(standard_normal(z.shape), z)
             for m in range(state.n_views):
-                lw = lw + state.decoders[m].decode(z).log_prob(views[m])
-            log_q = moe_log_prob(proposal, z) if mixture else gaussian_log_prob(proposal, z)
+                lw = lw + state.decoders[m].decode(z).log_prob(xs[m])
+            log_q = moe_log_prob(ExpertSet(tiled), z) if mixture else gaussian_log_prob(tiled[0], z)
             lw = lw - log_q
-            cols.append(nc.reshape_col(lw))
-        log_w = nc.concat_cols(cols)
-        per_sample = nc.logsumexp(log_w, axis=1) - nc.constant(np.log(K))
+            log_w[:, start:start + n] = lw.data.reshape(n, rows).T
+        per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())
 
 

@@ -174,13 +174,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(op: str, a: Tensor, b: Tensor, data, da, db) -> Tensor:
+    # a parent that does not require grad (data, constants) gets no adjoint
     def bw(g: np.ndarray):
         return (
-            _unbroadcast(da(g), a.data.shape),
-            _unbroadcast(db(g), b.data.shape),
+            _unbroadcast(da(g), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(db(g), b.data.shape) if b.requires_grad else None,
         )
 
     return _make(data, op, (a, b), bw)
+
+
+def _above_floor(x: np.ndarray) -> bool:
+    """True when no element of `x` lies below EPS_FLOOR."""
+    return x.size == 0 or x.min() >= EPS_FLOOR
 
 
 # -- elementwise ops ------------------------------------------------------------
@@ -207,10 +213,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Division with the epsilon floor applied to the denominator magnitude."""
     _broadcast_check(a, b, "div")
-    bd = b.data
+    ad, bd = a.data, b.data
+    if _above_floor(bd) or _above_floor(-bd):
+        return _binary("div", a, b, ad / bd, lambda g: g / bd,
+                       lambda g: -g * ad / (bd * bd))
     safe = np.where(np.abs(bd) < EPS_FLOOR, np.where(bd < 0, -EPS_FLOOR, EPS_FLOOR), bd)
     inside = np.abs(bd) >= EPS_FLOOR
-    ad = a.data
     return _binary(
         "div",
         a,
@@ -233,12 +241,19 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     """Natural log with inputs floored at EPS_FLOOR (clamp, do not error)."""
-    x = np.maximum(a.data, EPS_FLOOR)
+    x = a.data
+    if _above_floor(x):
+        return _make(np.log(x), "log", (a,), lambda g: (g / x,))
+    x = np.maximum(x, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
     return _make(np.log(x), "log", (a,), lambda g: (np.where(inside, g / x, 0.0),))
 
 
 def sqrt(a: Tensor) -> Tensor:
+    """Square root with inputs floored at EPS_FLOOR."""
+    if _above_floor(a.data):
+        out = np.sqrt(a.data)
+        return _make(out, "sqrt", (a,), lambda g: (g / (2.0 * out),))
     x = np.maximum(a.data, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
     out = np.sqrt(x)
@@ -258,8 +273,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+    ad = a.data
+    # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces
+    return _make(np.maximum(ad, 0.0), "relu", (a,), lambda g: (g * (ad > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -310,7 +326,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g: np.ndarray):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _make(ad @ bd, "matmul", (a, b), bw)
 
@@ -513,59 +530,14 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             key = id(parent)
+            # adjoints are never written in place, so `pg` need not be copied
             if key in adjoint:
                 adjoint[key] = adjoint[key] + pg
             else:
-                adjoint[key] = np.array(pg, dtype=np.float64, copy=True)
+                adjoint[key] = pg
 
 
 # -- symmetric eigendecomposition ----------------------------------------------------
-
-
-def _jacobi_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps; returns eigenvalues (descending) and eigenvectors."""
-    a = mat.copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return a.reshape(1).copy(), v
-    max_sweeps = 100 * d * d
-    scale = max(np.abs(np.diag(a)).max(), 1.0)
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2))
-        if off <= 1e-14 * scale:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    else:
-        converged = False
-    if not converged:
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2))
-        if off > 1e-10 * scale:
-            raise NumericError(f"sym_eig: Jacobi iteration did not converge (off={off:.3e})")
-    lam = np.diag(a).copy()
-    idx = np.argsort(-lam, kind="stable")
-    return lam[idx], np.ascontiguousarray(v[:, idx])
 
 
 def sym_eig(a: Tensor) -> tuple[Tensor, Tensor]:
@@ -584,7 +556,13 @@ def sym_eig(a: Tensor) -> tuple[Tensor, Tensor]:
     asym = np.abs(mat - mat.T).max()
     if asym > 1e-8:
         raise ContractError(f"sym_eig: input not symmetric (max asymmetry {asym:.3e})")
-    lam, vec = _jacobi_eigh(0.5 * (mat + mat.T))
+    try:
+        lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"sym_eig: eigendecomposition failed ({err})") from None
+    # descending eigenvalues; the stable sort keeps ties in eigh's order
+    idx = np.argsort(-lam, kind="stable")
+    lam, vec = lam[idx], np.ascontiguousarray(vec[:, idx])
 
     def bw_lam(g: np.ndarray):
         da = vec @ np.diag(g) @ vec.T

@@ -921,6 +921,9 @@ class ModelSpec:
     # model.sparse is allowed; the sparse variant has plain encoders
     sparse: bool = False
     alpha_range: tuple[float, float] | None = None
+    # a per-view weight list the objective reads: its config key, and the
+    # list lengths allowed for a given view count
+    view_weights: tuple[str, Callable[[int], tuple[int, ...]]] | None = None
     pool: PoolHook | None = None
     joint: PoolHook | None = None
     proposal: PoolHook | None = None
@@ -947,11 +950,12 @@ MODEL_SPECS = {
     "mopoe": ModelSpec(pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
     "weighted_mvae": ModelSpec(extras=_gpoe_logits, pool=_pool_gpoe, joint=_pool_gpoe,
                                proposal=_pool_gpoe),
-    "mmjsd": ModelSpec(pool=_pool_geometric, joint=_dynamic_prior, proposal=_dynamic_prior),
+    "mmjsd": ModelSpec(view_weights=("model.pi", lambda n: (n + 1,)), pool=_pool_geometric,
+                       joint=_dynamic_prior, proposal=_dynamic_prior),
     "mmvaeplus": ModelSpec(private="always", extras=_aux_log_scales, pool=_pool_mean,
                            joint=_mixture),
-    "dmvae": ModelSpec(private="always", pool=_pool_product_with_prior,
-                       joint=_pool_product_with_prior),
+    "dmvae": ModelSpec(private="always", view_weights=("model.lambda", lambda n: (1, n)),
+                       pool=_pool_product_with_prior, joint=_pool_product_with_prior),
     "maae": ModelSpec(encoder="plain", likelihood="Default", adversary="discriminator"),
     "mwae": ModelSpec(encoder="plain", likelihood="Default", adversary="critic"),
 }

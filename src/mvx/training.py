@@ -480,6 +480,19 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _read_moment(fh, name: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """One Adam moment of parameter `name`, its stored size checked first."""
+    offset = fh.tell()
+    (size,) = struct.unpack("<I", _read_exact(fh, 4, f"{what} size"))
+    expected = int(np.prod(shape))
+    if size != expected:
+        raise FormatError(
+            f"{what} size of {name} at byte {offset} is {size}, parameter has {expected}"
+        )
+    raw = _read_exact(fh, 8 * size, f"{what} of {name}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
 def load_run(run_dir: str | Path) -> RunState:
     """Rebuild a RunState from a run directory (resolved.cfg + checkpoint.mvxc)."""
     run_dir = Path(run_dir)
@@ -522,14 +535,8 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
             p.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         for name, p in params:
             (t,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
-            (m_size,) = struct.unpack("<I", _read_exact(fh, 4, "m size"))
-            m = np.frombuffer(_read_exact(fh, 8 * m_size, "m"), dtype="<f8").reshape(
-                p.data.shape
-            ).copy()
-            (v_size,) = struct.unpack("<I", _read_exact(fh, 4, "v size"))
-            v = np.frombuffer(_read_exact(fh, 8 * v_size, "v"), dtype="<f8").reshape(
-                p.data.shape
-            ).copy()
+            m = _read_moment(fh, name, "m", p.data.shape)
+            v = _read_moment(fh, name, "v", p.data.shape)
             run.optimizer.moments[name] = (m, v, t)
         (rng_len,) = struct.unpack("<I", _read_exact(fh, 4, "rng length"))
         rng_state = json.loads(_read_exact(fh, rng_len, "rng state").decode("utf-8"))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 
 from mvx import numcore as nc
@@ -107,3 +110,22 @@ class ReplayEps(EpsStream):
         out = self._ints[self._j]
         self._j += 1
         return out
+
+
+def corrupt_first_moment_size(path: Path) -> int:
+    """Add 1 to the first parameter's stored Adam m size in a `.mvxc`
+    checkpoint; return the byte offset of that size field."""
+    raw = bytearray(path.read_bytes())
+    (count,) = struct.unpack_from("<I", raw, 8)
+    offset = 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, offset)
+        offset += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", raw, offset)
+        shape = struct.unpack_from(f"<{ndim}I", raw, offset + 4)
+        offset += 4 + 4 * ndim + 8 * int(np.prod(shape))
+    offset += 8  # the step count
+    (size,) = struct.unpack_from("<I", raw, offset)
+    struct.pack_into("<I", raw, offset, size + 1)
+    path.write_bytes(bytes(raw))
+    return offset

@@ -5,6 +5,8 @@ from pathlib import Path
 from mvx.cli import main
 from mvx.data import read_dataset
 
+from helpers import corrupt_first_moment_size
+
 CONFIGS = Path(__file__).parent.parent / "configs"
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -129,6 +131,21 @@ def test_eval_unsupported_metric_exits_1(tmp_path, capsys):
                "--metric", "coherence"])
     assert rc == 1
     assert "dvcca" in capsys.readouterr().err
+
+
+def test_eval_corrupt_checkpoint_exits_without_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    train = _gen_data(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(train),
+                 "--out", str(out)]) == 0
+    offset = corrupt_first_moment_size(out / "checkpoint.mvxc")
+    capsys.readouterr()
+    rc = main(["eval", "--run", str(out), "--data", str(train), "--metric", "loglik"])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert "Traceback" not in err
+    assert "m size" in err and f"byte {offset}" in err
 
 
 def test_reconstruct_grid_and_manifest(tmp_path):

@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from mvx import numcore as nc
 from mvx.config import build_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import DegenerateLabelError, UnsupportedMetricError
+from mvx.distributions import gaussian_log_prob, rsample, standard_normal
 from mvx.evaluation import (
+    LOGLIK_CHUNK_ROWS,
     coherence,
     coherence_csv,
     joint_log_likelihood,
     metric_csv,
     train_probe_classifier,
 )
-from mvx.training import fit
+from mvx.objectives import MODEL_SPECS
+from mvx.pooling import ExpertSet, moe_log_prob
+from mvx.training import _as_views, _encoder_posteriors, fit
 
 
 # -- probe classifier -----------------------------------------------------------
@@ -275,3 +280,48 @@ def test_loglik_mixture_models_run():
         run = fit(cfg, data)
         val = joint_log_likelihood(run, data, K=8, eval_seed=0)
         assert math.isfinite(val)
+
+
+def _sequential_log_likelihood(run, test, K, eval_seed=0):
+    """The estimator one importance sample at a time, as it was computed
+    before samples were stacked into chunks."""
+    state = run.state
+    eval_rng = np.random.default_rng(eval_seed)
+    with nc.no_grad():
+        views = _as_views(test)
+        posteriors = _encoder_posteriors(state, views)
+        proposal = MODEL_SPECS[state.name].proposal(state, posteriors,
+                                                    tuple(range(state.n_views)))
+        mixture = isinstance(proposal, ExpertSet)
+        cols = []
+        for _ in range(K):
+            if mixture:
+                comp = proposal.experts[eval_rng.integers(len(proposal.experts))]
+                z = rsample(comp, nc.constant(eval_rng.standard_normal(comp.shape)))
+            else:
+                z = rsample(proposal, nc.constant(eval_rng.standard_normal(proposal.shape)))
+            lw = gaussian_log_prob(standard_normal(z.shape), z)
+            for m in range(state.n_views):
+                lw = lw + state.decoders[m].decode(z).log_prob(views[m])
+            log_q = moe_log_prob(proposal, z) if mixture else gaussian_log_prob(proposal, z)
+            lw = lw - log_q
+            cols.append(nc.reshape_col(lw))
+        log_w = nc.concat_cols(cols)
+        per_sample = nc.logsumexp(log_w, axis=1) - nc.constant(np.log(K))
+        return float(nc.mean(per_sample).item())
+
+
+@pytest.mark.parametrize("name", ["mvae", "mopoe"])
+def test_chunked_loglik_equals_the_sequential_estimator_bitwise(name):
+    # 300 rows: chunks of 13 samples, and K = 1000 ends on a partial chunk
+    rows = 300
+    chunk = LOGLIK_CHUNK_ROWS // rows
+    data = generate_synthetic(SyntheticSpec(n_classes=3, n_samples=rows, dims=[4, 3, 5],
+                                            seed=4, background_noise=0.5))
+    cfg = build_config({"model.name": name, "model.z_dim": 2, "model.seed": 3,
+                        "encoder.default.hidden_layer_dim": [6],
+                        "decoder.default.hidden_layer_dim": [6],
+                        "trainer.max_epochs": 1, "trainer.batch_size": 100})
+    run = fit(cfg, data)
+    for K in (1, chunk + 3, 1000):
+        assert joint_log_likelihood(run, data, K=K) == _sequential_log_likelihood(run, data, K)

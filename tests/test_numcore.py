@@ -187,6 +187,110 @@ def test_log_floor_clamps_instead_of_error():
     assert abs(out.item() - np.log(nc.EPS_FLOOR)) < 1e-12
 
 
+# -- fast paths against the floored kernels ----------------------------------------
+
+EPS = nc.EPS_FLOOR
+
+
+def _floored_div(a, b, g):
+    safe = np.where(np.abs(b) < EPS, np.where(b < 0, -EPS, EPS), b)
+    inside = np.abs(b) >= EPS
+    return a / safe, g / safe, np.where(inside, -g * a / (safe * safe), 0.0)
+
+
+def _floored_log(x, g):
+    floored = np.maximum(x, EPS)
+    return np.log(floored), np.where(x >= EPS, g / floored, 0.0)
+
+
+def _floored_sqrt(x, g):
+    out = np.sqrt(np.maximum(x, EPS))
+    return out, np.where(x >= EPS, g / (2.0 * out), 0.0)
+
+
+def _masked_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def _value_and_grads(op, *inputs, g):
+    params = [nc.parameter(x) for x in inputs]
+    out = op(*params)
+    nc.backward(nc.sum_(out * nc.constant(g)))
+    return out.data, [p.grad for p in params]
+
+
+def _assert_bitwise(ours, reference, label):
+    assert ours.shape == reference.shape, label
+    assert ours.tobytes() == reference.tobytes(), f"{label}: {ours} vs {reference}"
+
+
+@pytest.mark.parametrize("denominator", [
+    [EPS, 2 * EPS, 0.5, 3.0],
+    [-EPS, -2 * EPS, -0.5, -3.0],
+    [-2 * EPS, -EPS, -0.5 * EPS, -0.0],
+    [0.0, 0.5 * EPS, EPS, 2 * EPS],
+    [-3.0, -EPS, EPS, 0.5],
+], ids=["positive", "negative", "below-negative", "below-positive", "mixed-signs"])
+def test_div_matches_the_floored_kernel_bitwise(denominator):
+    b = np.array(denominator)
+    a = np.array([1.5, -2.0, 0.25, 4.0])
+    g = np.array([0.5, -1.25, 2.0, -0.0])
+    out, (da, db) = _value_and_grads(nc.div, a, b, g=g)
+    ref_out, ref_da, ref_db = _floored_div(a, b, g)
+    _assert_bitwise(out, ref_out, "div value")
+    # leaf gradients accumulate onto zeros
+    _assert_bitwise(da, 0.0 + ref_da, "div grad a")
+    _assert_bitwise(db, 0.0 + ref_db, "div grad b")
+
+
+def test_div_broadcast_denominator_matches_the_floored_kernel():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 4))
+    g = rng.normal(size=(3, 4))
+    for b in (rng.uniform(0.5, 2.0, size=4), np.array([EPS, 0.0, -EPS, 1.0])):
+        out, (da, db) = _value_and_grads(nc.div, a, b, g=g)
+        ref_out, ref_da, ref_db = _floored_div(a, b, g)
+        _assert_bitwise(out, ref_out, "div value")
+        _assert_bitwise(da, 0.0 + ref_da, "div grad a")
+        _assert_bitwise(db, 0.0 + ref_db.sum(axis=0), "div grad b")
+
+
+@pytest.mark.parametrize("op, floored", [(nc.log, _floored_log), (nc.sqrt, _floored_sqrt)],
+                         ids=["log", "sqrt"])
+@pytest.mark.parametrize("x", [
+    [EPS, 2 * EPS, 1.0, 7.5],
+    [0.0, EPS, 2 * EPS, 1.0],
+    [-1.0, -0.0, EPS, 2 * EPS],
+], ids=["above-floor", "at-zero", "negative"])
+def test_log_and_sqrt_match_the_floored_kernel_bitwise(op, floored, x):
+    x = np.array(x)
+    g = np.array([0.5, -1.25, 2.0, 3.0])
+    out, (dx,) = _value_and_grads(op, x, g=g)
+    ref_out, ref_dx = floored(x, g)
+    _assert_bitwise(out, ref_out, "value")
+    _assert_bitwise(dx, 0.0 + ref_dx, "grad")
+
+
+def test_relu_matches_the_masked_kernel_bitwise():
+    x = np.array([-1.0, -0.0, 0.0, 5e-324, 2.0])
+    g = np.array([0.5, -1.25, 2.0, 3.0, -0.75])
+    out, (dx,) = _value_and_grads(nc.relu, x, g=g)
+    ref_out, ref_dx = _masked_relu(x, g)
+    _assert_bitwise(out, ref_out, "relu value")
+    _assert_bitwise(dx, 0.0 + ref_dx, "relu grad")
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(3)
+    x = nc.constant(rng.normal(size=(4, 2)))
+    w = nc.parameter(rng.normal(size=(2, 3)))
+    half, var = nc.constant(-0.5), nc.constant(2.0)
+    nc.backward(nc.sum_(half * nc.matmul(x, w) / var))
+    assert x.grad is None and half.grad is None and var.grad is None
+    assert np.allclose(w.grad, x.data.T @ np.full((4, 3), -0.25))
+
+
 def test_no_grad_suppresses_graph():
     w = nc.parameter([1.0])
     with nc.no_grad():

@@ -8,7 +8,7 @@ import pytest
 from mvx import numcore as nc
 from mvx.config import ModelConfig, build_config, load_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import ConfigError, NumericError
+from mvx.errors import ConfigError, FormatError, NumericError
 from mvx.training import (
     Adam,
     RunState,
@@ -19,6 +19,8 @@ from mvx.training import (
     predict_latent,
     predict_reconstruction,
 )
+
+from helpers import corrupt_first_moment_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,6 +132,25 @@ def test_modality_keys_beyond_the_view_count_are_rejected():
         assert str(err.value).startswith(key.rsplit(".", 1)[0] + ":")
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("mmjsd", "model.pi", [0.5, 0.5]),
+    ("dmvae", "model.lambda", [1.0, 2.0]),
+])
+def test_per_view_weights_must_fit_the_view_count(name, key, value):
+    data = _toy_data(dims=(3, 4, 2))
+    flat = {"model.name": name, "model.z_dim": 2, "model.s_dim": 1}
+    with pytest.raises(ConfigError) as err:
+        fit(build_config({**flat, key: value}), data, max_epochs=0)
+    assert str(err.value).startswith(key + ":")
+    # a config that declares its view count is checked without data
+    with pytest.raises(ConfigError) as err:
+        build_config({**flat, key: value, "model.input_dims": [3, 4, 2]})
+    assert str(err.value).startswith(key + ":")
+    # mmjsd needs one weight per view plus the prior's; dmvae 1 or one per view
+    fitting = [0.25] * 4 if name == "mmjsd" else [1.0, 2.0, 3.0]
+    fit(build_config({**flat, key: fitting}), data, max_epochs=1)
+
+
 def test_fit_same_seed_is_bitwise_identical():
     data = _toy_data()
     runs = []
@@ -206,6 +227,19 @@ def test_load_run_round_trips_parameters(tmp_path):
                                   back.state.parameters()):
         assert na == nb
         assert pa.data.tobytes() == pb.data.tobytes()
+
+
+def test_wrong_moment_size_in_checkpoint_is_a_format_error(tmp_path):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2,
+                        "trainer.max_epochs": 1, "trainer.batch_size": 8})
+    run = fit(cfg, _toy_data(), out_dir=tmp_path)
+    path = tmp_path / "checkpoint.mvxc"
+    offset = corrupt_first_moment_size(path)
+    with pytest.raises(FormatError) as err:
+        load_run(tmp_path)
+    message = str(err.value)
+    assert run.state.parameters()[0][0] in message
+    assert f"byte {offset}" in message
 
 
 def test_mwae_weights_stay_clipped(tmp_path):
