@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_config_text
+from .config import check_seed, load_config, parse_config_text
 from .data import MultiViewBatch, SyntheticSpec, generate_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, MvxError, UnsupportedMetricError
 from .evaluation import (
@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated per-view dimensions")
     p_gen.add_argument("--style-noise", type=float, default=0.1)
     p_gen.add_argument("--background-noise", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None,
+                       help="defaults to MVX_SEED, else 0")
 
     p_val = sub.add_parser("validate-config", help="validate a config file")
     p_val.add_argument("--config", required=True)
@@ -69,9 +70,10 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        return None
+        raise ConfigError(f"MVX_SEED: expected an integer, got {raw!r}") from None
+    return check_seed(seed, "MVX_SEED")
 
 
 def _cmd_train(args) -> int:
@@ -86,7 +88,7 @@ def _cmd_train(args) -> int:
         if "model.seed" not in explicit:
             cfg.seed = env_seed
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed")
     data_path = Path(args.data)
     if not data_path.exists():
         print(f"error: data file not found: {data_path}", file=sys.stderr)
@@ -170,7 +172,7 @@ def _cmd_gen_data(args) -> int:
         dims=dims,
         style_noise=args.style_noise,
         background_noise=args.background_noise,
-        seed=args.seed if args.seed is not None else (_env_seed() or 0),
+        seed=check_seed(args.seed, "--seed") if args.seed is not None else (_env_seed() or 0),
     )
     batch = generate_synthetic(spec)
     write_dataset(args.out, batch)

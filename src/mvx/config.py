@@ -115,6 +115,12 @@ def _expect(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
+def check_seed(seed: int, key: str) -> int:
+    """`seed` when it lies in [0, 2**32 - 1], else a ConfigError naming `key`."""
+    _expect(0 <= seed <= 4294967295, key, "must satisfy 0 <= x <= 4294967295")
+    return seed
+
+
 def _as_float(value, key: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), key,
             f"expected a number, got {value!r}")
@@ -269,9 +275,7 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
         _expect(0.0 < cfg.learning_rate < 1.0, "model.learning_rate",
                 "must satisfy 0 < x < 1")
     if "seed" in model_keys:
-        cfg.seed = _as_int(model_keys["seed"], "model.seed")
-        _expect(0 <= cfg.seed <= 4294967295, "model.seed",
-                "must satisfy 0 <= x <= 4294967295")
+        cfg.seed = check_seed(_as_int(model_keys["seed"], "model.seed"), "model.seed")
     if "seed_everything" in model_keys:
         cfg.seed_everything = _as_bool(model_keys["seed_everything"], "model.seed_everything")
     if "save_model" in model_keys:

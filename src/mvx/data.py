@@ -8,6 +8,7 @@ Data is f32 on disk and f64 in memory.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,6 +200,16 @@ def read_dataset(path: str | Path) -> MultiViewBatch:
             struct.unpack("<I", _read_exact(fh, 4, f"dim of view {i}"))[0]
             for i in range(n_views)
         ]
+        # the sizes come from the header: check them against the file before
+        # reading, so a corrupt header cannot become a huge allocation
+        offset = fh.tell()
+        payload = 4 * n_samples * (sum(dims) + (1 if has_labels else 0))
+        remaining = os.fstat(fh.fileno()).st_size - offset
+        if payload > remaining:
+            raise FormatError(
+                f"truncated dataset at byte {offset}: the header expected "
+                f"{payload} data bytes, the file has {remaining}"
+            )
         views = []
         for i, dim in enumerate(dims):
             raw = _read_exact(fh, 4 * n_samples * dim, f"data of view {i}")

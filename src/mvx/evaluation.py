@@ -17,18 +17,18 @@ from .distributions import (
     rsample,
     standard_normal,
 )
-from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
+from .errors import ContractError, DegenerateLabelError, NumericError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import MODEL_SPECS
+from .objectives import MODEL_SPECS, ModelState
 from .pooling import ExpertSet, enumerate_subsets, moe_log_prob
 from .training import (
     Adam,
     RunState,
     _as_views,
+    _backward_phase,
     _decode_mean,
     _encoder_posteriors,
-    _zero_grads,
 )
 
 PROBE_HIDDEN = 64
@@ -38,6 +38,26 @@ PROBE_LR = 1e-2
 # large enough that per-op overhead no longer dominates, small enough that a
 # chunk's activations stay at a few MB
 LOGLIK_CHUNK_ROWS = 4000
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite {what}")
+    return x
+
+
+def _checked_at_the_end(compute):
+    """Run the deterministic `compute()` without the per-op finiteness check.
+
+    `compute` checks the values it keeps with `_finite`. When one is
+    non-finite it is run again with the per-op check on, so the error names
+    the op.
+    """
+    try:
+        with nc._unchecked():
+            return compute()
+    except NumericError:
+        return compute()
 
 
 class ProbeClassifier:
@@ -61,14 +81,12 @@ class ProbeClassifier:
         opt = Adam(PROBE_LR)
         params = self.net.parameters()
         for _ in range(epochs):
-            loss = self._loss(xt, yt)
-            _zero_grads(params)
-            nc.backward(loss)
+            _backward_phase(lambda: (self._loss(xt, yt), {}), params, params)
             opt.step(params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         with nc.no_grad():
-            logits = self.net.forward(nc.constant(x)).data
+            logits = _finite(self.net.forward(nc.constant(x)).data, "probe logits")
         # argmax breaks ties toward the lowest class index
         return np.argmax(logits, axis=1)
 
@@ -124,6 +142,13 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
         raise ContractError("coherence: test batch has no labels")
     if len(probes) != state.n_views:
         raise ContractError(f"coherence: need {state.n_views} probes, got {len(probes)}")
+    per_size = _checked_at_the_end(
+        lambda: _coherence_per_size(state, pool, test, probes, eval_seed))
+    return CoherenceReport(per_size=per_size, n_views=state.n_views)
+
+
+def _coherence_per_size(state: ModelState, pool, test: MultiViewBatch,
+                        probes: list[ProbeClassifier], eval_seed: int) -> dict[int, float]:
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
         views = _as_views(test)
@@ -135,12 +160,12 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
             targets = absent if absent else list(range(state.n_views))
             accs = []
             for m in targets:
-                generated = _decode_mean(state, z, m, None, eval_rng)
+                generated = _finite(_decode_mean(state, z, m, None, eval_rng),
+                                    f"generated mean of view {m}")
                 predicted = probes[m].predict(generated)
                 accs.append(float(np.mean(predicted == test.labels)))
             by_size.setdefault(len(subset), []).append(float(np.mean(accs)))
-        per_size = {size: float(np.mean(vals)) for size, vals in by_size.items()}
-    return CoherenceReport(per_size=per_size, n_views=state.n_views)
+    return {size: float(np.mean(vals)) for size, vals in by_size.items()}
 
 
 def _tiled(p: GaussianParams, copies: int) -> GaussianParams:
@@ -169,6 +194,12 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
         raise UnsupportedMetricError(
             f"joint_log_likelihood: model '{state.name}' is not supported"
         )
+    return _checked_at_the_end(
+        lambda: _log_likelihood(state, make_proposal, test, K, eval_seed))
+
+
+def _log_likelihood(state: ModelState, make_proposal, test: MultiViewBatch, K: int,
+                    eval_seed: int) -> float:
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
         views = _as_views(test)
@@ -202,7 +233,7 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
                 lw = lw + state.decoders[m].decode(z).log_prob(xs[m])
             log_q = moe_log_prob(ExpertSet(tiled), z) if mixture else gaussian_log_prob(tiled[0], z)
             lw = lw - log_q
-            log_w[:, start:start + n] = lw.data.reshape(n, rows).T
+            log_w[:, start:start + n] = _finite(lw.data, "importance log-weights").reshape(n, rows).T
         per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())
 

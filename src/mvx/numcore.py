@@ -21,6 +21,7 @@ from .errors import ContractError, DimensionError, NumericError
 EPS_FLOOR = 1e-10
 
 _grad_enabled = True
+_check_ops = True
 
 
 @contextlib.contextmanager
@@ -37,6 +38,23 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _grad_enabled
+
+
+@contextlib.contextmanager
+def _unchecked():
+    """Skip the per-op finiteness check inside the context.
+
+    The caller checks the values it keeps instead (a loss and the gradients
+    it steps with, a chunk of log-weights) and, when one is non-finite, reruns
+    the same work outside the context so the error names the op.
+    """
+    global _check_ops
+    prev = _check_ops
+    _check_ops = False
+    try:
+        yield
+    finally:
+        _check_ops = prev
 
 
 class Tensor:
@@ -137,7 +155,7 @@ def parameter(data) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if _check_ops and not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite result in op '{op}'")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -442,43 +460,6 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.expand_dims(g, axis) * soft,)
 
     return _make(out, "logsumexp", (a,), bw)
-
-
-_ELEMENTWISE = {
-    "exp": exp,
-    "log": log,
-    "tanh": tanh,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "neg": neg,
-    "square": square,
-    "sqrt": sqrt,
-}
-
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch-by-name front door for the elementwise op set."""
-    if op in _BINARY:
-        if b is None:
-            raise ContractError(f"elementwise: '{op}' needs two operands")
-        return _BINARY[op](a, b)
-    if op in _ELEMENTWISE:
-        if b is not None:
-            raise ContractError(f"elementwise: '{op}' is unary")
-        return _ELEMENTWISE[op](a)
-    raise ContractError(f"elementwise: unknown op '{op}'")
-
-
-def reduce(op: str, a: Tensor, axis: int | None = None) -> Tensor:
-    if op == "sum":
-        return sum_(a, axis)
-    if op == "mean":
-        return mean(a, axis)
-    if op == "logsumexp":
-        return logsumexp(a, axis)
-    raise ContractError(f"reduce: unknown op '{op}'")
 
 
 # -- backward pass -----------------------------------------------------------------

@@ -182,6 +182,58 @@ def _objective_for(name: str):
             return table[name]
 
 
+def _non_finite(loss: Tensor, kept: dict[str, float],
+                stepped: list[tuple[str, Tensor]]) -> str | None:
+    """What makes a phase unfit to step with, or None when all is finite."""
+    if not np.isfinite(loss.data).all():
+        return "loss became non-finite"
+    for k, v in kept.items():
+        if not np.isfinite(v):
+            return f"term '{k}' became non-finite"
+    for name, p in stepped:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return f"non-finite gradient of parameter '{name}'"
+    return None
+
+
+def _backward_phase(forward, params: list[tuple[str, Tensor]],
+                    stepped: list[tuple[str, Tensor]],
+                    rng: np.random.Generator | None = None) -> dict[str, float]:
+    """Forward and backward of one optimizer phase, checked once at its end.
+
+    `forward()` returns the loss to differentiate and the named scalars the
+    caller keeps. It and `backward` run without the per-op finiteness check;
+    then the loss, those scalars and the gradients of `stepped` (the
+    parameters about to be stepped) are checked. On a non-finite value the
+    phase is replayed with the per-op check on, from the same `rng` state:
+    no parameter has been written yet, so the replay sees the same values and
+    draws, and its error names the op. A replay that finds no bad op leaves
+    the fault in `backward`, and the error names the parameter.
+    """
+    snapshot = None if rng is None else rng.bit_generator.state
+
+    def attempt() -> tuple[Tensor, dict[str, float]]:
+        loss, kept = forward()
+        _zero_grads(params)
+        nc.backward(loss)
+        return loss, kept
+
+    try:
+        with nc._unchecked():
+            loss, kept = attempt()
+        if _non_finite(loss, kept, stepped) is None:
+            return kept
+    except NumericError:
+        pass
+    if rng is not None:
+        rng.bit_generator.state = snapshot
+    loss, kept = attempt()
+    problem = _non_finite(loss, kept, stepped)
+    if problem is not None:
+        raise NumericError(problem)
+    return kept
+
+
 def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[str, float]:
     cfg, state = run.cfg, run.state
     objective = _objective_for(state.name)
@@ -194,39 +246,34 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
     all_params = state.parameters()
     ae_params = state.autoencoder_parameters()
     disc_params = state.discriminator_parameters()
+    critic = state.discriminator is not None and state.discriminator.critic
+    disc_steps = 0 if state.discriminator is None else (cfg.trainer.critic_steps if critic else 1)
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         views = _as_views(data.subset(idx))
         eps = EpsStream(run.rng)
-        try:
+
+        def autoencoder_phase():
+            out = objective(state, views, eps)
             if state.discriminator is None:
-                loss = objective(state, views, eps)
-                _zero_grads(all_params)
-                nc.backward(loss.total)
-                run.optimizer.step(all_params)
-                scalars = loss.scalars()
-            else:
-                losses = objective(state, views, eps)
-                _zero_grads(all_params)
-                nc.backward(losses.reconstruction.total + losses.generator)
-                run.optimizer.step(ae_params)
-                critic = state.discriminator.critic
-                steps = cfg.trainer.critic_steps if critic else 1
-                for _ in range(steps):
-                    fresh = objective(state, views, eps)
-                    _zero_grads(all_params)
-                    nc.backward(fresh.discriminator)
-                    run.optimizer.step(disc_params)
-                    if critic:
-                        _clip_params(disc_params, cfg.trainer.clip)
-                scalars = losses.scalars()
+                return out.total, out.scalars()
+            return out.reconstruction.total + out.generator, out.scalars()
+
+        def discriminator_phase():
+            out = objective(state, views, eps)
+            return out.discriminator, out.scalars()
+
+        try:
+            scalars = _backward_phase(autoencoder_phase, all_params, ae_params, run.rng)
+            run.optimizer.step(ae_params)
+            for _ in range(disc_steps):
+                _backward_phase(discriminator_phase, all_params, disc_params, run.rng)
+                run.optimizer.step(disc_params)
+                if critic:
+                    _clip_params(disc_params, cfg.trainer.clip)
         except NumericError as err:
             raise NumericError(f"epoch {run.epoch}: {err}") from err
         for k, v in scalars.items():
-            if not np.isfinite(v):
-                raise NumericError(
-                    f"epoch {run.epoch}: term '{k}' became non-finite"
-                )
             sums[k] = sums.get(k, 0.0) + v
         counts += 1
     return {k: v / counts for k, v in sums.items()}
@@ -258,8 +305,10 @@ def fit(
         cfg.trainer.max_epochs = max_epochs
     if batch_size is not None:
         cfg.trainer.batch_size = batch_size
-    seed = cfg.seed if cfg.seed_everything else np.random.SeedSequence().entropy % (2 ** 32)
-    rng = np.random.default_rng(seed)
+    if not cfg.seed_everything:
+        # record the drawn seed, so resolved.cfg can reproduce the run
+        cfg.seed = int(np.random.SeedSequence().entropy % (2 ** 32))
+    rng = np.random.default_rng(cfg.seed)
     state = build_model(cfg, data.dims, rng)
     run = RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
     out_path = Path(out_dir) if out_dir is not None else None

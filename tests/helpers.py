@@ -6,12 +6,26 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mvx import numcore as nc
 from mvx.config import build_config
+from mvx.errors import NumericError
 from mvx.numcore import Tensor
 from mvx.objectives import EpsStream, ModelState
 from mvx.training import build_model
+
+
+def assert_per_op_check_on() -> None:
+    """A direct op call still raises on a non-finite result."""
+    with pytest.raises(NumericError, match="op 'exp'"):
+        nc.exp(nc.constant(np.full(3, 1e4)))
+
+
+def poison_layers(net) -> None:
+    """Weights so large that the second matmul of `net` overflows."""
+    for w, _ in net.layers:
+        w.data[...] = 1e200
 
 
 def make_tiny_state(name: str, dims=(2, 2), z_dim=2, s_dim=2, seed=3,

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from mvx.cli import main
 from mvx.data import read_dataset
 
@@ -209,3 +211,31 @@ def test_env_seed_lowest_precedence(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(out2), "--seed", "5"]) == 0
     assert "model.seed = 5" in (out2 / "resolved.cfg").read_text()
+
+
+@pytest.mark.parametrize("source, value", [
+    ("MVX_SEED", "seven"), ("MVX_SEED", "-3"), ("--seed", "-1"), ("--seed", str(2**32)),
+])
+def test_train_rejects_an_invalid_seed(tmp_path, monkeypatch, capsys, source, value):
+    data = _gen_data(tmp_path)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+    if source == "MVX_SEED":
+        monkeypatch.setenv("MVX_SEED", value)
+    else:
+        argv += ["--seed", value]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert source in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_gen_data_seed_defaults_to_env_seed(tmp_path, monkeypatch):
+    explicit = tmp_path / "explicit.mvds"
+    assert main(["gen-data", "--out", str(explicit), "--samples", "20", "--seed", "9"]) == 0
+    monkeypatch.setenv("MVX_SEED", "9")
+    from_env = tmp_path / "env.mvds"
+    assert main(["gen-data", "--out", str(from_env), "--samples", "20"]) == 0
+    assert from_env.read_bytes() == explicit.read_bytes()

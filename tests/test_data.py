@@ -1,9 +1,13 @@
 """Dataset container, binary round trips, synthetic generator properties."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from mvx.data import (
+    MAGIC,
+    VERSION,
     MultiViewBatch,
     SyntheticSpec,
     binarize,
@@ -52,6 +56,15 @@ def test_truncated_file_reports_offset(tmp_path):
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "t.mvds")
     assert "expected" in str(err.value) and "byte" in str(err.value)
+
+
+def test_header_sizes_beyond_the_file_are_rejected(tmp_path):
+    # one view of 3 dims and 2**32 - 1 samples: 48 GiB declared in 64 bytes
+    header = MAGIC + struct.pack("<IIIB", VERSION, 1, 2**32 - 1, 0) + struct.pack("<I", 3)
+    path = tmp_path / "huge.mvds"
+    path.write_bytes(header.ljust(64, b"\0"))
+    with pytest.raises(FormatError, match="at byte 21"):
+        read_dataset(path)
 
 
 def test_bad_magic_rejected(tmp_path):

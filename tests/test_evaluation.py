@@ -8,7 +8,7 @@ import pytest
 from mvx import numcore as nc
 from mvx.config import build_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import DegenerateLabelError, UnsupportedMetricError
+from mvx.errors import DegenerateLabelError, NumericError, UnsupportedMetricError
 from mvx.distributions import gaussian_log_prob, rsample, standard_normal
 from mvx.evaluation import (
     LOGLIK_CHUNK_ROWS,
@@ -21,6 +21,8 @@ from mvx.evaluation import (
 from mvx.objectives import MODEL_SPECS
 from mvx.pooling import ExpertSet, moe_log_prob
 from mvx.training import _as_views, _encoder_posteriors, fit
+
+from helpers import assert_per_op_check_on, poison_layers
 
 
 # -- probe classifier -----------------------------------------------------------
@@ -325,3 +327,22 @@ def test_chunked_loglik_equals_the_sequential_estimator_bitwise(name):
     run = fit(cfg, data)
     for K in (1, chunk + 3, 1000):
         assert joint_log_likelihood(run, data, K=K) == _sequential_log_likelihood(run, data, K)
+
+
+@pytest.mark.parametrize("call", ["loglik", "coherence", "probe_fit"])
+def test_non_finite_evaluation_names_the_op(call):
+    data = _clean_data(n=40)
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.max_epochs": 1,
+                        "trainer.batch_size": 20})
+    run = fit(cfg, data)
+    probes = [train_probe_classifier(v, data.labels, epochs=2) for v in data.views]
+    poison_layers(run.state.decoders[1])
+    poison_layers(probes[0].net)
+    with pytest.raises(NumericError, match="non-finite result in op 'matmul'"):
+        if call == "loglik":
+            joint_log_likelihood(run, data, K=3)
+        elif call == "coherence":
+            coherence(run, data, probes)
+        else:
+            probes[0].fit(data.views[0], data.labels, epochs=2)
+    assert_per_op_check_on()

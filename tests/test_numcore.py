@@ -38,10 +38,12 @@ def test_binary_op_gradients(op):
     a = nc.parameter(rng.uniform(-2, 2, size=(3, 4)))
     b = nc.parameter(rng.uniform(0.5, 2, size=(3, 4)))
 
-    def loss():
-        return nc.sum_(nc.square(nc.elementwise(op, a, b))).item()
+    fn = getattr(nc, op)
 
-    nc.backward(nc.sum_(nc.square(nc.elementwise(op, a, b))))
+    def loss():
+        return nc.sum_(nc.square(fn(a, b))).item()
+
+    nc.backward(nc.sum_(nc.square(fn(a, b))))
     for p in (a, b):
         fd = finite_difference_grad(loss, p)
         assert_grad_close(p.grad, fd, rel=1e-4, label=op)
@@ -57,11 +59,12 @@ def test_unary_op_gradients(op):
     if op == "relu":
         raw += np.where(np.abs(raw) < 0.05, 0.2, 0.0)  # keep clear of the kink
     a = nc.parameter(raw)
+    fn = getattr(nc, op)
 
     def loss():
-        return nc.sum_(nc.elementwise(op, a)).item()
+        return nc.sum_(fn(a)).item()
 
-    nc.backward(nc.sum_(nc.elementwise(op, a)))
+    nc.backward(nc.sum_(fn(a)))
     fd = finite_difference_grad(loss, a)
     assert_grad_close(a.grad, fd, rel=1e-4, label=op)
 

@@ -1,5 +1,7 @@
 """Config validation, optimizer behaviour, determinism, checkpoint resume."""
 
+import copy
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,11 @@ from mvx import numcore as nc
 from mvx.config import ModelConfig, build_config, load_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import ConfigError, FormatError, NumericError
+from mvx.objectives import VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.training import (
     Adam,
     RunState,
+    _as_views,
     build_model,
     continue_fit,
     fit,
@@ -20,7 +24,7 @@ from mvx.training import (
     predict_reconstruction,
 )
 
-from helpers import corrupt_first_moment_size
+from helpers import assert_per_op_check_on, corrupt_first_moment_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -351,4 +355,64 @@ def test_nan_loss_aborts_with_diagnostics():
     run = RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
     with pytest.raises(NumericError) as err:
         continue_fit(run, data, 1)
-    assert "epoch" in str(err.value)
+    assert "epoch 0: non-finite result in op 'square'" in str(err.value)
+    assert_per_op_check_on()
+
+
+def test_nan_in_a_critic_step_names_the_op():
+    data = _toy_data()
+    cfg = build_config({"model.name": "mwae", "model.z_dim": 2, "trainer.batch_size": 8})
+    run = fit(cfg, data, max_epochs=0)
+    # the autoencoder step moves each weight by about the learning rate, so
+    # the critic step after it overflows
+    run.optimizer.learning_rate = 1e200
+    with pytest.raises(NumericError) as err:
+        continue_fit(run, data, 1)
+    assert "epoch 0: non-finite result in op 'matmul'" in str(err.value)
+    steps = {name: t for name, (_, _, t) in run.optimizer.moments.items()}
+    assert steps and set(steps.values()) == {1}
+    assert not any(name.startswith("disc") for name in steps)
+    assert_per_op_check_on()
+
+
+def test_non_finite_gradient_names_the_parameter_and_steps_nothing():
+    data = _toy_data()
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
+    run = fit(cfg, data, max_epochs=1)
+    (_, hidden_bias), (out_weight, out_bias) = run.state.decoders[0].layers
+    # the relu of a dead hidden layer hides the huge weights after it from
+    # the forward pass; the backward pass multiplies by them and overflows
+    hidden_bias.data[...] = -1e10
+    out_weight.data[...] = 1e308
+    out_bias.data[...] = -100.0
+    params = dict(run.state.parameters())
+    before = {name: p.data.copy() for name, p in params.items()}
+    moments = copy.deepcopy(run.optimizer.moments)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = run.rng.bit_generator.state
+    with pytest.raises(NumericError) as err:
+        continue_fit(run, data, 1)
+    named = re.search(r"epoch 1: non-finite gradient of parameter '(.+)'", str(err.value))
+    assert named and not np.isfinite(params[named.group(1)].grad).all()
+    assert all(np.array_equal(before[name], p.data) for name, p in params.items())
+    assert moments.keys() == run.optimizer.moments.keys()
+    for name, (m, v, t) in moments.items():
+        m2, v2, t2 = run.optimizer.moments[name]
+        assert np.array_equal(m, m2) and np.array_equal(v, v2) and t == t2
+    # the replay restored the generator: it has drawn one step's worth
+    order = rng.permutation(data.n_samples)
+    with nc.no_grad():
+        VARIATIONAL_OBJECTIVES["mvae"](run.state, _as_views(data.subset(order[:8])),
+                                       EpsStream(rng))
+    assert rng.bit_generator.state == run.rng.bit_generator.state
+    assert_per_op_check_on()
+
+
+def test_drawn_seed_is_recorded_and_reproduces_the_run(tmp_path):
+    data = _toy_data()
+    flat = {"model.name": "mvae", "model.z_dim": 2, "model.seed_everything": False,
+            "trainer.max_epochs": 2, "trainer.batch_size": 8}
+    run = fit(build_config(flat), data, out_dir=tmp_path)
+    seed = load_config(tmp_path / "resolved.cfg").seed
+    again = fit(build_config({**flat, "model.seed_everything": True, "model.seed": seed}), data)
+    assert again.history == run.history
