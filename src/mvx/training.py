@@ -4,7 +4,9 @@ determined by (seed, config, data)."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,9 +139,11 @@ class Adam:
         for name, p in params:
             if p.grad is None:
                 continue
-            m, v, t = self.moments.get(
-                name, (np.zeros_like(p.data), np.zeros_like(p.data), 0)
-            )
+            moments = self.moments.get(name)
+            if moments is None:
+                m, v, t = np.zeros_like(p.data), np.zeros_like(p.data), 0
+            else:
+                m, v, t = moments
             t += 1
             g = p.grad
             m = self.beta1 * m + (1.0 - self.beta1) * g
@@ -196,6 +200,18 @@ def _non_finite(loss: Tensor, kept: dict[str, float],
     return None
 
 
+@contextlib.contextmanager
+def _frozen(tensors: list[Tensor]):
+    """Keep the parameters `tensors` out of the graph inside the context."""
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in tensors:
+            t.requires_grad = True
+
+
 def _backward_phase(forward, params: list[tuple[str, Tensor]],
                     stepped: list[tuple[str, Tensor]],
                     rng: np.random.Generator | None = None) -> dict[str, float]:
@@ -209,8 +225,15 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
     no parameter has been written yet, so the replay sees the same values and
     draws, and its error names the op. A replay that finds no bad op leaves
     the fault in `backward`, and the error names the parameter.
+
+    The parameters of `params` not in `stepped` are frozen for the phase:
+    their ops record no graph, so `backward` neither walks nor differentiates
+    them, and their `grad` stays None. Every op still runs, so the values and
+    the checks are those of the unfrozen phase.
     """
     snapshot = None if rng is None else rng.bit_generator.state
+    stepped_ids = {id(p) for _, p in stepped}
+    frozen = [p for _, p in params if id(p) not in stepped_ids]
 
     def attempt() -> tuple[Tensor, dict[str, float]]:
         loss, kept = forward()
@@ -218,20 +241,21 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
         nc.backward(loss)
         return loss, kept
 
-    try:
-        with nc._unchecked():
-            loss, kept = attempt()
-        if _non_finite(loss, kept, stepped) is None:
-            return kept
-    except NumericError:
-        pass
-    if rng is not None:
-        rng.bit_generator.state = snapshot
-    loss, kept = attempt()
-    problem = _non_finite(loss, kept, stepped)
-    if problem is not None:
-        raise NumericError(problem)
-    return kept
+    with _frozen(frozen):
+        try:
+            with nc._unchecked():
+                loss, kept = attempt()
+            if _non_finite(loss, kept, stepped) is None:
+                return kept
+        except NumericError:
+            pass
+        if rng is not None:
+            rng.bit_generator.state = snapshot
+        loss, kept = attempt()
+        problem = _non_finite(loss, kept, stepped)
+        if problem is not None:
+            raise NumericError(problem)
+        return kept
 
 
 def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[str, float]:
@@ -490,43 +514,59 @@ def predict_reconstruction(run: RunState, data: MultiViewBatch,
 
 
 def save_checkpoint(run: RunState, path: str | Path) -> None:
+    """Write the run's checkpoint to `path` atomically: a write that fails
+    partway leaves the previous file as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(run, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_checkpoint(run: RunState, fh) -> None:
     params = run.state.parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(params)))
-        for name, p in params:
-            blob = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", p.data.ndim))
-            for dim in p.data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(p.data.astype("<f8").tobytes(order="C"))
-        for name, p in params:
-            m, v, t = run.optimizer.moments.get(
-                name, (np.zeros_like(p.data), np.zeros_like(p.data), 0)
-            )
-            fh.write(struct.pack("<Q", t))
-            fh.write(struct.pack("<I", m.size))
-            fh.write(m.astype("<f8").tobytes(order="C"))
-            fh.write(struct.pack("<I", v.size))
-            fh.write(v.astype("<f8").tobytes(order="C"))
-        rng_blob = json.dumps(run.rng.bit_generator.state).encode("utf-8")
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
-        fh.write(struct.pack("<I", run.epoch))
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+    fh.write(struct.pack("<I", len(params)))
+    for name, p in params:
+        blob = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", p.data.ndim))
+        for dim in p.data.shape:
+            fh.write(struct.pack("<I", dim))
+        fh.write(p.data.astype("<f8").tobytes(order="C"))
+    for name, p in params:
+        m, v, t = run.optimizer.moments.get(
+            name, (np.zeros_like(p.data), np.zeros_like(p.data), 0)
+        )
+        fh.write(struct.pack("<Q", t))
+        fh.write(struct.pack("<I", m.size))
+        fh.write(m.astype("<f8").tobytes(order="C"))
+        fh.write(struct.pack("<I", v.size))
+        fh.write(v.astype("<f8").tobytes(order="C"))
+    rng_blob = json.dumps(run.rng.bit_generator.state).encode("utf-8")
+    fh.write(struct.pack("<I", len(rng_blob)))
+    fh.write(rng_blob)
+    fh.write(struct.pack("<I", run.epoch))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    # `n` may come from the header: check it against the file before reading,
+    # so a corrupt size cannot become a huge allocation
     offset = fh.tell()
-    buf = fh.read(n)
-    if len(buf) != n:
+    remaining = os.fstat(fh.fileno()).st_size - offset
+    if n > remaining:
         raise FormatError(
             f"truncated checkpoint reading {what} at byte {offset}: "
-            f"expected {n} bytes, got {len(buf)}"
+            f"expected {n} bytes, got {remaining}"
         )
-    return buf
+    return fh.read(n)
 
 
 def _read_moment(fh, name: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -556,7 +596,11 @@ def load_run(run_dir: str | Path) -> RunState:
 
 
 def load_checkpoint(run: RunState, path: str | Path) -> None:
+    """Load a checkpoint into `run`; a corrupt file raises a FormatError
+    naming the byte offset and leaves `run` unchanged."""
     params = run.state.parameters()
+    values: list[np.ndarray] = []
+    moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -567,29 +611,52 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         if count != len(params):
             raise FormatError(
-                f"checkpoint has {count} parameters, model expects {len(params)}"
+                f"checkpoint has {count} parameters at byte 8, model expects {len(params)}"
             )
         for name, p in params:
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            stored = _read_exact(fh, name_len, "parameter name").decode("utf-8")
-            if stored != name:
-                raise FormatError(f"parameter order mismatch: {stored!r} vs {name!r}")
+            offset = fh.tell()
+            stored = _read_exact(fh, name_len, "parameter name")
+            if stored != name.encode("utf-8"):
+                raise FormatError(
+                    f"parameter order mismatch at byte {offset}: "
+                    f"{stored.decode('utf-8', 'replace')!r} vs {name!r}"
+                )
+            offset = fh.tell()
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
+            if ndim != p.data.ndim:
+                raise FormatError(
+                    f"ndim of {name} at byte {offset} is {ndim}, parameter has {p.data.ndim}"
+                )
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim)
             )
             if shape != p.data.shape:
-                raise FormatError(f"shape mismatch for {name}: {shape} vs {p.data.shape}")
+                raise FormatError(
+                    f"shape mismatch for {name} at byte {offset + 4}: {shape} vs {p.data.shape}"
+                )
             raw = _read_exact(fh, 8 * p.data.size, f"data of {name}")
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            values.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         for name, p in params:
             (t,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
             m = _read_moment(fh, name, "m", p.data.shape)
             v = _read_moment(fh, name, "v", p.data.shape)
-            run.optimizer.moments[name] = (m, v, t)
+            moments[name] = (m, v, t)
         (rng_len,) = struct.unpack("<I", _read_exact(fh, 4, "rng length"))
-        rng_state = json.loads(_read_exact(fh, rng_len, "rng state").decode("utf-8"))
-        run.rng.bit_generator.state = rng_state
+        offset = fh.tell()
+        blob = _read_exact(fh, rng_len, "rng state")
+        try:
+            rng_state = json.loads(blob.decode("utf-8"))
+            type(run.rng.bit_generator)().state = rng_state  # checked on a throwaway
+        except (ValueError, TypeError, KeyError, OverflowError) as err:
+            raise FormatError(f"bad rng state at byte {offset}: {err}") from None
         (epoch,) = struct.unpack("<I", _read_exact(fh, 4, "epoch"))
-        run.epoch = epoch
-        run.history = []
+        if fh.read(1):
+            raise FormatError(f"unexpected trailing bytes at byte {fh.tell() - 1}")
+    # the whole file is valid: only now write it into the run
+    for (_, p), data in zip(params, values):
+        p.data = data
+    run.optimizer.moments.update(moments)
+    run.rng.bit_generator.state = rng_state
+    run.epoch = epoch
+    run.history = []

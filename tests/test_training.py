@@ -1,24 +1,29 @@
 """Config validation, optimizer behaviour, determinism, checkpoint resume."""
 
 import copy
+import io
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvx import numcore as nc
+from mvx import training
 from mvx.config import ModelConfig, build_config, load_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import ConfigError, FormatError, NumericError
-from mvx.objectives import VARIATIONAL_OBJECTIVES, EpsStream
+from mvx.objectives import ADVERSARIAL_OBJECTIVES, VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.training import (
     Adam,
     RunState,
     _as_views,
+    _backward_phase,
     build_model,
     continue_fit,
     fit,
+    load_checkpoint,
     load_run,
     predict_latent,
     predict_reconstruction,
@@ -246,6 +251,71 @@ def test_wrong_moment_size_in_checkpoint_is_a_format_error(tmp_path):
     assert f"byte {offset}" in message
 
 
+def test_checkpoint_sizes_beyond_the_file_and_trailing_bytes_are_rejected(tmp_path):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2,
+                        "trainer.max_epochs": 1, "trainer.batch_size": 8})
+    fit(cfg, _toy_data(), out_dir=tmp_path)
+    path = tmp_path / "checkpoint.mvxc"
+    raw = path.read_bytes()
+    # the rng state sits between its u32 length and the u32 epoch at the end
+    rng_offset = raw.rindex(b'{"bit_generator"')
+    assert struct.unpack_from("<I", raw, rng_offset - 4)[0] == len(raw) - 4 - rng_offset
+    cases = [
+        (12, "parameter name at byte 16"),
+        (rng_offset - 4, f"rng state at byte {rng_offset}"),
+    ]
+    for field_offset, message in cases:
+        huge = bytearray(raw)
+        struct.pack_into("<I", huge, field_offset, 2**32 - 1)
+        path.write_bytes(bytes(huge))
+        with pytest.raises(FormatError, match=message):
+            load_run(tmp_path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match=f"trailing bytes at byte {len(raw)}"):
+        load_run(tmp_path)
+
+
+def test_a_corrupt_checkpoint_leaves_the_run_unchanged(tmp_path):
+    data = _toy_data()
+    flat = {"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8}
+    fit(build_config({**flat, "model.seed": 1}), data, max_epochs=1, out_dir=tmp_path)
+    path = tmp_path / "checkpoint.mvxc"
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"PCG64"', b'"PCG65"'))
+    run = fit(build_config({**flat, "model.seed": 2}), data, max_epochs=0)
+    before = [p.data.copy() for _, p in run.state.parameters()]
+    rng_state = run.rng.bit_generator.state
+    rng_offset = raw.rindex(b'{"bit_generator"')
+    with pytest.raises(FormatError, match=f"bad rng state at byte {rng_offset}"):
+        load_checkpoint(run, path)
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, run.state.parameters()))
+    assert run.optimizer.moments == {} and run.epoch == 0
+    assert run.rng.bit_generator.state == rng_state
+
+
+def test_a_checkpoint_write_that_fails_partway_keeps_the_previous_file(tmp_path, monkeypatch):
+    data = _toy_data()
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2,
+                        "trainer.max_epochs": 1, "trainer.batch_size": 8})
+    run = fit(cfg, data, out_dir=tmp_path)
+    path = tmp_path / "checkpoint.mvxc"
+    before = path.read_bytes()
+    write = training._write_checkpoint
+
+    def write_half(run, fh):
+        buf = io.BytesIO()
+        write(run, buf)
+        fh.write(buf.getvalue()[: buf.tell() // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(training, "_write_checkpoint", write_half)
+    with pytest.raises(OSError, match="no space"):
+        continue_fit(run, data, 1, out_dir=tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "checkpoint.mvxc", "metrics.csv", "resolved.cfg"]
+
+
 def test_mwae_weights_stay_clipped(tmp_path):
     data = _toy_data()
     cfg = build_config({"model.name": "mwae", "model.z_dim": 2,
@@ -372,7 +442,52 @@ def test_nan_in_a_critic_step_names_the_op():
     steps = {name: t for name, (_, _, t) in run.optimizer.moments.items()}
     assert steps and set(steps.values()) == {1}
     assert not any(name.startswith("disc") for name in steps)
+    assert all(p.requires_grad for _, p in run.state.parameters())
     assert_per_op_check_on()
+
+
+def _phase_grads(state, views, phase, seed):
+    """Zero every gradient, then run one phase's objective and backward."""
+    out = ADVERSARIAL_OBJECTIVES[state.name](state, views, EpsStream(np.random.default_rng(seed)))
+    loss = out.discriminator if phase == "critic" else out.reconstruction.total + out.generator
+    for _, p in state.parameters():
+        p.grad = None
+    nc.backward(loss)
+    return loss
+
+
+@pytest.mark.parametrize("name,non_saturating", [
+    ("mwae", False), ("maae", False), ("maae", True),
+], ids=["mwae", "maae", "maae_non_saturating"])
+@pytest.mark.parametrize("phase", ["autoencoder", "critic"])
+def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, phase):
+    data = _toy_data()
+    cfg = build_config({"model.name": name, "model.z_dim": 2,
+                        "model.non_saturating": non_saturating})
+    state = build_model(cfg, data.dims, np.random.default_rng(4))
+    views = _as_views(data)
+    params = state.parameters()
+    stepped = (state.discriminator_parameters() if phase == "critic"
+               else state.autoencoder_parameters())
+    frozen = [p for p in params if p not in stepped]
+    assert stepped and frozen
+    _phase_grads(state, views, phase, seed=7)
+    full = {name: p.grad for name, p in stepped}
+    assert any(p.grad is not None for _, p in frozen)
+    _backward_phase(lambda: (_phase_grads(state, views, phase, seed=7), {}), params, stepped)
+    for name, p in stepped:
+        assert np.array_equal(p.grad, full[name]), name
+    for name, p in frozen:
+        assert p.grad is None, name
+    assert all(p.requires_grad for _, p in params)
+
+
+def test_every_parameter_requires_grad_after_adversarial_training():
+    data = _toy_data()
+    cfg = build_config({"model.name": "mwae", "model.z_dim": 2, "trainer.batch_size": 8})
+    run = fit(cfg, data, max_epochs=1)
+    continue_fit(run, data, 1)
+    assert all(p.requires_grad for _, p in run.state.parameters())
 
 
 def test_non_finite_gradient_names_the_parameter_and_steps_nothing():
