@@ -77,11 +77,7 @@ def _env_seed() -> int | None:
 
 
 def _cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     env_seed = _env_seed()
     if env_seed is not None:
         explicit = parse_config_text(Path(args.config).read_text(encoding="utf-8"))

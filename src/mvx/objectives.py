@@ -193,15 +193,8 @@ def ae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreak
     Draws: none.
     """
     _check_views(state, views)
-    m_total = state.n_views
     latents = [enc.forward(x) for enc, x in zip(state.encoders, views)]
-    w = 1.0 / (m_total * m_total)
-    terms: dict[str, Tensor] = {}
-    for m in range(m_total):
-        for n in range(m_total):
-            lp = state.decoders[m].decode(latents[n]).log_prob(views[m])
-            terms[f"recon[{m}<-{n}]"] = _scaled(w, _neg_mean(lp))
-    return LossBreakdown.from_terms(terms)
+    return _ae_reconstruction(state, views, latents)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from mvx import numcore as nc
 from mvx import training
-from mvx.config import ModelConfig, build_config, load_config
+from mvx.config import ModelConfig, build_config, load_config, parse_config_text, resolved_lines
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import ConfigError, FormatError, NumericError
 from mvx.objectives import ADVERSARIAL_OBJECTIVES, VARIATIONAL_OBJECTIVES, EpsStream
@@ -67,6 +67,14 @@ def test_validation_messages_name_key_paths():
     with pytest.raises(ConfigError) as err:
         load_config(FIXTURES / "neg_mvtcae_alpha_above_one.cfg")
     assert str(err.value).startswith("model.alpha:")
+    for fixture, message in [
+        ("neg_eps_zero.cfg", "model.eps: unknown key"),
+        ("neg_threshold_bool.cfg", "model.threshold: expected a number, got False"),
+        ("neg_input_dims_empty.cfg", "model.input_dims: must list at least one view"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            load_config(FIXTURES / fixture)
+        assert str(err.value) == message
 
 
 def test_defaults_filled():
@@ -93,6 +101,99 @@ def test_private_models_require_s_dim():
     with pytest.raises(ConfigError) as err:
         build_config({"model.name": "mmvaeplus", "model.z_dim": 4, "model.s_dim": 0})
     assert "model.s_dim" in str(err.value)
+
+
+def test_resolved_config_round_trips_every_key():
+    # every key set to a non-default value; distribution and scale on decoders only
+    net = {"hidden_layer_dim": [5, 3], "bias": False, "non_linear": False, "activation": "tanh"}
+    flat = {
+        "model.name": "mcvae", "model.z_dim": 3, "model.s_dim": 2, "model.beta": 2.5,
+        "model.alpha": 0.5, "model.K": 3, "model.lambda": [0.5, 2.0], "model.pi": [0.25, 0.75],
+        "model.learning_rate": 0.02, "model.seed": 7, "model.seed_everything": False,
+        "model.save_model": False, "model.sparse": True, "model.threshold": 0.5,
+        "model.private": True, "model.join_type": "Mean", "model.non_saturating": True,
+        "model.stochastic_subsets": True, "model.input_dims": [3, 4, 2],
+        **{f"encoder.{slot}.{k}": v for slot in ("default", 1) for k, v in net.items()},
+        **{f"decoder.{slot}.{k}": v for slot in ("default", 0) for k, v in net.items()},
+        **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
+        **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
+        "trainer.max_epochs": 7, "trainer.batch_size": 16, "trainer.full_batch": True,
+        "trainer.critic_steps": 2, "trainer.clip": 0.05,
+    }
+    cfg = build_config(flat)
+    lines = resolved_lines(cfg)
+    assert parse_config_text("\n".join(lines)) == flat
+    again = build_config(parse_config_text("\n".join(lines)))
+    assert again == cfg
+    assert resolved_lines(again) == lines
+
+
+_BAD_VALUES = [
+    ("model.name", 3, "expected a string, got 3"),
+    ("model.name", "supervae", "unknown model 'supervae'"),
+    ("model.z_dim", 2.5, "expected an integer, got 2.5"),
+    ("model.z_dim", 0, "must be >= 1"),
+    ("model.s_dim", "a", "expected an integer, got 'a'"),
+    ("model.s_dim", -1, "must be >= 0"),
+    ("model.beta", "a", "expected a number, got 'a'"),
+    ("model.beta", 0, "must satisfy x > 0"),
+    ("model.alpha", True, "expected a number, got True"),
+    ("model.alpha", -1.0, "must satisfy x > 0"),
+    ("model.K", 1.5, "expected an integer, got 1.5"),
+    ("model.K", 0, "must satisfy x >= 1"),
+    ("model.lambda", "a", "expected a number, got 'a'"),
+    ("model.lambda", [1.0, -1.0], "weights must be >= 0"),
+    ("model.pi", 0.5, "expected a bracketed list, got 0.5"),
+    ("model.pi", [0.5, 0.6], "weights must sum to 1"),
+    ("model.learning_rate", "a", "expected a number, got 'a'"),
+    ("model.learning_rate", 1.5, "must satisfy 0 < x < 1"),
+    ("model.seed", 1.0, "expected an integer, got 1.0"),
+    ("model.seed", -1, "must satisfy 0 <= x <= 4294967295"),
+    ("model.seed_everything", "yes", "expected true/false, got 'yes'"),
+    ("model.save_model", 5, "expected true/false, got 5"),
+    ("model.sparse", 1, "expected true/false, got 1"),
+    ("model.threshold", "a", "expected a number, got 'a'"),
+    ("model.threshold", 1.0, "must satisfy 0 < x < 1, or 0"),
+    ("model.private", "maybe", "expected true/false, got 'maybe'"),
+    ("model.join_type", 1, "expected a string, got 1"),
+    ("model.join_type", "XoE", "unsupported or invalid join type"),
+    ("model.non_saturating", 0, "expected true/false, got 0"),
+    ("model.stochastic_subsets", "no", "expected true/false, got 'no'"),
+    ("model.input_dims", 3, "expected a bracketed list, got 3"),
+    ("model.input_dims", [3, 0], "dims must be >= 1"),
+    ("trainer.max_epochs", 1.5, "expected an integer, got 1.5"),
+    ("trainer.max_epochs", -1, "must be >= 0"),
+    ("trainer.batch_size", "a", "expected an integer, got 'a'"),
+    ("trainer.batch_size", 0, "must be >= 1"),
+    ("trainer.full_batch", 1, "expected true/false, got 1"),
+    ("trainer.critic_steps", 2.0, "expected an integer, got 2.0"),
+    ("trainer.critic_steps", 0, "must be >= 1"),
+    ("trainer.clip", "a", "expected a number, got 'a'"),
+    ("trainer.clip", 0, "must be > 0"),
+    ("encoder.default.hidden_layer_dim", 32, "expected a bracketed list, got 32"),
+    ("encoder.default.hidden_layer_dim", [32, 0], "hidden dims must be >= 1"),
+    ("encoder.0.bias", 1, "expected true/false, got 1"),
+    ("encoder.default.non_linear", "yes", "expected true/false, got 'yes'"),
+    ("encoder.default.activation", 1, "expected a string, got 1"),
+    ("encoder.default.activation", "sigmoid",
+     "unsupported activation (choose from ('relu', 'tanh'))"),
+    ("encoder.default.distribution", "Normal", "distribution applies to decoders only"),
+    ("decoder.default.distribution", 1, "expected a string, got 1"),
+    ("decoder.default.distribution", "Gaussian",
+     "unsupported distribution (choose from "
+     "('Normal', 'Bernoulli', 'Laplace', 'Categorical', 'Default'))"),
+    ("encoder.1.scale", 1.0, "scale applies to decoders only"),
+    ("decoder.1.scale", "a", "expected a number, got 'a'"),
+    ("decoder.1.scale", 0.0, "scale must be positive"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", _BAD_VALUES,
+                         ids=[f"{k}={v!r}" for k, v, _ in _BAD_VALUES])
+def test_bad_values_are_rejected_with_the_key_path(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        build_config({"model.name": "mvae", "model.z_dim": 4, key: value})
+    assert str(err.value) == f"{key}: {message}"
 
 
 # -- optimizer -------------------------------------------------------------------
