@@ -1,6 +1,7 @@
 """Command-line front door: train, eval, reconstruct, gen-data, validate-config.
 
-Exit codes: 0 success, 1 usage/validation error, 2 runtime error. The env
+Exit codes: 0 success, 1 usage/validation error or a metric the model does
+not support, 2 runtime error. The env
 var MVX_SEED acts as a lowest-precedence seed override.
 """
 
@@ -85,11 +86,7 @@ def _cmd_train(args) -> int:
             cfg.seed = env_seed
     if args.seed is not None:
         cfg.seed = check_seed(args.seed, "--seed")
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: data file not found: {data_path}", file=sys.stderr)
-        return 2
-    data = read_dataset(data_path)
+    data = read_dataset(args.data)
     run = fit(cfg, data, max_epochs=args.epochs, batch_size=args.batch_size,
               out_dir=args.out)
     final = run.history[-1]["total"] if run.history else float("nan")
@@ -100,35 +97,22 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: data file not found: {data_path}", file=sys.stderr)
-        return 2
     run = load_run(run_dir)
-    data = read_dataset(data_path)
+    data = read_dataset(args.data)
     if args.metric == "loglik":
-        try:
-            value = joint_log_likelihood(run, data, K=args.K)
-        except UnsupportedMetricError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+        value = joint_log_likelihood(run, data, K=args.K)
         metric_csv("joint_log_likelihood", value, run_dir / "loglik.csv")
         print(f"joint log-likelihood (K={args.K}): {value:.4f} nats")
         return 0
-    probe_path = Path(args.probe_data) if args.probe_data else data_path
-    probe_data = read_dataset(probe_path)
+    probe_data = read_dataset(args.probe_data or args.data)
     if probe_data.labels is None:
         print("error: probe data has no labels", file=sys.stderr)
         return 2
-    try:
-        probes = [
-            train_probe_classifier(view, probe_data.labels, seed=run.cfg.seed)
-            for view in probe_data.views
-        ]
-        report = coherence(run, data, probes)
-    except UnsupportedMetricError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    probes = [
+        train_probe_classifier(view, probe_data.labels, seed=run.cfg.seed)
+        for view in probe_data.views
+    ]
+    report = coherence(run, data, probes)
     coherence_csv(report, run_dir / "coherence.csv")
     parts = ", ".join(f"|S|={s}: {v:.3f}" for s, v in sorted(report.per_size.items()))
     print(f"coherence accuracy: {parts}")
@@ -136,13 +120,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    run_dir = Path(args.run)
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: data file not found: {data_path}", file=sys.stderr)
-        return 2
-    run = load_run(run_dir)
-    data = read_dataset(data_path)
+    run = load_run(args.run)
+    data = read_dataset(args.data)
     grid = predict_reconstruction(run, data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,13 +182,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, UnsupportedMetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except MvxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (MvxError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -199,12 +199,9 @@ def _parse_section(cls, keys: dict[str, object], prefix: str, is_decoder: bool =
     return cls(**values)
 
 
-def _parse_nets(section: str, slots: dict[str, dict[str, object]]) -> dict:
-    return {
-        slot if slot == "default" else int(slot):
-            _parse_section(NetSpecConfig, keys, f"{section}.{slot}", section == "decoder")
-        for slot, keys in slots.items()
-    }
+def _parse_nets(section: str, slots: dict[int | str, dict[str, object]]) -> dict:
+    return {slot: _parse_section(NetSpecConfig, keys, f"{section}.{slot}", section == "decoder")
+            for slot, keys in slots.items()}
 
 
 def _parse_scalar(raw: str):
@@ -262,12 +259,10 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
                 raise ConfigError(f"{key}: expected {section}.<modality|default>.<key>")
             slot = parts[1]
             if slot != "default":
-                try:
-                    slot_idx = int(slot)
-                except ValueError:
-                    raise ConfigError(f"{key}: modality must be an index or 'default'")
-                if slot_idx < 0:
-                    raise ConfigError(f"{key}: modality index must be >= 0")
+                # one spelling per index, so that two keys never share a slot
+                _expect(slot.isdecimal() and str(int(slot)) == slot, key,
+                        "modality must be an index or 'default'")
+                slot = int(slot)
             sections[section].setdefault(slot, {})[parts[2]] = value
         else:
             raise ConfigError(f"{key}: unknown section '{section}'")

@@ -171,24 +171,27 @@ def write_dataset(path: str | Path, batch: MultiViewBatch) -> None:
             fh.write(batch.labels.astype("<u4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def read_exact(fh, n: int, what: str, fmt: str = "dataset") -> bytes:
+    """The next `n` bytes of the `fmt` file `fh`, checked against the file
+    length before reading: `n` may come from a header, and a corrupt size
+    must not become a huge allocation."""
     offset = fh.tell()
-    buf = fh.read(n)
-    if len(buf) != n:
+    remaining = os.fstat(fh.fileno()).st_size - offset
+    if n > remaining:
         raise FormatError(
-            f"truncated dataset while reading {what} at byte {offset}: "
-            f"expected {n} bytes, got {len(buf)}"
+            f"truncated {fmt} reading {what} at byte {offset}: "
+            f"expected {n} bytes, got {remaining}"
         )
-    return buf
+    return fh.read(n)
 
 
 def read_dataset(path: str | Path) -> MultiViewBatch:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte 0: expected {MAGIC!r}")
         version, n_views, n_samples, has_labels = struct.unpack(
-            "<IIIB", _read_exact(fh, 13, "header")
+            "<IIIB", read_exact(fh, 13, "header")
         )
         if version != VERSION:
             raise FormatError(f"unsupported dataset version {version} at byte 4")
@@ -197,27 +200,17 @@ def read_dataset(path: str | Path) -> MultiViewBatch:
         if n_samples == 0:
             raise FormatError("dataset declares 0 samples (byte 12)")
         dims = [
-            struct.unpack("<I", _read_exact(fh, 4, f"dim of view {i}"))[0]
+            struct.unpack("<I", read_exact(fh, 4, f"dim of view {i}"))[0]
             for i in range(n_views)
         ]
-        # the sizes come from the header: check them against the file before
-        # reading, so a corrupt header cannot become a huge allocation
-        offset = fh.tell()
-        payload = 4 * n_samples * (sum(dims) + (1 if has_labels else 0))
-        remaining = os.fstat(fh.fileno()).st_size - offset
-        if payload > remaining:
-            raise FormatError(
-                f"truncated dataset at byte {offset}: the header expected "
-                f"{payload} data bytes, the file has {remaining}"
-            )
         views = []
         for i, dim in enumerate(dims):
-            raw = _read_exact(fh, 4 * n_samples * dim, f"data of view {i}")
+            raw = read_exact(fh, 4 * n_samples * dim, f"data of view {i}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(n_samples, dim)
             views.append(arr.astype(np.float64))
         labels = None
         if has_labels:
-            raw = _read_exact(fh, 4 * n_samples, "labels")
+            raw = read_exact(fh, 4 * n_samples, "labels")
             labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
         trailing = fh.read(1)
         if trailing:

@@ -36,11 +36,9 @@ from .pooling import (
     mean_pool,
     moe_log_prob,
     poe,
-    subset_experts,
 )
 
 DCCAE_RIDGE = 1e-3
-MVTCAE_ALPHA_RANGE = (0.0, 1.0)
 
 
 class EpsStream:
@@ -160,10 +158,18 @@ class ModelState:
 
 
 def _check_views(state: ModelState, views: list[Tensor]) -> None:
+    """Reject views, a view count or an alpha that the model's entry does not allow."""
+    spec = MODEL_SPECS[state.name]
     if len(views) != state.n_views:
         raise DimensionError(
             f"{state.name}: got {len(views)} views, model has {state.n_views}"
         )
+    if spec.n_views is not None and state.n_views != spec.n_views:
+        raise ContractError(f"{state.name}: exactly {spec.n_views} views required")
+    if spec.alpha_range is not None:
+        lo, hi = spec.alpha_range
+        if not lo <= state.alpha <= hi:
+            raise ContractError(f"{state.name}: alpha must lie in [{lo:g}, {hi:g}]")
     batch = views[0].shape[0]
     for v in views:
         if v.data.ndim != 2 or v.shape[0] != batch:
@@ -180,6 +186,30 @@ def _neg_mean(t: Tensor) -> Tensor:
 
 def _scaled(w: float, t: Tensor) -> Tensor:
     return nc.constant(w) * t
+
+
+def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
+           source, weight: float | None = None, mask: Tensor | None = None) -> None:
+    """Add `recon[<view><-<source>]` for every view: the negated mean
+    log-likelihood of the view decoded from `z` (one latent, or one per view),
+    its rows multiplied by `mask` and the mean scaled by `weight` when given."""
+    for m in range(state.n_views):
+        lp = state.decoders[m].decode(z[m] if isinstance(z, list) else z).log_prob(views[m])
+        if mask is not None:
+            lp = lp * mask
+        term = _neg_mean(lp)
+        terms[f"recon[{m}<-{source}]"] = term if weight is None else _scaled(weight, term)
+
+
+def _kl_prior(state: ModelState, q: GaussianParams, weight: float | None = None) -> Tensor:
+    """beta (times `weight` when given) times the mean KL of `q` to the prior."""
+    beta = state.beta if weight is None else state.beta * weight
+    return _scaled(beta, nc.mean(kl_to_standard(q)))
+
+
+def _joint(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams:
+    """The joint posterior of every view, by the model's `joint` hook."""
+    return MODEL_SPECS[state.name].joint(state, posteriors, tuple(range(state.n_views)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +239,11 @@ def jmvae_kl_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Los
     Draws: one (B, z) normal for the joint posterior sample.
     """
     _check_views(state, views)
-    if state.n_views != 2:
-        raise ContractError("jmvae_kl_loss: exactly 2 views required")
     q_joint = state.joint_encoder.forward(nc.concat_cols(views))
     z = rsample(q_joint, eps.normal(q_joint.shape))
     terms: dict[str, Tensor] = {}
-    for m in range(2):
-        lp = state.decoders[m].decode(z).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-    terms["kl[joint]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_joint)))
+    _recon(terms, state, views, z, "joint")
+    terms["kl[joint]"] = _kl_prior(state, q_joint)
     if state.alpha != 0.0:
         for m in range(2):
             q_m = state.encoders[m].forward(views[m])
@@ -269,8 +295,6 @@ def dccae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     Full-batch only (the trainer enforces it). Draws: none.
     """
     _check_views(state, views)
-    if state.n_views != 2:
-        raise ContractError("dccae_loss: exactly 2 views required")
     lam_weight = state.lam[0] if state.lam else 1.0
     h = [enc.forward(x) for enc, x in zip(state.encoders, views)]
     terms: dict[str, Tensor] = {
@@ -294,25 +318,16 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     Draws: z from q(z|x1); with private=True additionally h_m for m = 0, 1.
     """
     _check_views(state, views)
-    if state.n_views != 2:
-        raise ContractError("dvcca_loss: exactly 2 views required")
     q_z = state.encoders[0].forward(views[0])
     z = rsample(q_z, eps.normal(q_z.shape))
-    terms: dict[str, Tensor] = {}
-    if not state.private:
-        for m in range(2):
-            lp = state.decoders[m].decode(z).log_prob(views[m])
-            terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-        terms["kl[z]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_z)))
-        return LossBreakdown.from_terms(terms)
-    q_h = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
+    q_h = ([enc.forward(x) for enc, x in zip(state.private_encoders, views)]
+           if state.private else [])
     hs = [rsample(q, eps.normal(q.shape)) for q in q_h]
-    for m in range(2):
-        lp = state.decoders[m].decode(nc.concat_cols([z, hs[m]])).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-    terms["kl[z]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_z)))
-    for m in range(2):
-        terms[f"kl[h{m}]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_h[m])))
+    terms: dict[str, Tensor] = {}
+    _recon(terms, state, views, [nc.concat_cols([z, h]) for h in hs] if hs else z, "joint")
+    terms["kl[z]"] = _kl_prior(state, q_z)
+    for m, q in enumerate(q_h):
+        terms[f"kl[h{m}]"] = _kl_prior(state, q)
     return LossBreakdown.from_terms(terms)
 
 
@@ -336,23 +351,20 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     KL for the log-uniform-prior approximation.
     """
     _check_views(state, views)
-    m_total = state.n_views
     terms: dict[str, Tensor] = {}
-    for m in range(m_total):
+    for m in range(state.n_views):
         if state.sparse:
             mu, alpha = _sparse_posterior(state, m, views[m])
             e = eps.normal(mu.shape)
             z_m = mu + mu * (nc.sqrt(alpha) * e)
             q_for_kl = GaussianParams(mu, nc.constant(np.zeros(mu.shape)))
-            kl_m = nc.mean(kl_sparse(q_for_kl, alpha))
+            kl_m = _scaled(state.beta, nc.mean(kl_sparse(q_for_kl, alpha)))
         else:
             q_m = state.encoders[m].forward(views[m])
             z_m = rsample(q_m, eps.normal(q_m.shape))
-            kl_m = nc.mean(kl_to_standard(q_m))
-        for n in range(m_total):
-            lp = state.decoders[n].decode(z_m).log_prob(views[n])
-            terms[f"recon[{n}<-{m}]"] = _neg_mean(lp)
-        terms[f"kl[{m}]"] = _scaled(state.beta, kl_m)
+            kl_m = _kl_prior(state, q_m)
+        _recon(terms, state, views, z_m, m)
+        terms[f"kl[{m}]"] = kl_m
     return LossBreakdown.from_terms(terms)
 
 
@@ -361,24 +373,19 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 # ---------------------------------------------------------------------------
 
 
-def _poe_joint(state: ModelState, experts: list[GaussianParams], include_prior: bool) -> GaussianParams:
-    return poe(ExpertSet(experts, include_prior_expert=include_prior))
-
-
 def mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
-    """Single ELBO under the PoE joint posterior (prior expert included).
+    """Single ELBO under the model's joint posterior: the PoE with the prior
+    expert (mvae), or the gPoE whose per-modality, per-dimension weights are
+    trainable (weighted_mvae).
 
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    experts = _encode_variational(state, views)
-    q = _poe_joint(state, experts, include_prior=True)
+    q = _joint(state, _encode_variational(state, views))
     z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
-    for m in range(state.n_views):
-        lp = state.decoders[m].decode(z).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-    terms["kl[joint]"] = _scaled(state.beta, nc.mean(kl_to_standard(q)))
+    _recon(terms, state, views, z, "joint")
+    terms["kl[joint]"] = _kl_prior(state, q)
     return LossBreakdown.from_terms(terms)
 
 
@@ -390,19 +397,17 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     """
     _check_views(state, views)
     experts = _encode_variational(state, views)
-    q_joint = _poe_joint(state, experts, include_prior=True)
+    q_joint = _joint(state, experts)
     z = rsample(q_joint, eps.normal(q_joint.shape))
     terms: dict[str, Tensor] = {}
+    _recon(terms, state, views, z, "joint")
+    terms["kl[joint]"] = _kl_prior(state, q_joint)
     for m in range(state.n_views):
-        lp = state.decoders[m].decode(z).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-    terms["kl[joint]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_joint)))
-    for m in range(state.n_views):
-        q_m = _poe_joint(state, [experts[m]], include_prior=True)
+        q_m = MODEL_SPECS[state.name].pool(state, experts, (m,))
         z_m = rsample(q_m, eps.normal(q_m.shape))
         lp = state.decoders[m].decode(z_m).log_prob(views[m])
         terms[f"recon[{m}<-uni{m}]"] = _neg_mean(lp)
-        terms[f"kl[uni{m}]"] = _scaled(state.beta, nc.mean(kl_to_standard(q_m)))
+        terms[f"kl[uni{m}]"] = _kl_prior(state, q_m)
     return LossBreakdown.from_terms(terms)
 
 
@@ -448,24 +453,16 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    lo, hi = MVTCAE_ALPHA_RANGE
-    if not lo <= state.alpha <= hi:
-        raise ContractError(f"mvtcae_loss: alpha must lie in [{lo:g}, {hi:g}]")
     if state.beta <= 0.0:
         raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
     experts = _encode_variational(state, views)
-    q = _poe_joint(state, experts, include_prior=False)
+    q = _joint(state, experts)
     z = rsample(q, eps.normal(q.shape))
-    rec_coef = (m_total - state.alpha) / m_total
     terms: dict[str, Tensor] = {}
-    for m in range(m_total):
-        lp = state.decoders[m].decode(z).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _scaled(rec_coef, _neg_mean(lp))
+    _recon(terms, state, views, z, "joint", (m_total - state.alpha) / m_total)
     if state.alpha < 1.0:
-        terms["kl[prior]"] = _scaled(
-            state.beta * (1.0 - state.alpha), nc.mean(kl_to_standard(q))
-        )
+        terms["kl[prior]"] = _kl_prior(state, q, 1.0 - state.alpha)
     if state.alpha > 0.0:
         for m in range(m_total):
             terms[f"kl[cvib{m}]"] = _scaled(
@@ -493,14 +490,13 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     subsets = enumerate_subsets(state.n_views)
     n_subsets = len(subsets)
     experts = _encode_variational(state, views)
-    base = ExpertSet(experts, include_prior_expert=False)
     selection = None
     batch = views[0].shape[0]
     if state.stochastic_subsets:
         selection = eps.integers(batch, n_subsets)
     terms: dict[str, Tensor] = {}
     for k, subset in enumerate(subsets):
-        q_k = poe(subset_experts(base, subset))
+        q_k = MODEL_SPECS[state.name].pool(state, experts, subset.members)
         z_k = rsample(q_k, eps.normal(q_k.shape))
         label = "+".join(str(i) for i in subset.members)
         if selection is None:
@@ -509,11 +505,7 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         else:
             weight = 1.0
             kl_mask = nc.constant((selection == k).astype(np.float64))
-        for m in range(state.n_views):
-            lp = state.decoders[m].decode(z_k).log_prob(views[m])
-            if kl_mask is not None:
-                lp = lp * kl_mask
-            terms[f"recon[{m}<-{{{label}}}]"] = _scaled(weight, _neg_mean(lp))
+        _recon(terms, state, views, z_k, f"{{{label}}}", weight, kl_mask)
         kl_k = kl_to_standard(q_k)
         if kl_mask is not None:
             kl_k = kl_k * kl_mask
@@ -533,26 +525,6 @@ def gpoe_weights(state: ModelState) -> Tensor:
     return nc.exp(logits - norm)
 
 
-def weighted_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
-    """MVAE objective with generalised-PoE fusion; the per-modality,
-    per-dimension weights are trainable (softmax over modalities) and the
-    prior expert enters with unit weight.
-
-    Draws: one (B, z) normal for the joint sample.
-    """
-    _check_views(state, views)
-    experts = _encode_variational(state, views)
-    weights = gpoe_weights(state)
-    q = gpoe(ExpertSet(experts, weights=weights, include_prior_expert=True))
-    z = rsample(q, eps.normal(q.shape))
-    terms: dict[str, Tensor] = {}
-    for m in range(state.n_views):
-        lp = state.decoders[m].decode(z).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _neg_mean(lp)
-    terms["kl[joint]"] = _scaled(state.beta, nc.mean(kl_to_standard(q)))
-    return LossBreakdown.from_terms(terms)
-
-
 # ---------------------------------------------------------------------------
 # mmJSD
 # ---------------------------------------------------------------------------
@@ -562,27 +534,22 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """Reconstruction from stratified mixture samples plus the pi-weighted
     JS terms against the PoE dynamic prior.
 
-    The dynamic prior is the pi-exponent normalized product of the uni-modal
-    posteriors and the prior, so identical components leave it fixed and the
-    JS term vanishes iff all posteriors equal the prior.
+    The dynamic prior is the model's joint (`_pool_geometric`): the
+    pi-exponent normalized product of the uni-modal posteriors and the prior,
+    so identical components leave it fixed and the JS term vanishes iff all
+    posteriors equal the prior.
 
     Draws: one (B, z) normal per modality, in modality order.
     """
     _check_views(state, views)
     m_total = state.n_views
-    pi = state.pi if state.pi else [1.0 / (m_total + 1)] * (m_total + 1)
-    if len(pi) != m_total + 1:
-        raise ContractError(f"mmjsd_loss: need {m_total + 1} weights, got {len(pi)}")
+    pi = state.pi or [1.0 / (m_total + 1)] * (m_total + 1)
     experts = _encode_variational(state, views)
-    dynamic_prior = geometric_poe(
-        experts + [standard_normal(experts[0].shape)], pi
-    )
+    dynamic_prior = _joint(state, experts)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
         z_m = rsample(experts[m], eps.normal(experts[m].shape))
-        for n in range(m_total):
-            lp = state.decoders[n].decode(z_m).log_prob(views[n])
-            terms[f"recon[{n}<-{m}]"] = _scaled(1.0 / m_total, _neg_mean(lp))
+        _recon(terms, state, views, z_m, m, 1.0 / m_total)
     for m in range(m_total):
         terms[f"kl[js{m}]"] = _scaled(
             state.beta * pi[m], nc.mean(kl_normal(experts[m], dynamic_prior))
@@ -661,7 +628,7 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         raise ContractError(f"dmvae_loss: need {m_total} lambda weights, got {len(lam)}")
     shared = _encode_variational(state, views)
     privates = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
-    q_joint = _poe_joint(state, shared, include_prior=True)
+    q_joint = _joint(state, shared)
     z_joint = rsample(q_joint, eps.normal(q_joint.shape))
     hs = [rsample(q, eps.normal(q.shape)) for q in privates]
     z_uni = [rsample(q, eps.normal(q.shape)) for q in shared]
@@ -784,7 +751,7 @@ VARIATIONAL_OBJECTIVES = {
     "mmvae": mmvae_iwae_loss,
     "mvtcae": mvtcae_loss,
     "mopoe": mopoe_loss,
-    "weighted_mvae": weighted_mvae_loss,
+    "weighted_mvae": mvae_loss,
     "mmjsd": mmjsd_loss,
     "mmvaeplus": mmvaeplus_loss,
     "dmvae": dmvae_loss,
@@ -822,23 +789,19 @@ def _pool_product_with_prior(state, posteriors, members):
 
 
 def _pool_gpoe(state, posteriors, members):
-    w = gpoe_weights(state)
-    # rows come back as columns; rebuild the (|S|, d) weight matrix
-    sub_w = nc.transpose(nc.concat_cols([nc.reshape_col(nc.row(w, i)) for i in members]))
-    return gpoe(ExpertSet(_chosen(posteriors, members), weights=sub_w,
+    weights = nc.rows(gpoe_weights(state), members)
+    return gpoe(ExpertSet(_chosen(posteriors, members), weights=weights,
                           include_prior_expert=True))
 
 
-def _pool_geometric(state, posteriors, members, pi=None):
-    """Normalized product of the members and the prior; uniform exponents unless `pi`."""
+def _pool_geometric(state, posteriors, members):
+    """mmJSD's dynamic prior: the normalized product of the members and the
+    prior, with `model.pi` restricted to them and renormalized as exponents
+    (uniform exponents when `model.pi` is unset)."""
     chosen = _chosen(posteriors, members)
-    k = len(chosen) + 1
-    return geometric_poe(chosen + [standard_normal(chosen[0].shape)], pi or [1.0 / k] * k)
-
-
-def _dynamic_prior(state, posteriors, members):
-    """mmJSD's joint: the geometric pooling with `model.pi` as exponents when set."""
-    return _pool_geometric(state, posteriors, members, state.pi)
+    pi = [state.pi[i] for i in members] + [state.pi[-1]] if state.pi else [1.0] * (len(chosen) + 1)
+    total = math.fsum(pi)
+    return geometric_poe(chosen + [standard_normal(chosen[0].shape)], [w / total for w in pi])
 
 
 def _pool_mean(state, posteriors, members):
@@ -851,8 +814,9 @@ def _mixture(state, posteriors, members):
 
 def _subset_mixture(state, posteriors, members):
     """MoPoE: the uniform mixture of the PoEs of all non-empty subsets of the members."""
-    base = ExpertSet(_chosen(posteriors, members))
-    return ExpertSet([poe(subset_experts(base, s)) for s in enumerate_subsets(len(members))])
+    chosen = _chosen(posteriors, members)
+    return ExpertSet([_pool_product(state, chosen, s.members)
+                      for s in enumerate_subsets(len(members))])
 
 
 def _pool_by_join_type(state, posteriors, members):
@@ -891,10 +855,14 @@ def _aux_log_scales(state: ModelState) -> None:
 class ModelSpec:
     """Everything but the objective that sets one model apart.
 
-    `pool` pools any modality subset (coherence needs it); `joint` is the
-    joint posterior that the prediction API reports (a mixture by its mean
+    `pool` pools any modality subset (coherence and the subset terms of the
+    objectives); `joint` is the joint posterior of every view, which the
+    objective trains and the prediction API reports (a mixture by its mean
     pooling); `proposal` is the importance-sampling proposal of the joint
-    log-likelihood. A model lacks whatever its entry leaves as None.
+    log-likelihood. A model lacks whatever its entry leaves as None. The
+    objectives pool only through these hooks, so each pooling rule is
+    written once; config and the objectives both enforce `n_views` and
+    `alpha_range`.
     """
 
     # "plain", "variational", or "reference": one variational encoder, of view 0
@@ -938,13 +906,13 @@ MODEL_SPECS = {
     "me_mvae": ModelSpec(pool=_pool_product_with_prior, joint=_pool_product_with_prior,
                          proposal=_pool_product_with_prior),
     "mmvae": ModelSpec(pool=_pool_mean, joint=_mixture, proposal=_mixture),
-    "mvtcae": ModelSpec(alpha_range=MVTCAE_ALPHA_RANGE, pool=_pool_product,
+    "mvtcae": ModelSpec(alpha_range=(0.0, 1.0), pool=_pool_product,
                         joint=_pool_product, proposal=_pool_product),
     "mopoe": ModelSpec(pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
     "weighted_mvae": ModelSpec(extras=_gpoe_logits, pool=_pool_gpoe, joint=_pool_gpoe,
                                proposal=_pool_gpoe),
     "mmjsd": ModelSpec(view_weights=("model.pi", lambda n: (n + 1,)), pool=_pool_geometric,
-                       joint=_dynamic_prior, proposal=_dynamic_prior),
+                       joint=_pool_geometric, proposal=_pool_geometric),
     "mmvaeplus": ModelSpec(private="always", extras=_aux_log_scales, pool=_pool_mean,
                            joint=_mixture),
     "dmvae": ModelSpec(private="always", view_weights=("model.lambda", lambda n: (1, n)),

@@ -157,10 +157,3 @@ def enumerate_subsets(n_modalities: int) -> list[SubsetIndex]:
         for combo in combinations(range(n_modalities), size):
             out.append(SubsetIndex(combo))
     return out
-
-
-def subset_experts(e: ExpertSet, subset: SubsetIndex) -> ExpertSet:
-    return ExpertSet(
-        experts=[e.experts[i] for i in subset.members],
-        include_prior_expert=e.include_prior_expert,
-    )

@@ -5,6 +5,7 @@ determined by (seed, config, data)."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import struct
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import numcore as nc
 from .config import ModelConfig, check_views, load_config, save_resolved
-from .data import MultiViewBatch
+from .data import MultiViewBatch, read_exact
 from .distributions import GaussianParams, dropout_rate
 from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .networks import Decoder, Discriminator, Encoder, MlpSpec, VariationalEncoder
@@ -270,8 +271,8 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
     all_params = state.parameters()
     ae_params = state.autoencoder_parameters()
     disc_params = state.discriminator_parameters()
-    critic = state.discriminator is not None and state.discriminator.critic
-    disc_steps = 0 if state.discriminator is None else (cfg.trainer.critic_steps if critic else 1)
+    adversary = MODEL_SPECS[state.name].adversary
+    disc_steps = {None: 0, "discriminator": 1, "critic": cfg.trainer.critic_steps}[adversary]
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         views = _as_views(data.subset(idx))
@@ -279,7 +280,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
 
         def autoencoder_phase():
             out = objective(state, views, eps)
-            if state.discriminator is None:
+            if adversary is None:
                 return out.total, out.scalars()
             return out.reconstruction.total + out.generator, out.scalars()
 
@@ -293,7 +294,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
             for _ in range(disc_steps):
                 _backward_phase(discriminator_phase, all_params, disc_params, run.rng)
                 run.optimizer.step(disc_params)
-                if critic:
+                if adversary == "critic":
                     _clip_params(disc_params, cfg.trainer.clip)
         except NumericError as err:
             raise NumericError(f"epoch {run.epoch}: {err}") from err
@@ -556,17 +557,7 @@ def _write_checkpoint(run: RunState, fh) -> None:
     fh.write(struct.pack("<I", run.epoch))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # `n` may come from the header: check it against the file before reading,
-    # so a corrupt size cannot become a huge allocation
-    offset = fh.tell()
-    remaining = os.fstat(fh.fileno()).st_size - offset
-    if n > remaining:
-        raise FormatError(
-            f"truncated checkpoint reading {what} at byte {offset}: "
-            f"expected {n} bytes, got {remaining}"
-        )
-    return fh.read(n)
+_read_exact = functools.partial(read_exact, fmt="checkpoint")
 
 
 def _read_moment(fh, name: str, what: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,11 +1,16 @@
 """The model table: every model's capabilities across the prediction and
 evaluation API, pinned on tiny untrained models."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
 from mvx.config import build_config
 from mvx.data import SyntheticSpec, generate_synthetic
+from mvx.distributions import standard_normal
 from mvx.errors import UnsupportedMetricError
 from mvx.evaluation import coherence, joint_log_likelihood, train_probe_classifier
 from mvx.objectives import (
@@ -14,7 +19,10 @@ from mvx.objectives import (
     PLAIN_OBJECTIVES,
     VARIATIONAL_OBJECTIVES,
 )
+from mvx.pooling import geometric_poe
 from mvx.training import fit, predict_latent, predict_reconstruction
+
+from helpers import make_tiny_state, make_tiny_views
 
 # name, extra config keys, views, has joint, reconstruction rows, coherence, loglik
 CAPABILITIES = [
@@ -70,3 +78,30 @@ def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
     else:
         with pytest.raises(UnsupportedMetricError):
             joint_log_likelihood(run, data, K=2)
+
+
+def test_objectives_pool_only_through_the_table_hooks():
+    pooling = {"poe", "gpoe", "geometric_poe"}
+    for table in (VARIATIONAL_OBJECTIVES, PLAIN_OBJECTIVES, ADVERSARIAL_OBJECTIVES):
+        for fn in table.values():
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            assert not called & pooling, fn.__name__
+
+
+def test_mmjsd_pools_every_subset_by_one_rule():
+    state = make_tiny_state("mmjsd", pi=[0.2, 0.3, 0.5])
+    posteriors = [enc.forward(x) for enc, x in zip(state.encoders, make_tiny_views())]
+    spec = MODEL_SPECS["mmjsd"]
+    full = spec.pool(state, posteriors, (0, 1))
+    for hook in (spec.joint, spec.proposal):
+        q = hook(state, posteriors, (0, 1))
+        assert np.array_equal(q.mean.data, full.mean.data)
+        assert np.array_equal(q.log_var.data, full.log_var.data)
+    # a subset takes the exponents of its members and the prior, renormalized
+    sub = spec.pool(state, posteriors, (1,))
+    ref = geometric_poe([posteriors[1], standard_normal(posteriors[1].shape)],
+                        [0.3 / 0.8, 0.5 / 0.8])
+    assert np.allclose(sub.mean.data, ref.mean.data, rtol=0, atol=1e-12)
+    assert np.allclose(sub.log_var.data, ref.log_var.data, rtol=0, atol=1e-12)

@@ -28,10 +28,11 @@ from mvx.objectives import (
     mvae_loss,
     mvtcae_loss,
     mwae_losses,
-    weighted_mvae_loss,
 )
 
 from helpers import make_tiny_state, make_tiny_views, zero_encoders
+
+weighted_mvae_loss = VARIATIONAL_OBJECTIVES["weighted_mvae"]
 
 
 def _eps(seed=5):

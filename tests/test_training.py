@@ -14,7 +14,7 @@ from mvx import training
 from mvx.config import ModelConfig, build_config, load_config, parse_config_text, resolved_lines
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import ConfigError, FormatError, NumericError
-from mvx.objectives import ADVERSARIAL_OBJECTIVES, VARIATIONAL_OBJECTIVES, EpsStream
+from mvx.objectives import ADVERSARIAL_OBJECTIVES, MODEL_SPECS, VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.training import (
     Adam,
     RunState,
@@ -185,6 +185,10 @@ _BAD_VALUES = [
     ("encoder.1.scale", 1.0, "scale applies to decoders only"),
     ("decoder.1.scale", "a", "expected a number, got 'a'"),
     ("decoder.1.scale", 0.0, "scale must be positive"),
+    ("encoder.01.activation", "tanh", "modality must be an index or 'default'"),
+    ("encoder.1_0.bias", True, "modality must be an index or 'default'"),
+    ("decoder.+1.scale", 1.0, "modality must be an index or 'default'"),
+    ("decoder.-1.scale", 1.0, "modality must be an index or 'default'"),
 ]
 
 
@@ -581,6 +585,27 @@ def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, ph
     for name, p in frozen:
         assert p.grad is None, name
     assert all(p.requires_grad for _, p in params)
+
+
+_EVERY_MODEL = [(name, {}) for name in MODEL_SPECS] + [("dvcca", {"model.private": True})]
+
+
+@pytest.mark.parametrize("name, extra", _EVERY_MODEL,
+                         ids=[name + "-private" * bool(extra) for name, extra in _EVERY_MODEL])
+def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name, extra):
+    missing = []
+    step = Adam.step
+
+    def checked_step(self, params):
+        missing.append([n for n, p in params if p.grad is None])
+        step(self, params)
+
+    monkeypatch.setattr(Adam, "step", checked_step)
+    data = _toy_data(dims=(3, 4, 2)[:MODEL_SPECS[name].n_views or 3])
+    cfg = build_config({"model.name": name, "model.z_dim": 2, "model.s_dim": 1,
+                        "trainer.batch_size": 8, "trainer.critic_steps": 2, **extra})
+    fit(cfg, data, max_epochs=2)
+    assert missing and all(names == [] for names in missing), missing
 
 
 def test_every_parameter_requires_grad_after_adversarial_training():
