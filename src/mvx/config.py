@@ -152,7 +152,7 @@ class ModelConfig:
     stochastic_subsets: bool = _key(_as_bool, default=False)
     pi: list[float] | None = _key(
         _as_float_list,
-        (lambda x: all(v >= 0 for v in x), "weights must be >= 0"),
+        (lambda x: all(v > 0 for v in x), "weights must be > 0"),
         (lambda x: abs(sum(x) - 1.0) <= 1e-6, "weights must sum to 1"),
         default=None)
     input_dims: list[int] | None = _key(

@@ -133,10 +133,10 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     model defines a joint) is reported as self-coherence at size M.
     """
     state = run.state
-    pool = MODEL_SPECS[state.name].pool
+    pool = MODEL_SPECS[state.cfg.name].pool
     if pool is None:
         raise UnsupportedMetricError(
-            f"coherence: model '{state.name}' does not support subset encoding"
+            f"coherence: model '{state.cfg.name}' does not support subset encoding"
         )
     if test.labels is None:
         raise ContractError("coherence: test batch has no labels")
@@ -188,11 +188,11 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
     if K < 1:
         raise ContractError("joint_log_likelihood: K must be >= 1")
     state = run.state
-    make_proposal = MODEL_SPECS[state.name].proposal
+    make_proposal = MODEL_SPECS[state.cfg.name].proposal
     # the decoders of a private-latent model need a private code besides z
     if make_proposal is None or state.private_encoders is not None:
         raise UnsupportedMetricError(
-            f"joint_log_likelihood: model '{state.name}' is not supported"
+            f"joint_log_likelihood: model '{state.cfg.name}' is not supported"
         )
     return _checked_at_the_end(
         lambda: _log_likelihood(state, make_proposal, test, K, eval_seed))

@@ -44,10 +44,40 @@ def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, bias: bool)
     return w, b
 
 
-def _apply_activation(h: Tensor, activation: str) -> Tensor:
-    if activation == "tanh":
-        return nc.tanh(h)
-    return nc.relu(h)
+def _init_layers(rng: np.random.Generator, dims: list[int], bias: bool):
+    return [_init_layer(rng, fan_in, fan_out, bias) for fan_in, fan_out in zip(dims, dims[1:])]
+
+
+def _layer_stack(h: Tensor, layers, spec: MlpSpec, activate_last: bool) -> Tensor:
+    """`h` through the affine `layers`, each followed by the activation when
+    `spec.non_linear`, except the last unless `activate_last`."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = nc.matmul(h, w)
+        if b is not None:
+            h = h + b
+        if spec.non_linear and (activate_last or i < last):
+            h = nc.tanh(h) if spec.activation == "tanh" else nc.relu(h)
+    return h
+
+
+def _checked(net, x: Tensor) -> Tensor:
+    if x.data.ndim != 2 or x.shape[1] != net.spec.input_dim:
+        raise DimensionError(
+            f"{net.name}: input {x.shape} vs expected (batch, {net.spec.input_dim})"
+        )
+    return x
+
+
+def _named_parameters(name: str, layers: dict[str, tuple[Tensor, Tensor | None]]
+                      ) -> list[tuple[str, Tensor]]:
+    """`<name>.<label>.W`, then `.b` when the layer has a bias, per labelled layer."""
+    out = []
+    for label, (w, b) in layers.items():
+        out.append((f"{name}.{label}.W", w))
+        if b is not None:
+            out.append((f"{name}.{label}.b", b))
+    return out
 
 
 class Mlp:
@@ -59,33 +89,14 @@ class Mlp:
     def __init__(self, spec: MlpSpec, rng: np.random.Generator, name: str = "mlp"):
         self.spec = spec
         self.name = name
-        self.layers: list[tuple[Tensor, Tensor | None]] = []
         dims = [spec.input_dim] + list(spec.hidden_layer_dims) + [spec.output_dim]
-        for i in range(len(dims) - 1):
-            self.layers.append(_init_layer(rng, dims[i], dims[i + 1], spec.bias))
+        self.layers: list[tuple[Tensor, Tensor | None]] = _init_layers(rng, dims, spec.bias)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"{self.name}: input {x.shape} vs expected (batch, {self.spec.input_dim})"
-            )
-        h = x
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = nc.matmul(h, w)
-            if b is not None:
-                h = h + b
-            if i < last and self.spec.non_linear:
-                h = _apply_activation(h, self.spec.activation)
-        return h
+        return _layer_stack(_checked(self, x), self.layers, self.spec, activate_last=False)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(self.layers):
-            out.append((f"{self.name}.layer{i}.W", w))
-            if b is not None:
-                out.append((f"{self.name}.layer{i}.b", b))
-        return out
+        return _named_parameters(self.name, {f"layer{i}": lay for i, lay in enumerate(self.layers)})
 
     def parameter_count(self) -> int:
         return sum(p.data.size for _, p in self.parameters())
@@ -102,9 +113,7 @@ class VariationalEncoder:
         self.spec = spec
         self.name = name
         dims = [spec.input_dim] + list(spec.hidden_layer_dims)
-        self.trunk: list[tuple[Tensor, Tensor | None]] = []
-        for i in range(len(dims) - 1):
-            self.trunk.append(_init_layer(rng, dims[i], dims[i + 1], spec.bias))
+        self.trunk: list[tuple[Tensor, Tensor | None]] = _init_layers(rng, dims, spec.bias)
         head_in = dims[-1]
         self.w_mean, self.b_mean = _init_layer(rng, head_in, spec.output_dim, spec.bias)
         # zero-initialised log-variance head: posterior starts at the prior scale
@@ -112,38 +121,17 @@ class VariationalEncoder:
         self.b_log_var = nc.parameter(np.zeros(spec.output_dim)) if spec.bias else None
 
     def forward(self, x: Tensor) -> GaussianParams:
-        if x.data.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"{self.name}: input {x.shape} vs expected (batch, {self.spec.input_dim})"
-            )
-        h = x
-        for w, b in self.trunk:
-            h = nc.matmul(h, w)
-            if b is not None:
-                h = h + b
-            if self.spec.non_linear:
-                h = _apply_activation(h, self.spec.activation)
-        mean = nc.matmul(h, self.w_mean)
-        if self.b_mean is not None:
-            mean = mean + self.b_mean
-        log_var = nc.matmul(h, self.w_log_var)
-        if self.b_log_var is not None:
-            log_var = log_var + self.b_log_var
+        h = _layer_stack(_checked(self, x), self.trunk, self.spec, activate_last=True)
+        mean = _layer_stack(h, [(self.w_mean, self.b_mean)], self.spec, activate_last=False)
+        log_var = _layer_stack(h, [(self.w_log_var, self.b_log_var)], self.spec,
+                               activate_last=False)
         return GaussianParams(mean, log_var)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(self.trunk):
-            out.append((f"{self.name}.layer{i}.W", w))
-            if b is not None:
-                out.append((f"{self.name}.layer{i}.b", b))
-        out.append((f"{self.name}.mean.W", self.w_mean))
-        if self.b_mean is not None:
-            out.append((f"{self.name}.mean.b", self.b_mean))
-        out.append((f"{self.name}.log_var.W", self.w_log_var))
-        if self.b_log_var is not None:
-            out.append((f"{self.name}.log_var.b", self.b_log_var))
-        return out
+        layers = {f"layer{i}": lay for i, lay in enumerate(self.trunk)}
+        layers["mean"] = (self.w_mean, self.b_mean)
+        layers["log_var"] = (self.w_log_var, self.b_log_var)
+        return _named_parameters(self.name, layers)
 
 
 class Decoder(Mlp):

@@ -97,15 +97,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- operator sugar --------------------------------------------------------
 
     def __add__(self, other):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .distributions import (
     standard_normal,
 )
 from .errors import ContractError, DimensionError, NumericError
-from .networks import Decoder, Discriminator, Encoder, VariationalEncoder
+from .networks import Decoder, Discriminator, VariationalEncoder
 from .numcore import Tensor
 from .pooling import (
     ExpertSet,
@@ -37,6 +38,9 @@ from .pooling import (
     moe_log_prob,
     poe,
 )
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ModelConfig
 
 DCCAE_RIDGE = 1e-3
 
@@ -96,14 +100,13 @@ class AdversarialLosses:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelState:
-    """Everything a loss function needs: networks, trainable extras, hyperparameters."""
+    """Everything a loss function needs: networks and trainable extras, and
+    the model config, whose fields are the hyperparameters (`state.cfg.beta`)."""
 
-    name: str
+    cfg: ModelConfig
     n_views: int
-    z_dim: int
-    s_dim: int = 0
     encoders: list = field(default_factory=list)
     decoders: list[Decoder] = field(default_factory=list)
     joint_encoder: VariationalEncoder | None = None
@@ -112,17 +115,6 @@ class ModelState:
     alpha_logits: Tensor | None = None
     aux_log_scales: list[Tensor] | None = None
     discriminator: Discriminator | None = None
-    beta: float = 1.0
-    alpha: float = 1.0
-    K: int = 1
-    lam: list[float] | None = None
-    pi: list[float] | None = None
-    sparse: bool = False
-    private: bool = False
-    non_saturating: bool = False
-    stochastic_subsets: bool = False
-    threshold: float = 0.0
-    join_type: str = "PoE"
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """All trainable tensors in fixed declaration order."""
@@ -159,21 +151,22 @@ class ModelState:
 
 def _check_views(state: ModelState, views: list[Tensor]) -> None:
     """Reject views, a view count or an alpha that the model's entry does not allow."""
-    spec = MODEL_SPECS[state.name]
+    name = state.cfg.name
+    spec = MODEL_SPECS[name]
     if len(views) != state.n_views:
         raise DimensionError(
-            f"{state.name}: got {len(views)} views, model has {state.n_views}"
+            f"{name}: got {len(views)} views, model has {state.n_views}"
         )
     if spec.n_views is not None and state.n_views != spec.n_views:
-        raise ContractError(f"{state.name}: exactly {spec.n_views} views required")
+        raise ContractError(f"{name}: exactly {spec.n_views} views required")
     if spec.alpha_range is not None:
         lo, hi = spec.alpha_range
-        if not lo <= state.alpha <= hi:
-            raise ContractError(f"{state.name}: alpha must lie in [{lo:g}, {hi:g}]")
+        if not lo <= state.cfg.alpha <= hi:
+            raise ContractError(f"{name}: alpha must lie in [{lo:g}, {hi:g}]")
     batch = views[0].shape[0]
     for v in views:
         if v.data.ndim != 2 or v.shape[0] != batch:
-            raise DimensionError(f"{state.name}: views must be (batch, dim) with a shared batch")
+            raise DimensionError(f"{name}: views must be (batch, dim) with a shared batch")
 
 
 def _encode_variational(state: ModelState, views: list[Tensor]) -> list[GaussianParams]:
@@ -203,13 +196,13 @@ def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
 
 def _kl_prior(state: ModelState, q: GaussianParams, weight: float | None = None) -> Tensor:
     """beta (times `weight` when given) times the mean KL of `q` to the prior."""
-    beta = state.beta if weight is None else state.beta * weight
+    beta = state.cfg.beta if weight is None else state.cfg.beta * weight
     return _scaled(beta, nc.mean(kl_to_standard(q)))
 
 
 def _joint(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams:
     """The joint posterior of every view, by the model's `joint` hook."""
-    return MODEL_SPECS[state.name].joint(state, posteriors, tuple(range(state.n_views)))
+    return MODEL_SPECS[state.cfg.name].joint(state, posteriors, tuple(range(state.n_views)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +237,11 @@ def jmvae_kl_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Los
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, z, "joint")
     terms["kl[joint]"] = _kl_prior(state, q_joint)
-    if state.alpha != 0.0:
+    if state.cfg.alpha != 0.0:
         for m in range(2):
             q_m = state.encoders[m].forward(views[m])
             terms[f"kl[joint||uni{m}]"] = _scaled(
-                state.alpha, nc.mean(kl_normal(q_joint, q_m))
+                state.cfg.alpha, nc.mean(kl_normal(q_joint, q_m))
             )
     return LossBreakdown.from_terms(terms)
 
@@ -295,7 +288,7 @@ def dccae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     Full-batch only (the trainer enforces it). Draws: none.
     """
     _check_views(state, views)
-    lam_weight = state.lam[0] if state.lam else 1.0
+    lam_weight = state.cfg.lam[0] if state.cfg.lam else 1.0
     h = [enc.forward(x) for enc, x in zip(state.encoders, views)]
     terms: dict[str, Tensor] = {
         "corr": nc.neg(canonical_correlation_sum(h[0], h[1]))
@@ -321,7 +314,7 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     q_z = state.encoders[0].forward(views[0])
     z = rsample(q_z, eps.normal(q_z.shape))
     q_h = ([enc.forward(x) for enc, x in zip(state.private_encoders, views)]
-           if state.private else [])
+           if state.cfg.private else [])
     hs = [rsample(q, eps.normal(q.shape)) for q in q_h]
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, [nc.concat_cols([z, h]) for h in hs] if hs else z, "joint")
@@ -353,12 +346,12 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     _check_views(state, views)
     terms: dict[str, Tensor] = {}
     for m in range(state.n_views):
-        if state.sparse:
+        if state.cfg.sparse:
             mu, alpha = _sparse_posterior(state, m, views[m])
             e = eps.normal(mu.shape)
             z_m = mu + mu * (nc.sqrt(alpha) * e)
             q_for_kl = GaussianParams(mu, nc.constant(np.zeros(mu.shape)))
-            kl_m = _scaled(state.beta, nc.mean(kl_sparse(q_for_kl, alpha)))
+            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(q_for_kl, alpha)))
         else:
             q_m = state.encoders[m].forward(views[m])
             z_m = rsample(q_m, eps.normal(q_m.shape))
@@ -403,7 +396,7 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     _recon(terms, state, views, z, "joint")
     terms["kl[joint]"] = _kl_prior(state, q_joint)
     for m in range(state.n_views):
-        q_m = MODEL_SPECS[state.name].pool(state, experts, (m,))
+        q_m = MODEL_SPECS[state.cfg.name].pool(state, experts, (m,))
         z_m = rsample(q_m, eps.normal(q_m.shape))
         lp = state.decoders[m].decode(z_m).log_prob(views[m])
         terms[f"recon[{m}<-uni{m}]"] = _neg_mean(lp)
@@ -424,7 +417,7 @@ def mmvae_iwae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> L
     _check_views(state, views)
     experts = _encode_variational(state, views)
     moe = ExpertSet(experts)
-    k_samples = max(1, state.K)
+    k_samples = max(1, state.cfg.K)
     log_k = math.log(k_samples)
     terms: dict[str, Tensor] = {}
     for m in range(state.n_views):
@@ -453,20 +446,20 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    if state.beta <= 0.0:
+    if state.cfg.beta <= 0.0:
         raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
     experts = _encode_variational(state, views)
     q = _joint(state, experts)
     z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint", (m_total - state.alpha) / m_total)
-    if state.alpha < 1.0:
-        terms["kl[prior]"] = _kl_prior(state, q, 1.0 - state.alpha)
-    if state.alpha > 0.0:
+    _recon(terms, state, views, z, "joint", (m_total - state.cfg.alpha) / m_total)
+    if state.cfg.alpha < 1.0:
+        terms["kl[prior]"] = _kl_prior(state, q, 1.0 - state.cfg.alpha)
+    if state.cfg.alpha > 0.0:
         for m in range(m_total):
             terms[f"kl[cvib{m}]"] = _scaled(
-                state.beta * state.alpha / m_total, nc.mean(kl_normal(q, experts[m]))
+                state.cfg.beta * state.cfg.alpha / m_total, nc.mean(kl_normal(q, experts[m]))
             )
     return LossBreakdown.from_terms(terms)
 
@@ -492,11 +485,11 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     experts = _encode_variational(state, views)
     selection = None
     batch = views[0].shape[0]
-    if state.stochastic_subsets:
+    if state.cfg.stochastic_subsets:
         selection = eps.integers(batch, n_subsets)
     terms: dict[str, Tensor] = {}
     for k, subset in enumerate(subsets):
-        q_k = MODEL_SPECS[state.name].pool(state, experts, subset.members)
+        q_k = MODEL_SPECS[state.cfg.name].pool(state, experts, subset.members)
         z_k = rsample(q_k, eps.normal(q_k.shape))
         label = "+".join(str(i) for i in subset.members)
         if selection is None:
@@ -509,7 +502,7 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         kl_k = kl_to_standard(q_k)
         if kl_mask is not None:
             kl_k = kl_k * kl_mask
-        terms[f"kl[{{{label}}}]"] = _scaled(state.beta * weight, nc.mean(kl_k))
+        terms[f"kl[{{{label}}}]"] = _scaled(state.cfg.beta * weight, nc.mean(kl_k))
     return LossBreakdown.from_terms(terms)
 
 
@@ -543,7 +536,7 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     m_total = state.n_views
-    pi = state.pi or [1.0 / (m_total + 1)] * (m_total + 1)
+    pi = state.cfg.pi or [1.0 / (m_total + 1)] * (m_total + 1)
     experts = _encode_variational(state, views)
     dynamic_prior = _joint(state, experts)
     terms: dict[str, Tensor] = {}
@@ -552,11 +545,11 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         _recon(terms, state, views, z_m, m, 1.0 / m_total)
     for m in range(m_total):
         terms[f"kl[js{m}]"] = _scaled(
-            state.beta * pi[m], nc.mean(kl_normal(experts[m], dynamic_prior))
+            state.cfg.beta * pi[m], nc.mean(kl_normal(experts[m], dynamic_prior))
         )
     prior = standard_normal(experts[0].shape)
     terms["kl[js_prior]"] = _scaled(
-        state.beta * pi[m_total], nc.mean(kl_normal(prior, dynamic_prior))
+        state.cfg.beta * pi[m_total], nc.mean(kl_normal(prior, dynamic_prior))
     )
     return LossBreakdown.from_terms(terms)
 
@@ -580,7 +573,7 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
     shared = _encode_variational(state, views)
     privates = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
     moe_shared = ExpertSet(shared)
-    k_samples = max(1, state.K)
+    k_samples = max(1, state.cfg.K)
     log_k = math.log(k_samples)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
@@ -621,7 +614,7 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     m_total = state.n_views
-    lam = state.lam if state.lam else [1.0] * m_total
+    lam = state.cfg.lam if state.cfg.lam else [1.0] * m_total
     if len(lam) == 1 and m_total > 1:
         lam = lam * m_total
     if len(lam) != m_total:
@@ -639,15 +632,15 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     for m in range(m_total):
         lp = state.decoders[m].decode(nc.concat_cols([z_joint, hs[m]])).log_prob(views[m])
         terms[f"recon[{m}<-joint]"] = _scaled(lam[m], _neg_mean(lp))
-        terms[f"kl[h{m}@joint]"] = _scaled(state.beta, kl_priv[m])
-        terms[f"kl[joint@{m}]"] = _scaled(state.beta, kl_joint)
+        terms[f"kl[h{m}@joint]"] = _scaled(state.cfg.beta, kl_priv[m])
+        terms[f"kl[joint@{m}]"] = _scaled(state.cfg.beta, kl_joint)
         for n in range(m_total):
             lp = state.decoders[m].decode(
                 nc.concat_cols([z_uni[n], hs[m]])
             ).log_prob(views[m])
             terms[f"recon[{m}<-{n}]"] = _scaled(lam[m], _neg_mean(lp))
-            terms[f"kl[h{m}@{m},{n}]"] = _scaled(state.beta, kl_priv[m])
-            terms[f"kl[z{n}@{m},{n}]"] = _scaled(state.beta, kl_shared[n])
+            terms[f"kl[h{m}@{m},{n}]"] = _scaled(state.cfg.beta, kl_priv[m])
+            terms[f"kl[z{n}@{m},{n}]"] = _scaled(state.cfg.beta, kl_shared[n])
     return LossBreakdown.from_terms(terms)
 
 
@@ -690,7 +683,7 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
         pair = log_d_prior + log_one_minus
         disc_total = pair if disc_total is None else disc_total + pair
         gan_value = pair if gan_value is None else gan_value + pair
-        if state.non_saturating:
+        if state.cfg.non_saturating:
             g = nc.neg(nc.mean(nc.log(d_enc)))
         else:
             g = nc.mean(nc.log(nc.constant(1.0) - d_enc))
@@ -799,7 +792,8 @@ def _pool_geometric(state, posteriors, members):
     prior, with `model.pi` restricted to them and renormalized as exponents
     (uniform exponents when `model.pi` is unset)."""
     chosen = _chosen(posteriors, members)
-    pi = [state.pi[i] for i in members] + [state.pi[-1]] if state.pi else [1.0] * (len(chosen) + 1)
+    pi = state.cfg.pi
+    pi = [pi[i] for i in members] + [pi[-1]] if pi else [1.0] * (len(chosen) + 1)
     total = math.fsum(pi)
     return geometric_poe(chosen + [standard_normal(chosen[0].shape)], [w / total for w in pi])
 
@@ -821,9 +815,9 @@ def _subset_mixture(state, posteriors, members):
 
 def _pool_by_join_type(state, posteriors, members):
     """mcVAE pools by `model.join_type`; its sparse variant has no joint."""
-    if state.sparse:
+    if state.cfg.sparse:
         return None
-    if state.join_type == "Mean":
+    if state.cfg.join_type == "Mean":
         return _pool_mean(state, posteriors, members)
     return _pool_product(state, posteriors, members)
 
@@ -838,17 +832,17 @@ def _reference_posterior(state, posteriors, members):
 
 
 def _sparse_log_alphas(state: ModelState) -> None:
-    if state.sparse:
-        state.log_alphas = [nc.parameter(np.full(state.z_dim, -3.0))
+    if state.cfg.sparse:
+        state.log_alphas = [nc.parameter(np.full(state.cfg.z_dim, -3.0))
                             for _ in range(state.n_views)]
 
 
 def _gpoe_logits(state: ModelState) -> None:
-    state.alpha_logits = nc.parameter(np.zeros((state.n_views, state.z_dim)))
+    state.alpha_logits = nc.parameter(np.zeros((state.n_views, state.cfg.z_dim)))
 
 
 def _aux_log_scales(state: ModelState) -> None:
-    state.aux_log_scales = [nc.parameter(np.zeros(state.s_dim)) for _ in range(state.n_views)]
+    state.aux_log_scales = [nc.parameter(np.zeros(state.cfg.s_dim)) for _ in range(state.n_views)]
 
 
 @dataclass(frozen=True)
@@ -897,7 +891,8 @@ MODEL_SPECS = {
     "ae": ModelSpec(encoder="plain", likelihood="Default"),
     "jmvae": ModelSpec(n_views=2, joint_encoder=True, joint=_joint_encoder_posterior,
                        proposal=_joint_encoder_posterior),
-    "dccae": ModelSpec(encoder="plain", n_views=2, likelihood="Default", full_batch=True),
+    "dccae": ModelSpec(encoder="plain", n_views=2, likelihood="Default", full_batch=True,
+                       view_weights=("model.lambda", lambda n: (1,))),
     "dvcca": ModelSpec(encoder="reference", n_views=2, private="optional",
                        proposal=_reference_posterior),
     "mcvae": ModelSpec(sparse=True, extras=_sparse_log_alphas, joint=_pool_by_join_type),

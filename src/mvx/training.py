@@ -55,23 +55,7 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     spec = MODEL_SPECS[cfg.name]
     m_total = len(input_dims)
     check_views(cfg, m_total)
-    state = ModelState(
-        name=cfg.name,
-        n_views=m_total,
-        z_dim=cfg.z_dim,
-        s_dim=cfg.s_dim,
-        beta=cfg.beta,
-        alpha=cfg.alpha,
-        K=cfg.K,
-        lam=list(cfg.lam),
-        pi=list(cfg.pi) if cfg.pi is not None else None,
-        sparse=cfg.sparse,
-        private=cfg.private,
-        non_saturating=cfg.non_saturating,
-        stochastic_subsets=cfg.stochastic_subsets,
-        threshold=cfg.threshold,
-        join_type=cfg.join_type,
-    )
+    state = ModelState(cfg=cfg, n_views=m_total)
 
     # encoders
     kind = "plain" if cfg.sparse else spec.encoder
@@ -261,7 +245,7 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
 
 def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[str, float]:
     cfg, state = run.cfg, run.state
-    objective = _objective_for(state.name)
+    objective = _objective_for(cfg.name)
     n = data.n_samples
     order = run.rng.permutation(n)
     if cfg.trainer.full_batch:
@@ -271,7 +255,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[s
     all_params = state.parameters()
     ae_params = state.autoencoder_parameters()
     disc_params = state.discriminator_parameters()
-    adversary = MODEL_SPECS[state.name].adversary
+    adversary = MODEL_SPECS[cfg.name].adversary
     disc_steps = {None: 0, "discriminator": 1, "critic": cfg.trainer.critic_steps}[adversary]
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
@@ -399,7 +383,7 @@ def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[Gaussian
 
 def _joint_posterior(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams | None:
     """The model's joint posterior, a mixture summarised by its mean pooling."""
-    hook = MODEL_SPECS[state.name].joint
+    hook = MODEL_SPECS[state.cfg.name].joint
     joint = hook(state, posteriors, tuple(range(state.n_views))) if hook else None
     return mean_pool(joint) if isinstance(joint, ExpertSet) else joint
 
@@ -416,7 +400,7 @@ def _decode_mean(state: ModelState, z: Tensor, target: int, private: np.ndarray 
     if state.private_encoders is None:
         return decoder.decode(z).mean().data
     if private is None:
-        shape = (z.shape[0], state.s_dim)
+        shape = (z.shape[0], state.cfg.s_dim)
         if state.aux_log_scales is None:
             private = np.zeros(shape)
         else:
@@ -429,8 +413,8 @@ def _sparse_masks(state: ModelState) -> list[np.ndarray]:
     masks = []
     for log_alpha in state.log_alphas:
         rate = dropout_rate(np.exp(log_alpha.data))
-        if state.threshold > 0:
-            masks.append(rate <= state.threshold)
+        if state.cfg.threshold > 0:
+            masks.append(rate <= state.cfg.threshold)
         else:
             masks.append(np.ones_like(rate, dtype=bool))
     return masks
@@ -483,7 +467,7 @@ def predict_reconstruction(run: RunState, data: MultiViewBatch,
             f"predict_reconstruction: data dims {data.dims} vs model {run.cfg.input_dims}"
         )
     eval_rng = np.random.default_rng(eval_seed)
-    shared = MODEL_SPECS[state.name].encoder == "reference"
+    shared = MODEL_SPECS[state.cfg.name].encoder == "reference"
     with nc.no_grad():
         views = _as_views(data)
         posteriors = _encoder_posteriors(state, views)

@@ -190,17 +190,17 @@ def oracle_jmvae(state, views, draws):
         z = reparam(mean, log_var, eps[i])
         loss = -decode_log_lik(state.decoders[0], z, xs[0])
         loss -= decode_log_lik(state.decoders[1], z, xs[1])
-        loss += state.beta * kl_std(mean, log_var)
-        if state.alpha != 0.0:
+        loss += state.cfg.beta * kl_std(mean, log_var)
+        if state.cfg.alpha != 0.0:
             for m in range(2):
                 um, ulv = venc_forward(state.encoders[m], xs[m])
-                loss += state.alpha * kl_gauss(mean, log_var, um, ulv)
+                loss += state.cfg.alpha * kl_gauss(mean, log_var, um, ulv)
         total += loss
     return total / len(samples)
 
 
 def oracle_dccae(state, views, draws):
-    lam = state.lam[0] if state.lam else 1.0
+    lam = state.cfg.lam[0] if state.cfg.lam else 1.0
     n = views[0].shape[0]
     h = [[mlp_forward(enc, views[m].data[i].tolist()) for i in range(n)]
          for m, enc in enumerate(state.encoders)]
@@ -233,13 +233,13 @@ def oracle_dvcca(state, views, draws):
     q = DrawQueue(draws)
     samples = _rows(views)
     eps_z = q.next()
-    eps_h = [q.next(), q.next()] if state.private else None
+    eps_h = [q.next(), q.next()] if state.cfg.private else None
     total = 0.0
     for i, xs in enumerate(samples):
         mean, log_var = venc_forward(state.encoders[0], xs[0])
         z = reparam(mean, log_var, eps_z[i])
-        loss = state.beta * kl_std(mean, log_var)
-        if not state.private:
+        loss = state.cfg.beta * kl_std(mean, log_var)
+        if not state.cfg.private:
             for m in range(2):
                 loss -= decode_log_lik(state.decoders[m], z, xs[m])
         else:
@@ -247,7 +247,7 @@ def oracle_dvcca(state, views, draws):
                 hm_mean, hm_lv = venc_forward(state.private_encoders[m], xs[m])
                 h = reparam(hm_mean, hm_lv, eps_h[m][i])
                 loss -= decode_log_lik(state.decoders[m], z + h, xs[m])
-                loss += state.beta * kl_std(hm_mean, hm_lv)
+                loss += state.cfg.beta * kl_std(hm_mean, hm_lv)
         total += loss
     return total / len(samples)
 
@@ -268,7 +268,7 @@ def oracle_mcvae(state, views, draws):
     for i, xs in enumerate(samples):
         loss = 0.0
         for m in range(m_total):
-            if state.sparse:
+            if state.cfg.sparse:
                 mu = mlp_forward(state.encoders[m], xs[m])
                 log_alpha = state.log_alphas[m].data.tolist()
                 z = [u + u * math.sqrt(math.exp(la)) * e
@@ -280,7 +280,7 @@ def oracle_mcvae(state, views, draws):
                 kl = kl_std(mean, log_var)
             for n in range(m_total):
                 loss -= decode_log_lik(state.decoders[n], z, xs[n])
-            loss += state.beta * kl
+            loss += state.cfg.beta * kl
         total += loss
     return total / len(samples)
 
@@ -294,7 +294,7 @@ def oracle_mvae(state, views, draws):
         moments = [venc_forward(enc, xs[m]) for m, enc in enumerate(state.encoders)]
         mean, log_var = poe_moments(moments, prior=True)
         z = reparam(mean, log_var, eps[i])
-        loss = state.beta * kl_std(mean, log_var)
+        loss = state.cfg.beta * kl_std(mean, log_var)
         for m in range(state.n_views):
             loss -= decode_log_lik(state.decoders[m], z, xs[m])
         total += loss
@@ -312,14 +312,14 @@ def oracle_me_mvae(state, views, draws):
         moments = [venc_forward(enc, xs[m]) for m, enc in enumerate(state.encoders)]
         mean, log_var = poe_moments(moments, prior=True)
         z = reparam(mean, log_var, eps_joint[i])
-        loss = state.beta * kl_std(mean, log_var)
+        loss = state.cfg.beta * kl_std(mean, log_var)
         for m in range(m_total):
             loss -= decode_log_lik(state.decoders[m], z, xs[m])
         for m in range(m_total):
             um, ulv = poe_moments([moments[m]], prior=True)
             z_m = reparam(um, ulv, eps_uni[m][i])
             loss -= decode_log_lik(state.decoders[m], z_m, xs[m])
-            loss += state.beta * kl_std(um, ulv)
+            loss += state.cfg.beta * kl_std(um, ulv)
         total += loss
     return total / len(samples)
 
@@ -333,7 +333,7 @@ def oracle_mmvae(state, views, draws):
     q = DrawQueue(draws)
     samples = _rows(views)
     m_total = state.n_views
-    k_total = max(1, state.K)
+    k_total = max(1, state.cfg.K)
     eps = [[q.next() for _ in range(k_total)] for _ in range(m_total)]
     total = 0.0
     for i, xs in enumerate(samples):
@@ -358,7 +358,7 @@ def oracle_mvtcae(state, views, draws):
     samples = _rows(views)
     m_total = state.n_views
     eps = q.next()
-    alpha, beta = state.alpha, state.beta
+    alpha, beta = state.cfg.alpha, state.cfg.beta
     total = 0.0
     for i, xs in enumerate(samples):
         moments = [venc_forward(enc, xs[m]) for m, enc in enumerate(state.encoders)]
@@ -403,7 +403,7 @@ def oracle_mopoe(state, views, draws):
             z = reparam(mean, log_var, eps[k][i])
             for m in range(m_total):
                 loss -= decode_log_lik(state.decoders[m], z, xs[m]) / n_sub
-            loss += state.beta * kl_std(mean, log_var) / n_sub
+            loss += state.cfg.beta * kl_std(mean, log_var) / n_sub
         total += loss
     return total / len(samples)
 
@@ -427,7 +427,7 @@ def oracle_weighted_mvae(state, views, draws):
         moments = [venc_forward(enc, xs[m]) for m, enc in enumerate(state.encoders)]
         mean, log_var = poe_moments(moments, prior=True, alphas=alphas)
         z = reparam(mean, log_var, eps[i])
-        loss = state.beta * kl_std(mean, log_var)
+        loss = state.cfg.beta * kl_std(mean, log_var)
         for m in range(m_total):
             loss -= decode_log_lik(state.decoders[m], z, xs[m])
         total += loss
@@ -438,7 +438,7 @@ def oracle_mmjsd(state, views, draws):
     q = DrawQueue(draws)
     samples = _rows(views)
     m_total = state.n_views
-    pi = state.pi if state.pi else [1.0 / (m_total + 1)] * (m_total + 1)
+    pi = state.cfg.pi if state.cfg.pi else [1.0 / (m_total + 1)] * (m_total + 1)
     eps = [q.next() for _ in range(m_total)]
     total = 0.0
     for i, xs in enumerate(samples):
@@ -458,9 +458,9 @@ def oracle_mmjsd(state, views, draws):
             for n in range(m_total):
                 loss -= decode_log_lik(state.decoders[n], z, xs[n]) / m_total
         for m in range(m_total):
-            loss += state.beta * pi[m] * kl_gauss(
+            loss += state.cfg.beta * pi[m] * kl_gauss(
                 moments[m][0], moments[m][1], f_mean, f_lv)
-        loss += state.beta * pi[m_total] * kl_gauss(
+        loss += state.cfg.beta * pi[m_total] * kl_gauss(
             prior[0], prior[1], f_mean, f_lv)
         total += loss
     return total / len(samples)
@@ -470,7 +470,7 @@ def oracle_mmvaeplus(state, views, draws):
     q = DrawQueue(draws)
     samples = _rows(views)
     m_total = state.n_views
-    k_total = max(1, state.K)
+    k_total = max(1, state.cfg.K)
     plan = []
     for m in range(m_total):
         per_k = []
@@ -511,7 +511,7 @@ def oracle_dmvae(state, views, draws):
     q = DrawQueue(draws)
     samples = _rows(views)
     m_total = state.n_views
-    lam = state.lam if state.lam else [1.0] * m_total
+    lam = state.cfg.lam if state.cfg.lam else [1.0] * m_total
     if len(lam) == 1 and m_total > 1:
         lam = lam * m_total
     eps_joint = q.next()
@@ -531,13 +531,13 @@ def oracle_dmvae(state, views, draws):
         loss = 0.0
         for m in range(m_total):
             loss -= lam[m] * decode_log_lik(state.decoders[m], z_joint + hs[m], xs[m])
-            loss += state.beta * kl_std(private[m][0], private[m][1])
-            loss += state.beta * kl_std(j_mean, j_lv)
+            loss += state.cfg.beta * kl_std(private[m][0], private[m][1])
+            loss += state.cfg.beta * kl_std(j_mean, j_lv)
             for n in range(m_total):
                 loss -= lam[m] * decode_log_lik(
                     state.decoders[m], z_uni[n] + hs[m], xs[m])
-                loss += state.beta * kl_std(private[m][0], private[m][1])
-                loss += state.beta * kl_std(shared[n][0], shared[n][1])
+                loss += state.cfg.beta * kl_std(private[m][0], private[m][1])
+                loss += state.cfg.beta * kl_std(shared[n][0], shared[n][1])
         total += loss
     return total / len(samples)
 
@@ -568,7 +568,7 @@ def oracle_maae(state, views, draws):
             d_prior += math.log(_disc_forward(state.discriminator, priors[m][i]))
             de = _disc_forward(state.discriminator, z_enc)
             d_enc += math.log(1.0 - de)
-            if state.non_saturating:
+            if state.cfg.non_saturating:
                 g -= math.log(de)
             else:
                 g += math.log(1.0 - de)

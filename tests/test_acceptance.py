@@ -116,10 +116,10 @@ def test_criterion_3_reduction_identities():
     views = make_tiny_views()
     # jmvae alpha=0 term-equals JMVAE
     state = make_tiny_state("jmvae")
-    state.alpha = 0.0
+    state.cfg.alpha = 0.0
     plain = jmvae_kl_loss(state, views, EpsStream(np.random.default_rng(5)))
     jmvae_terms = set(plain.terms) == {"recon[0<-joint]", "recon[1<-joint]", "kl[joint]"}
-    state.alpha = 0.9
+    state.cfg.alpha = 0.9
     with_kl = jmvae_kl_loss(state, views, EpsStream(np.random.default_rng(5)))
     shared_equal = all(
         abs(plain.terms[k].item() - with_kl.terms[k].item()) < 1e-12
@@ -128,7 +128,7 @@ def test_criterion_3_reduction_identities():
 
     # mvtcae alpha=0 has no CVIB terms
     state_tc = make_tiny_state("mvtcae", alpha=0.5)
-    state_tc.alpha = 0.0
+    state_tc.cfg.alpha = 0.0
     out_tc = mvtcae_loss(state_tc, views, EpsStream(np.random.default_rng(5)))
     no_cvib = not [k for k in out_tc.terms if "cvib" in k]
 

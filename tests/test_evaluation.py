@@ -292,8 +292,8 @@ def _sequential_log_likelihood(run, test, K, eval_seed=0):
     with nc.no_grad():
         views = _as_views(test)
         posteriors = _encoder_posteriors(state, views)
-        proposal = MODEL_SPECS[state.name].proposal(state, posteriors,
-                                                    tuple(range(state.n_views)))
+        proposal = MODEL_SPECS[state.cfg.name].proposal(state, posteriors,
+                                                        tuple(range(state.n_views)))
         mixture = isinstance(proposal, ExpertSet)
         cols = []
         for _ in range(K):

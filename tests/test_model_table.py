@@ -4,11 +4,12 @@ evaluation API, pinned on tiny untrained models."""
 import ast
 import inspect
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mvx.config import build_config
+from mvx.config import ModelConfig, build_config
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
 from mvx.errors import UnsupportedMetricError
@@ -17,6 +18,7 @@ from mvx.objectives import (
     ADVERSARIAL_OBJECTIVES,
     MODEL_SPECS,
     PLAIN_OBJECTIVES,
+    ModelState,
     VARIATIONAL_OBJECTIVES,
 )
 from mvx.pooling import geometric_poe
@@ -50,6 +52,18 @@ def test_every_model_has_one_entry_and_one_objective():
     objectives = [*VARIATIONAL_OBJECTIVES, *PLAIN_OBJECTIVES, *ADVERSARIAL_OBJECTIVES]
     assert sorted(objectives) == sorted(MODEL_SPECS)
     assert sorted({case[0] for case in CAPABILITIES}) == sorted(MODEL_SPECS)
+
+
+def test_model_state_copies_no_config_key():
+    keys = {f.name for f in fields(ModelConfig) if "parse" in f.metadata}
+    assert not {f.name for f in fields(ModelState)} & keys
+
+
+def test_model_state_rejects_a_hyperparameter_write():
+    state = make_tiny_state("mvtcae", alpha=0.5)
+    with pytest.raises(AttributeError):
+        state.alpha = 0.5
+    assert state.cfg.alpha == 0.5
 
 
 @pytest.mark.parametrize("name, extra, n_views, joint, rows, coherent, loglik", CAPABILITIES,

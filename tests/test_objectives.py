@@ -98,10 +98,10 @@ def test_ae_term_grid_shape():
 def test_jmvae_alpha_zero_equals_plain_jmvae_terms():
     views = make_tiny_views()
     state = make_tiny_state("jmvae", alpha=1.0)
-    state.alpha = 0.0
+    state.cfg.alpha = 0.0
     out = jmvae_kl_loss(state, views, _eps())
     assert set(out.terms) == {"recon[0<-joint]", "recon[1<-joint]", "kl[joint]"}
-    state.alpha = 0.7
+    state.cfg.alpha = 0.7
     out_kl = jmvae_kl_loss(state, views, _eps())
     assert set(out_kl.terms) == {
         "recon[0<-joint]", "recon[1<-joint]", "kl[joint]",
@@ -300,9 +300,9 @@ def test_mmvae_iwae_monotone_in_k():
     views = make_tiny_views(batch=4)
     k1, k8 = [], []
     for trial in range(200):
-        state.K = 1
+        state.cfg.K = 1
         k1.append(mmvae_iwae_loss(state, views, _eps(seed=1000 + trial)).total.item())
-        state.K = 8
+        state.cfg.K = 8
         k8.append(mmvae_iwae_loss(state, views, _eps(seed=1000 + trial)).total.item())
     # tighter bound: smaller negated objective
     assert np.mean(k8) <= np.mean(k1)
@@ -313,7 +313,7 @@ def test_mmvae_iwae_monotone_in_k():
 
 def test_mvtcae_alpha_zero_has_no_cvib_terms():
     state = make_tiny_state("mvtcae", alpha=0.5)
-    state.alpha = 0.0
+    state.cfg.alpha = 0.0
     out = mvtcae_loss(state, make_tiny_views(), _eps())
     assert not [k for k in out.terms if "cvib" in k]
     assert "kl[prior]" in out.terms
@@ -322,12 +322,12 @@ def test_mvtcae_alpha_zero_has_no_cvib_terms():
 def test_mvtcae_alpha_one_drops_prior_term_and_scales_recon():
     views = make_tiny_views()
     state = make_tiny_state("mvtcae", alpha=0.5)
-    state.alpha = 1.0
+    state.cfg.alpha = 1.0
     out = mvtcae_loss(state, views, _eps())
     assert "kl[prior]" not in out.terms
     assert len([k for k in out.terms if "cvib" in k]) == 2
     # reconstruction coefficient (M-1)/M: compare against alpha=0 at equal draws
-    state.alpha = 0.0
+    state.cfg.alpha = 0.0
     base = mvtcae_loss(state, views, _eps())
     m = 2
     for key in ("recon[0<-joint]", "recon[1<-joint]"):
@@ -336,7 +336,7 @@ def test_mvtcae_alpha_one_drops_prior_term_and_scales_recon():
 
 def test_mvtcae_rejects_bad_alpha():
     state = make_tiny_state("mvtcae")
-    state.alpha = 1.5
+    state.cfg.alpha = 1.5
     with pytest.raises(ContractError):
         mvtcae_loss(state, make_tiny_views(), _eps())
 
@@ -532,7 +532,7 @@ def test_maae_non_saturating_flag():
     views = make_tiny_views()
     state = make_tiny_state("maae")
     sat = maae_losses(state, views, _eps()).generator.item()
-    state.non_saturating = True
+    state.cfg.non_saturating = True
     nonsat = maae_losses(state, views, _eps()).generator.item()
     assert sat != nonsat
 

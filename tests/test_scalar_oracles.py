@@ -48,7 +48,7 @@ CASES = [
 def test_objective_matches_scalar_oracle(case_id, name, oracle_fn, keys):
     state = make_tiny_state(name, seed=7, **keys)
     if case_id == "jmvae_alpha0":
-        state.alpha = 0.0
+        state.cfg.alpha = 0.0
     # the correlation objective needs batch > latent dim for a full-rank
     # covariance (it is a full-batch model); everything else runs at batch 2
     views = _views(seed=31, batch=8 if name == "dccae" else 2)

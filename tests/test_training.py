@@ -145,6 +145,7 @@ _BAD_VALUES = [
     ("model.lambda", [1.0, -1.0], "weights must be >= 0"),
     ("model.pi", 0.5, "expected a bracketed list, got 0.5"),
     ("model.pi", [0.5, 0.6], "weights must sum to 1"),
+    ("model.pi", [0.0, 0.5, 0.5], "weights must be > 0"),
     ("model.learning_rate", "a", "expected a number, got 'a'"),
     ("model.learning_rate", 1.5, "must satisfy 0 < x < 1"),
     ("model.seed", 1.0, "expected an integer, got 1.0"),
@@ -553,7 +554,7 @@ def test_nan_in_a_critic_step_names_the_op():
 
 def _phase_grads(state, views, phase, seed):
     """Zero every gradient, then run one phase's objective and backward."""
-    out = ADVERSARIAL_OBJECTIVES[state.name](state, views, EpsStream(np.random.default_rng(seed)))
+    out = ADVERSARIAL_OBJECTIVES[state.cfg.name](state, views, EpsStream(np.random.default_rng(seed)))
     loss = out.discriminator if phase == "critic" else out.reconstruction.total + out.generator
     for _, p in state.parameters():
         p.grad = None
