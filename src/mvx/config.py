@@ -14,12 +14,12 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 
+from .distributions import Likelihood
 from .errors import ConfigError
+from .networks import ACTIVATIONS
 from .objectives import MODEL_SPECS
 
 SUPPORTED_JOIN = ("PoE", "Mean")
-SUPPORTED_DISTRIBUTIONS = ("Normal", "Bernoulli", "Laplace", "Categorical", "Default")
-SUPPORTED_ACTIVATIONS = ("relu", "tanh")
 
 
 def _expect(cond: bool, key: str, message: str) -> None:
@@ -104,12 +104,12 @@ class NetSpecConfig:
     bias: bool = _key(_as_bool, default=True)
     non_linear: bool = _key(_as_bool, default=True)
     activation: str = _key(
-        _as_str, (lambda x: x in SUPPORTED_ACTIVATIONS,
-                  f"unsupported activation (choose from {SUPPORTED_ACTIVATIONS})"),
+        _as_str, (lambda x: x in ACTIVATIONS,
+                  f"unsupported activation (choose from {ACTIVATIONS})"),
         default="relu")
     distribution: str = _key(
-        _as_str, (lambda x: x in SUPPORTED_DISTRIBUTIONS,
-                  f"unsupported distribution (choose from {SUPPORTED_DISTRIBUTIONS})"),
+        _as_str, (lambda x: x in Likelihood.KINDS,
+                  f"unsupported distribution (choose from {Likelihood.KINDS})"),
         default="Normal", decoder_only=True)
     scale: float = _key(_as_float, (lambda x: x > 0, "scale must be positive"),
                         default=1.0, decoder_only=True)

@@ -17,7 +17,7 @@ from .distributions import (
     rsample,
     standard_normal,
 )
-from .errors import ContractError, DegenerateLabelError, NumericError, UnsupportedMetricError
+from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
 from .objectives import MODEL_SPECS, ModelState
@@ -38,26 +38,6 @@ PROBE_LR = 1e-2
 # large enough that per-op overhead no longer dominates, small enough that a
 # chunk's activations stay at a few MB
 LOGLIK_CHUNK_ROWS = 4000
-
-
-def _finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise NumericError(f"non-finite {what}")
-    return x
-
-
-def _checked_at_the_end(compute):
-    """Run the deterministic `compute()` without the per-op finiteness check.
-
-    `compute` checks the values it keeps with `_finite`. When one is
-    non-finite it is run again with the per-op check on, so the error names
-    the op.
-    """
-    try:
-        with nc._unchecked():
-            return compute()
-    except NumericError:
-        return compute()
 
 
 class ProbeClassifier:
@@ -86,7 +66,7 @@ class ProbeClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         with nc.no_grad():
-            logits = _finite(self.net.forward(nc.constant(x)).data, "probe logits")
+            logits = nc._finite(self.net.forward(nc.constant(x)).data, "probe logits")
         # argmax breaks ties toward the lowest class index
         return np.argmax(logits, axis=1)
 
@@ -142,7 +122,7 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
         raise ContractError("coherence: test batch has no labels")
     if len(probes) != state.n_views:
         raise ContractError(f"coherence: need {state.n_views} probes, got {len(probes)}")
-    per_size = _checked_at_the_end(
+    per_size = nc._checked_once(
         lambda: _coherence_per_size(state, pool, test, probes, eval_seed))
     return CoherenceReport(per_size=per_size, n_views=state.n_views)
 
@@ -155,13 +135,13 @@ def _coherence_per_size(state: ModelState, pool, test: MultiViewBatch,
         posteriors = _encoder_posteriors(state, views)
         by_size: dict[int, list[float]] = {}
         for subset in enumerate_subsets(state.n_views):
-            z = pool(state, posteriors, subset.members).mean
-            absent = [m for m in range(state.n_views) if m not in subset.members]
+            z = pool(state, posteriors, subset).mean
+            absent = [m for m in range(state.n_views) if m not in subset]
             targets = absent if absent else list(range(state.n_views))
             accs = []
             for m in targets:
-                generated = _finite(_decode_mean(state, z, m, None, eval_rng),
-                                    f"generated mean of view {m}")
+                generated = nc._finite(_decode_mean(state, z, m, None, eval_rng),
+                                       f"generated mean of view {m}")
                 predicted = probes[m].predict(generated)
                 accs.append(float(np.mean(predicted == test.labels)))
             by_size.setdefault(len(subset), []).append(float(np.mean(accs)))
@@ -194,7 +174,7 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
         raise UnsupportedMetricError(
             f"joint_log_likelihood: model '{state.cfg.name}' is not supported"
         )
-    return _checked_at_the_end(
+    return nc._checked_once(
         lambda: _log_likelihood(state, make_proposal, test, K, eval_seed))
 
 
@@ -233,7 +213,8 @@ def _log_likelihood(state: ModelState, make_proposal, test: MultiViewBatch, K: i
                 lw = lw + state.decoders[m].decode(z).log_prob(xs[m])
             log_q = moe_log_prob(ExpertSet(tiled), z) if mixture else gaussian_log_prob(tiled[0], z)
             lw = lw - log_q
-            log_w[:, start:start + n] = _finite(lw.data, "importance log-weights").reshape(n, rows).T
+            lw = nc._finite(lw.data, "importance log-weights")
+            log_w[:, start:start + n] = lw.reshape(n, rows).T
         per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())
 

@@ -36,25 +36,36 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
+def _finite(x, what: str):
+    """`x` itself, or a NumericError naming `what` when it holds a non-finite value."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite {what}")
+    return x
 
 
-@contextlib.contextmanager
-def _unchecked():
-    """Skip the per-op finiteness check inside the context.
+def _checked_once(compute: Callable[[], object], rng: np.random.Generator | None = None):
+    """Run `compute()` without the per-op finiteness check and return its result.
 
-    The caller checks the values it keeps instead (a loss and the gradients
-    it steps with, a chunk of log-weights) and, when one is non-finite, reruns
-    the same work outside the context so the error names the op.
+    `compute` checks the values it keeps with `_finite` instead (a loss and the
+    gradients it steps with, a chunk of log-weights). When one is non-finite,
+    `rng` is put back to its state before the first run and `compute()` runs
+    again with the per-op check as it was (on unless nested), so the error
+    names the op. The replay sees the same values and draws only if the first
+    run wrote no state that `compute` reads.
     """
     global _check_ops
     prev = _check_ops
+    snapshot = None if rng is None else rng.bit_generator.state
     _check_ops = False
     try:
-        yield
+        return compute()
+    except NumericError:
+        pass
     finally:
         _check_ops = prev
+    if rng is not None:
+        rng.bit_generator.state = snapshot
+    return compute()
 
 
 class Tensor:
@@ -69,10 +80,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()

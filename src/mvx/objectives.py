@@ -26,7 +26,7 @@ from .distributions import (
     rsample,
     standard_normal,
 )
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 from .networks import Decoder, Discriminator, VariationalEncoder
 from .numcore import Tensor
 from .pooling import (
@@ -72,9 +72,6 @@ class LossBreakdown:
             total = t if total is None else total + t
         if total is None:
             raise ContractError("LossBreakdown: no terms")
-        if not np.isfinite(total.data):
-            bad = [k for k, v in terms.items() if not np.all(np.isfinite(v.data))]
-            raise NumericError(f"loss is non-finite; offending terms: {bad}")
         return cls(total=total, terms=terms)
 
     def scalars(self) -> dict[str, float]:
@@ -489,9 +486,9 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         selection = eps.integers(batch, n_subsets)
     terms: dict[str, Tensor] = {}
     for k, subset in enumerate(subsets):
-        q_k = MODEL_SPECS[state.cfg.name].pool(state, experts, subset.members)
+        q_k = MODEL_SPECS[state.cfg.name].pool(state, experts, subset)
         z_k = rsample(q_k, eps.normal(q_k.shape))
-        label = "+".join(str(i) for i in subset.members)
+        label = "+".join(str(i) for i in subset)
         if selection is None:
             weight = 1.0 / n_subsets
             kl_mask = None
@@ -809,7 +806,7 @@ def _mixture(state, posteriors, members):
 def _subset_mixture(state, posteriors, members):
     """MoPoE: the uniform mixture of the PoEs of all non-empty subsets of the members."""
     chosen = _chosen(posteriors, members)
-    return ExpertSet([_pool_product(state, chosen, s.members)
+    return ExpertSet([_pool_product(state, chosen, s)
                       for s in enumerate_subsets(len(members))])
 
 

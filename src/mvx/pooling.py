@@ -47,22 +47,6 @@ class ExpertSet:
         return len(self.experts)
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A sorted, non-empty set of modality indices."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ContractError("SubsetIndex: empty subset")
-        if list(self.members) != sorted(set(self.members)):
-            raise ContractError("SubsetIndex: indices must be unique and sorted")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _product_pool(experts: list[GaussianParams], alphas: list[Tensor | float]) -> GaussianParams:
     """Precision-weighted fusion: precision_m scaled by alpha_m."""
     precision_sum: Tensor | None = None
@@ -143,7 +127,7 @@ def mean_pool(e: ExpertSet) -> GaussianParams:
     return GaussianParams(mean_sum / nc.constant(m), nc.log(var_sum / nc.constant(m)))
 
 
-def enumerate_subsets(n_modalities: int) -> list[SubsetIndex]:
+def enumerate_subsets(n_modalities: int) -> list[tuple[int, ...]]:
     """All non-empty subsets of range(M), ordered by size then lexicographically."""
     if n_modalities < 1:
         raise ContractError("enumerate_subsets: M must be >= 1")
@@ -152,8 +136,5 @@ def enumerate_subsets(n_modalities: int) -> list[SubsetIndex]:
             f"enumerate_subsets: M={n_modalities} exceeds the powerset guard "
             f"of {MAX_SUBSET_MODALITIES}"
         )
-    out: list[SubsetIndex] = []
-    for size in range(1, n_modalities + 1):
-        for combo in combinations(range(n_modalities), size):
-            out.append(SubsetIndex(combo))
-    return out
+    return [combo for size in range(1, n_modalities + 1)
+            for combo in combinations(range(n_modalities), size)]

@@ -33,6 +33,9 @@ from .pooling import ExpertSet, mean_pool
 
 CHECKPOINT_MAGIC = b"MVXC"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _mlp_spec(cfg_spec, input_dim: int, output_dim: int) -> MlpSpec:
@@ -112,12 +115,8 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
 class Adam:
     """Adam with per-parameter step counts so phase groups stay independent."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def step(self, params: list[tuple[str, Tensor]]) -> None:
@@ -131,11 +130,11 @@ class Adam:
                 m, v, t = moments
             t += 1
             g = p.grad
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             self.moments[name] = (m, v, t)
 
 
@@ -171,20 +170,6 @@ def _objective_for(name: str):
             return table[name]
 
 
-def _non_finite(loss: Tensor, kept: dict[str, float],
-                stepped: list[tuple[str, Tensor]]) -> str | None:
-    """What makes a phase unfit to step with, or None when all is finite."""
-    if not np.isfinite(loss.data).all():
-        return "loss became non-finite"
-    for k, v in kept.items():
-        if not np.isfinite(v):
-            return f"term '{k}' became non-finite"
-    for name, p in stepped:
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            return f"non-finite gradient of parameter '{name}'"
-    return None
-
-
 @contextlib.contextmanager
 def _frozen(tensors: list[Tensor]):
     """Keep the parameters `tensors` out of the graph inside the context."""
@@ -203,9 +188,10 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
     """Forward and backward of one optimizer phase, checked once at its end.
 
     `forward()` returns the loss to differentiate and the named scalars the
-    caller keeps. It and `backward` run without the per-op finiteness check;
-    then the loss, those scalars and the gradients of `stepped` (the
-    parameters about to be stepped) are checked. On a non-finite value the
+    caller keeps. It and `backward` run without the per-op finiteness check
+    (`nc._checked_once`); the loss and those scalars are checked before
+    `backward`, the gradients of `stepped` (the parameters about to be
+    stepped) after it. On a non-finite value the
     phase is replayed with the per-op check on, from the same `rng` state:
     no parameter has been written yet, so the replay sees the same values and
     draws, and its error names the op. A replay that finds no bad op leaves
@@ -216,40 +202,32 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
     them, and their `grad` stays None. Every op still runs, so the values and
     the checks are those of the unfrozen phase.
     """
-    snapshot = None if rng is None else rng.bit_generator.state
     stepped_ids = {id(p) for _, p in stepped}
     frozen = [p for _, p in params if id(p) not in stepped_ids]
 
-    def attempt() -> tuple[Tensor, dict[str, float]]:
+    def attempt() -> dict[str, float]:
         loss, kept = forward()
+        # checked before `backward`, which would only spread the fault
+        nc._finite(loss.data, "loss")
+        for k, v in kept.items():
+            nc._finite(v, f"term '{k}'")
         _zero_grads(params)
         nc.backward(loss)
-        return loss, kept
-
-    with _frozen(frozen):
-        try:
-            with nc._unchecked():
-                loss, kept = attempt()
-            if _non_finite(loss, kept, stepped) is None:
-                return kept
-        except NumericError:
-            pass
-        if rng is not None:
-            rng.bit_generator.state = snapshot
-        loss, kept = attempt()
-        problem = _non_finite(loss, kept, stepped)
-        if problem is not None:
-            raise NumericError(problem)
+        for name, p in stepped:
+            if p.grad is not None:
+                nc._finite(p.grad, f"gradient of parameter '{name}'")
         return kept
 
+    with _frozen(frozen):
+        return nc._checked_once(attempt, rng)
 
-def _train_epoch(run: RunState, data: MultiViewBatch, batch_size: int) -> dict[str, float]:
+
+def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
     cfg, state = run.cfg, run.state
     objective = _objective_for(cfg.name)
     n = data.n_samples
     order = run.rng.permutation(n)
-    if cfg.trainer.full_batch:
-        batch_size = n
+    batch_size = n if cfg.trainer.full_batch else cfg.trainer.batch_size
     sums: dict[str, float] = {}
     counts = 0
     all_params = state.parameters()
@@ -340,7 +318,7 @@ def continue_fit(
     out_path = Path(out_dir) if out_dir is not None else None
     target = run.epoch + epochs
     while run.epoch < target:
-        metrics = _train_epoch(run, data, run.cfg.trainer.batch_size)
+        metrics = _train_epoch(run, data)
         run.history.append(metrics)
         run.epoch += 1
         if out_path is not None:

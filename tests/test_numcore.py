@@ -1,12 +1,15 @@
 """Tensor core: op semantics, gradient rules vs finite differences, eigensolver."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mvx import numcore as nc
 from mvx.errors import ContractError, DimensionError, NumericError
 
-from helpers import assert_grad_close, finite_difference_grad
+from helpers import assert_grad_close, assert_per_op_check_on, finite_difference_grad
 
 
 def test_exp_identity():
@@ -188,6 +191,89 @@ def test_log_floor_clamps_instead_of_error():
     out = nc.log(nc.constant([0.0]))
     assert np.isfinite(out.data).all()
     assert abs(out.item() - np.log(nc.EPS_FLOOR)) < 1e-12
+
+
+# -- check once, replay with per-op checks ----------------------------------------
+
+
+def _overflowing_exp(shift=0.0) -> nc.Tensor:
+    return nc.exp(nc.constant(np.full(3, 1e4) + shift))
+
+
+def test_checked_once_runs_unchecked_and_passes_the_result_through():
+    seen = []
+
+    def compute():
+        seen.append(_overflowing_exp().data)
+        return "kept"
+
+    # nothing checks what compute keeps, so the first run is the only one
+    assert nc._checked_once(compute) == "kept"
+    assert len(seen) == 1 and np.isinf(seen[0]).all()
+    assert_per_op_check_on()
+
+
+def test_checked_once_replays_the_same_draws_and_names_the_op():
+    rng = np.random.default_rng(5)
+    draws = []
+
+    def compute():
+        draws.append(rng.standard_normal(3))
+        return nc._finite(_overflowing_exp(np.abs(draws[-1])).data, "result")
+
+    with pytest.raises(NumericError, match="non-finite result in op 'exp'"):
+        nc._checked_once(compute, rng)
+    assert len(draws) == 2
+    assert draws[0].tobytes() == draws[1].tobytes()
+    with pytest.raises(NumericError, match="^non-finite result$"):
+        nc._checked_once(lambda: nc._finite(np.array([np.nan]), "result"))
+
+
+def test_checked_once_restores_the_per_op_check():
+    nc._checked_once(lambda: None)
+    assert_per_op_check_on()
+
+    calls = []
+
+    def fails_otherwise():
+        calls.append(nc._check_ops)
+        raise ValueError("not numeric")
+
+    with pytest.raises(ValueError):
+        nc._checked_once(fails_otherwise)
+    assert calls == [False]
+    assert_per_op_check_on()
+
+    def inner():
+        calls.append(nc._check_ops)
+        return nc._finite(_overflowing_exp().data, "inner result")
+
+    # the inner replay keeps the outer run's unchecked state; the outer
+    # replay checks every op, so the inner replay names the op
+    calls.clear()
+    with pytest.raises(NumericError, match="op 'exp'"):
+        nc._checked_once(lambda: nc._checked_once(inner))
+    assert calls == [False, False, False, True]
+    assert_per_op_check_on()
+
+
+def test_only_checked_once_turns_the_per_op_check_off():
+    src = Path(nc.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numcore.py":
+            continue
+        named = {getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.Constant))}
+        assert "_check_ops" not in named, path.name
+    # a function rebinds the module's flag only through a `global` statement
+    tree = ast.parse((src / "numcore.py").read_text(encoding="utf-8"))
+    writers = {stmt.name for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Global) and "_check_ops" in node.names}
+    assert writers == {"_checked_once"}
+    inits = [stmt for stmt in tree.body if isinstance(stmt, ast.Assign)
+             and any(getattr(t, "id", None) == "_check_ops" for t in stmt.targets)]
+    assert len(inits) == 1
 
 
 # -- fast paths against the floored kernels ----------------------------------------

@@ -10,7 +10,6 @@ from mvx.distributions import GaussianParams
 from mvx.errors import CapacityError, ContractError, DomainError
 from mvx.pooling import (
     ExpertSet,
-    SubsetIndex,
     enumerate_subsets,
     gpoe,
     mean_pool,
@@ -148,21 +147,14 @@ def test_mean_pool_examples():
 
 
 def test_enumerate_subsets_counts_and_order():
-    assert [s.members for s in enumerate_subsets(1)] == [(0,)]
-    assert [s.members for s in enumerate_subsets(2)] == [(0,), (1,), (0, 1)]
+    assert enumerate_subsets(1) == [(0,)]
+    assert enumerate_subsets(2) == [(0,), (1,), (0, 1)]
     assert len(enumerate_subsets(5)) == 31
     for m in range(1, 9):
         subs = enumerate_subsets(m)
         assert len(subs) == 2 ** m - 1
-        assert len({s.members for s in subs}) == len(subs)
+        assert len(set(subs)) == len(subs)
     with pytest.raises(CapacityError):
         enumerate_subsets(11)
     with pytest.raises(ContractError):
         enumerate_subsets(0)
-
-
-def test_subset_index_validation():
-    with pytest.raises(ContractError):
-        SubsetIndex(())
-    with pytest.raises(ContractError):
-        SubsetIndex((1, 0))
