@@ -61,7 +61,7 @@ class ProbeClassifier:
         opt = Adam(PROBE_LR)
         params = self.net.parameters()
         for _ in range(epochs):
-            _backward_phase(lambda: (self._loss(xt, yt), {}), params, params)
+            _backward_phase(lambda: (self._loss(xt, yt), {}), params, params, opt)
             opt.step(params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:

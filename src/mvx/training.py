@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from . import numcore as nc
 from .config import ModelConfig, check_views, load_config, save_resolved
 from .data import MultiViewBatch, read_exact
 from .distributions import GaussianParams, dropout_rate
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .networks import Decoder, Discriminator, Encoder, MlpSpec, VariationalEncoder
 from .numcore import Tensor
 from .objectives import (
@@ -112,40 +113,145 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     return state
 
 
+_DATA = operator.attrgetter("data")
+_GRAD = operator.attrgetter("grad")
+
+
+def _flat_grads(params: list[tuple[str, Tensor]]) -> np.ndarray:
+    """The gradients of `params`, flattened into one vector in list order."""
+    try:
+        return np.concatenate(list(map(_GRAD, map(operator.itemgetter(1), params))),
+                              axis=None, dtype=np.float64)
+    except TypeError:
+        missing = [name for name, p in params if p.grad is None]
+        if not missing:
+            raise
+        raise ContractError(f"parameter '{missing[0]}' has no gradient") from None
+
+
+class _Group:
+    """A phase group: its parameters' values as views into one flat vector
+    `theta`, its flat Adam moments `m` and `v`, and the step count `t` that
+    its parameters share."""
+
+    def __init__(self, names: tuple[str, ...], tensors: tuple[Tensor, ...]):
+        self.names = names
+        self.shapes = [p.data.shape for p in tensors]
+        ends = np.cumsum([p.data.size for p in tensors]).tolist()
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros(ends[-1])
+        self.t = 0
+        self.bind(tensors)
+
+    def bind(self, tensors: tuple[Tensor, ...]) -> None:
+        """Copy the values of `tensors` into a new `theta` and rebind each
+        one's `data` to its view of it."""
+        for name, shape, p in zip(self.names, self.shapes, tensors):
+            if p.data.shape != shape:
+                raise ContractError(
+                    f"Adam: parameter '{name}' changed shape from {shape} to {p.data.shape}"
+                )
+        self.theta = np.concatenate(list(map(_DATA, tensors)), axis=None)
+        for p, s, shape in zip(tensors, self.slices, self.shapes):
+            p.data = self.theta[s].reshape(shape)
+        self.views = list(map(_DATA, tensors))
+
+
 class Adam:
-    """Adam with per-parameter step counts so phase groups stay independent."""
+    """Adam over phase groups (Kingma & Ba 2014, arXiv:1412.6980).
+
+    Each list of parameters passed to `step` is a phase group, keyed by its
+    names: the group's values live in one flat vector that each parameter's
+    `data` is a view of, so a step is a few whole-array operations, and the
+    group's parameters share one step count. When a parameter's `data` has
+    been rebound since, the group copies the current values into a new
+    vector before it steps or clips.
+    """
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._groups: dict[tuple[str, ...], _Group] = {}
+        # by group: the `grad` arrays gathered for its next step (none once
+        # stepped), and the vector gathered from them
+        self._gathered: dict[tuple[str, ...], tuple[list[np.ndarray], np.ndarray]] = {}
+
+    @property
+    def moments(self) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
+        """Each grouped parameter's (m, v, t): views into its group's moments."""
+        return {name: (g.m[s].reshape(shape), g.v[s].reshape(shape), g.t)
+                for g in self._groups.values()
+                for name, s, shape in zip(g.names, g.slices, g.shapes)}
+
+    def gather(self, params: list[tuple[str, Tensor]]) -> np.ndarray:
+        """The gradients of `params` as one vector, which the next step of
+        their group uses instead of gathering them again, unless a `grad`
+        has been rebound since. Write no `grad` in place in between.
+
+        The vector is kept until the group gathers again. Gathered after
+        `backward` and kept past the next one, it keeps each phase's freed
+        graph below it on the heap, so that the allocator does not return
+        that memory to the system and fault it back in at every phase.
+        """
+        grad = _flat_grads(params)
+        names, tensors = zip(*params)
+        self._gathered[names] = (list(map(_GRAD, tensors)), grad)
+        return grad
+
+    def _group(self, params: list[tuple[str, Tensor]]) -> _Group:
+        """The group of `params`, built on first use, its `theta` current."""
+        names, tensors = zip(*params)
+        group = self._groups.get(names)
+        if group is None:
+            grouped = {name for g in self._groups.values() for name in g.names}
+            taken = [name for name in names if name in grouped]
+            if taken:
+                raise ContractError(
+                    f"Adam: parameter '{taken[0]}' is already in another phase group"
+                )
+            group = self._groups[names] = _Group(names, tensors)
+        elif not all(map(operator.is_, map(_DATA, tensors), group.views)):
+            group.bind(tensors)
+        return group
 
     def step(self, params: list[tuple[str, Tensor]]) -> None:
-        for name, p in params:
-            if p.grad is None:
-                continue
-            moments = self.moments.get(name)
-            if moments is None:
-                m, v, t = np.zeros_like(p.data), np.zeros_like(p.data), 0
-            else:
-                m, v, t = moments
-            t += 1
-            g = p.grad
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            self.moments[name] = (m, v, t)
+        """One Adam step of the group of `params`; every one needs a gradient."""
+        if not params:
+            return
+        names, tensors = zip(*params)
+        grads, grad = self._gathered.get(names, ([], None))
+        if grads and all(map(operator.is_, map(_GRAD, tensors), grads)):
+            self._gathered[names] = ([], grad)
+        else:
+            grad = _flat_grads(params)
+        group = self._group(params)
+        group.t += 1
+        m, v, t = group.m, group.v, group.t
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        group.theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    def clip(self, params: list[tuple[str, Tensor]], bound: float) -> None:
+        """Clip every value of the group of `params` into [-bound, bound]."""
+        theta = self._group(params).theta
+        np.clip(theta, -bound, bound, out=theta)
+
+    def set_moments(self, params: list[tuple[str, Tensor]], m: np.ndarray,
+                    v: np.ndarray, t: int) -> None:
+        """Set the group of `params` to the flat moments `m`, `v` and step count `t`."""
+        group = self._group(params)
+        group.m[...] = m
+        group.v[...] = v
+        group.t = t
 
 
 def _zero_grads(params: list[tuple[str, Tensor]]) -> None:
     for _, p in params:
         p.grad = None
-
-
-def _clip_params(params: list[tuple[str, Tensor]], bound: float) -> None:
-    for _, p in params:
-        np.clip(p.data, -bound, bound, out=p.data)
 
 
 @dataclass
@@ -183,7 +289,7 @@ def _frozen(tensors: list[Tensor]):
 
 
 def _backward_phase(forward, params: list[tuple[str, Tensor]],
-                    stepped: list[tuple[str, Tensor]],
+                    stepped: list[tuple[str, Tensor]], optimizer: Adam,
                     rng: np.random.Generator | None = None) -> dict[str, float]:
     """Forward and backward of one optimizer phase, checked once at its end.
 
@@ -195,7 +301,9 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
     phase is replayed with the per-op check on, from the same `rng` state:
     no parameter has been written yet, so the replay sees the same values and
     draws, and its error names the op. A replay that finds no bad op leaves
-    the fault in `backward`, and the error names the parameter.
+    the fault in `backward`, and the error names the parameter. The
+    gradients are checked as one vector, gathered by `optimizer` for the
+    step that follows.
 
     The parameters of `params` not in `stepped` are frozen for the phase:
     their ops record no graph, so `backward` neither walks nor differentiates
@@ -213,13 +321,19 @@ def _backward_phase(forward, params: list[tuple[str, Tensor]],
             nc._finite(v, f"term '{k}'")
         _zero_grads(params)
         nc.backward(loss)
-        for name, p in stepped:
-            if p.grad is not None:
+        if not np.isfinite(optimizer.gather(stepped)).all():
+            for name, p in stepped:
                 nc._finite(p.grad, f"gradient of parameter '{name}'")
         return kept
 
     with _frozen(frozen):
         return nc._checked_once(attempt, rng)
+
+
+def _phase_groups(state: ModelState) -> tuple[list[tuple[str, Tensor]], ...]:
+    """The parameter groups that the trainer steps, each with its own Adam
+    step count: the autoencoder's and the discriminator's (maybe empty)."""
+    return state.autoencoder_parameters(), state.discriminator_parameters()
 
 
 def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
@@ -231,8 +345,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
     sums: dict[str, float] = {}
     counts = 0
     all_params = state.parameters()
-    ae_params = state.autoencoder_parameters()
-    disc_params = state.discriminator_parameters()
+    ae_params, disc_params = _phase_groups(state)
     adversary = MODEL_SPECS[cfg.name].adversary
     disc_steps = {None: 0, "discriminator": 1, "critic": cfg.trainer.critic_steps}[adversary]
     for start in range(0, n, batch_size):
@@ -251,13 +364,15 @@ def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
             return out.discriminator, out.scalars()
 
         try:
-            scalars = _backward_phase(autoencoder_phase, all_params, ae_params, run.rng)
+            scalars = _backward_phase(autoencoder_phase, all_params, ae_params,
+                                      run.optimizer, run.rng)
             run.optimizer.step(ae_params)
             for _ in range(disc_steps):
-                _backward_phase(discriminator_phase, all_params, disc_params, run.rng)
+                _backward_phase(discriminator_phase, all_params, disc_params,
+                                run.optimizer, run.rng)
                 run.optimizer.step(disc_params)
                 if adversary == "critic":
-                    _clip_params(disc_params, cfg.trainer.clip)
+                    run.optimizer.clip(disc_params, cfg.trainer.clip)
         except NumericError as err:
             raise NumericError(f"epoch {run.epoch}: {err}") from err
         for k, v in scalars.items():
@@ -316,6 +431,8 @@ def continue_fit(
 ) -> RunState:
     """Run `epochs` more epochs on an existing state (used by checkpoint resume)."""
     out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
     target = run.epoch + epochs
     while run.epoch < target:
         metrics = _train_epoch(run, data)
@@ -504,10 +621,9 @@ def _write_checkpoint(run: RunState, fh) -> None:
         for dim in p.data.shape:
             fh.write(struct.pack("<I", dim))
         fh.write(p.data.astype("<f8").tobytes(order="C"))
+    moments = run.optimizer.moments
     for name, p in params:
-        m, v, t = run.optimizer.moments.get(
-            name, (np.zeros_like(p.data), np.zeros_like(p.data), 0)
-        )
+        m, v, t = moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
         fh.write(struct.pack("<Q", t))
         fh.write(struct.pack("<I", m.size))
         fh.write(m.astype("<f8").tobytes(order="C"))
@@ -553,7 +669,7 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
     naming the byte offset and leaves `run` unchanged."""
     params = run.state.parameters()
     values: list[np.ndarray] = []
-    moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+    moments: dict[str, tuple[np.ndarray, np.ndarray, int, int]] = {}
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -591,10 +707,20 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
             raw = _read_exact(fh, 8 * p.data.size, f"data of {name}")
             values.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         for name, p in params:
+            offset = fh.tell()
             (t,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
             m = _read_moment(fh, name, "m", p.data.shape)
             v = _read_moment(fh, name, "v", p.data.shape)
-            moments[name] = (m, v, t)
+            moments[name] = (m, v, t, offset)
+        groups = [group for group in _phase_groups(run.state) if group]
+        for (first, _), *rest in groups:
+            for name, _ in rest:
+                t, offset = moments[name][2:]
+                if t != moments[first][2]:
+                    raise FormatError(
+                        f"step count of {name} at byte {offset} is {t}, "
+                        f"{first} in the same phase group has {moments[first][2]}"
+                    )
         (rng_len,) = struct.unpack("<I", _read_exact(fh, 4, "rng length"))
         offset = fh.tell()
         blob = _read_exact(fh, rng_len, "rng state")
@@ -608,8 +734,11 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
             raise FormatError(f"unexpected trailing bytes at byte {fh.tell() - 1}")
     # the whole file is valid: only now write it into the run
     for (_, p), data in zip(params, values):
-        p.data = data
-    run.optimizer.moments.update(moments)
+        p.data[...] = data
+    for group in groups:
+        m, v, t, _ = zip(*(moments[name] for name, _ in group))
+        run.optimizer.set_moments(group, np.concatenate(m, axis=None),
+                                  np.concatenate(v, axis=None), t[0])
     run.rng.bit_generator.state = rng_state
     run.epoch = epoch
     run.history = []

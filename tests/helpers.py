@@ -126,10 +126,9 @@ class ReplayEps(EpsStream):
         return out
 
 
-def corrupt_first_moment_size(path: Path) -> int:
-    """Add 1 to the first parameter's stored Adam m size in a `.mvxc`
-    checkpoint; return the byte offset of that size field."""
-    raw = bytearray(path.read_bytes())
+def step_count_offsets(raw: bytes) -> list[int]:
+    """The byte offset of each parameter's Adam step count in a `.mvxc`
+    checkpoint, in parameter order."""
     (count,) = struct.unpack_from("<I", raw, 8)
     offset = 12
     for _ in range(count):
@@ -138,7 +137,19 @@ def corrupt_first_moment_size(path: Path) -> int:
         (ndim,) = struct.unpack_from("<I", raw, offset)
         shape = struct.unpack_from(f"<{ndim}I", raw, offset + 4)
         offset += 4 + 4 * ndim + 8 * int(np.prod(shape))
-    offset += 8  # the step count
+    offsets = []
+    for _ in range(count):
+        offsets.append(offset)
+        (size,) = struct.unpack_from("<I", raw, offset + 8)
+        offset += 8 + 2 * (4 + 8 * size)  # the step count, then m and v
+    return offsets
+
+
+def corrupt_first_moment_size(path: Path) -> int:
+    """Add 1 to the first parameter's stored Adam m size in a `.mvxc`
+    checkpoint; return the byte offset of that size field."""
+    raw = bytearray(path.read_bytes())
+    offset = step_count_offsets(raw)[0] + 8
     (size,) = struct.unpack_from("<I", raw, offset)
     struct.pack_into("<I", raw, offset, size + 1)
     path.write_bytes(bytes(raw))

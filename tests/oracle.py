@@ -3,7 +3,9 @@
 Everything here works on Python floats and lists extracted from the model
 state, replaying recorded eps draws in the documented order. numpy appears
 only for array-to-list conversion and (for the correlation objective) an
-independent SVD; no mvx computation path is reused.
+independent SVD; no mvx computation path is reused. The one exception is
+`LoopAdam`, the per-parameter numpy Adam loop that the trainer's flat
+phase-group Adam must match bit for bit.
 """
 
 from __future__ import annotations
@@ -596,3 +598,39 @@ def oracle_mwae(state, views, draws):
         critic_obj += (c_prior - c_enc) / n
         gen_obj += c_enc / n
     return recon, -critic_obj / m_total, -gen_obj / m_total
+
+
+# -- reference Adam -------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+class LoopAdam:
+    """Adam one parameter at a time, each with its own step count; a
+    parameter without a gradient is skipped."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.moments = {}
+
+    def step(self, params):
+        for name, p in params:
+            if p.grad is None:
+                continue
+            m, v, t = self.moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+            t += 1
+            g = p.grad
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            self.moments[name] = (m, v, t)
+
+
+def clip_each(params, bound):
+    """Clip each parameter into [-bound, bound] in place, one at a time."""
+    for _, p in params:
+        np.clip(p.data, -bound, bound, out=p.data)

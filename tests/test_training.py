@@ -3,6 +3,7 @@
 import copy
 import io
 import re
+import shutil
 import struct
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from mvx import numcore as nc
 from mvx import training
 from mvx.config import ModelConfig, build_config, load_config, parse_config_text, resolved_lines
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import ConfigError, FormatError, NumericError
+from mvx.errors import ConfigError, ContractError, FormatError, NumericError
 from mvx.objectives import ADVERSARIAL_OBJECTIVES, MODEL_SPECS, VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.training import (
     Adam,
@@ -27,9 +28,11 @@ from mvx.training import (
     load_run,
     predict_latent,
     predict_reconstruction,
+    save_checkpoint,
 )
 
-from helpers import assert_per_op_check_on, corrupt_first_moment_size
+import oracle
+from helpers import assert_per_op_check_on, corrupt_first_moment_size, step_count_offsets
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -221,6 +224,62 @@ def test_adam_first_step_magnitude():
     assert abs(p.data[0] + 0.05) < 1e-6
 
 
+def test_flat_adam_equals_the_per_parameter_loop_bitwise():
+    rng = np.random.default_rng(0)
+    shapes = {"w": (3, 2), "b": (4,), "s": (1,), "u": (2, 2), "c": (3,)}
+    groups = [("w", "b", "s"), ("u", "c")]
+    init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    flat = {name: nc.parameter(x.copy()) for name, x in init.items()}
+    loop = {name: nc.parameter(x.copy()) for name, x in init.items()}
+    opt, ref = Adam(0.05), oracle.LoopAdam(0.05)
+    for i in range(5):
+        if i == 2:  # rebound between steps: the group binds it again
+            for tensors in (flat, loop):
+                tensors["b"].data = tensors["b"].data * 0.5
+        for group, rate in zip(groups, (1, 2)):
+            for k in range(rate):
+                for name in group:
+                    g = rng.standard_normal(shapes[name])
+                    if k == 0:
+                        flat[name].grad, loop[name].grad = g, g.copy()
+                    else:  # accumulated in place into the gathered arrays
+                        flat[name].grad += g
+                        loop[name].grad += g
+                if k == 0:  # as the trainer's phase does before each step
+                    opt.gather([(name, flat[name]) for name in group])
+                if i == 4:  # rebound after the gather
+                    for tensors in (flat, loop):
+                        tensors[group[0]].grad = tensors[group[0]].grad * 2.0
+                opt.step([(name, flat[name]) for name in group])
+                ref.step([(name, loop[name]) for name in group])
+            opt.clip([(name, flat[name]) for name in groups[1]], 0.5)
+            oracle.clip_each([(name, loop[name]) for name in groups[1]], 0.5)
+        for name in shapes:
+            assert flat[name].data.tobytes() == loop[name].data.tobytes(), (i, name)
+    moments = opt.moments
+    assert moments.keys() == ref.moments.keys()
+    for name, (m, v, t) in ref.moments.items():
+        assert moments[name][0].tobytes() == m.tobytes(), name
+        assert moments[name][1].tobytes() == v.tobytes(), name
+        assert moments[name][2] == t == (5 if name in groups[0] else 10), name
+
+
+def test_adam_contract_errors_name_the_parameter():
+    a, b = nc.parameter(np.ones((2, 2))), nc.parameter(np.ones(3))
+    a.grad = np.ones((2, 2))
+    opt = Adam(0.1)
+    with pytest.raises(ContractError, match="^parameter 'b' has no gradient$"):
+        opt.step([("a", a), ("b", b)])
+    assert opt.moments == {} and np.array_equal(a.data, np.ones((2, 2)))
+    b.grad = np.ones(3)
+    opt.step([("a", a), ("b", b)])
+    with pytest.raises(ContractError, match="parameter 'b' is already in another phase group"):
+        opt.step([("b", b)])
+    a.data = np.ones(3)
+    with pytest.raises(ContractError, match=r"parameter 'a' changed shape from \(2, 2\) to \(3,\)"):
+        opt.step([("a", a), ("b", b)])
+
+
 # -- fit / determinism -------------------------------------------------------------
 
 
@@ -313,22 +372,74 @@ def test_checkpoints_bitwise_identical_across_runs(tmp_path):
 
 def test_checkpoint_resume_reproduces_trajectory(tmp_path):
     data = _toy_data()
-    # straight run: 6 epochs
-    cfg_a = build_config({"model.name": "mvae", "model.z_dim": 2,
-                          "model.seed": 3, "trainer.max_epochs": 6,
-                          "trainer.batch_size": 8})
-    straight = fit(cfg_a, data, out_dir=tmp_path / "straight")
-    # split run: 3 epochs, checkpoint, reload, 3 more
-    cfg_b = build_config({"model.name": "mvae", "model.z_dim": 2,
-                          "model.seed": 3, "trainer.max_epochs": 3,
-                          "trainer.batch_size": 8})
-    fit(cfg_b, data, out_dir=tmp_path / "split")
-    resumed = load_run(tmp_path / "split")
-    continue_fit(resumed, data, 3)
-    for (na, pa), (nb, pb) in zip(straight.state.parameters(),
-                                  resumed.state.parameters()):
-        assert pa.data.tobytes() == pb.data.tobytes(), na
-    assert resumed.epoch == 6
+    # mwae has two phase groups stepped at different rates, and clipping
+    for name, extra in [("mvae", {}), ("mwae", {"trainer.critic_steps": 2})]:
+        flat = {"model.name": name, "model.z_dim": 2, "model.seed": 3,
+                "trainer.batch_size": 8, **extra}
+        # straight run: 6 epochs
+        straight = fit(build_config({**flat, "trainer.max_epochs": 6}), data,
+                       out_dir=tmp_path / name / "straight")
+        # split run: 3 epochs, checkpoint, reload, 3 more
+        fit(build_config({**flat, "trainer.max_epochs": 3}), data,
+            out_dir=tmp_path / name / "split")
+        resumed = load_run(tmp_path / name / "split")
+        continue_fit(resumed, data, 3)
+        for (na, pa), (nb, pb) in zip(straight.state.parameters(),
+                                      resumed.state.parameters()):
+            assert pa.data.tobytes() == pb.data.tobytes(), (name, na)
+        assert resumed.epoch == 6
+        assert resumed.history == straight.history[3:], name
+
+
+def test_continue_fit_creates_a_missing_out_dir(tmp_path):
+    data = _toy_data()
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
+    fit(cfg, data, max_epochs=1, out_dir=tmp_path / "a")
+    run = continue_fit(load_run(tmp_path / "a"), data, 1, out_dir=tmp_path / "b")
+    assert run.epoch == 2
+    lines = (tmp_path / "b" / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "epoch,term,value" and all(ln.startswith("2,") for ln in lines[1:])
+    assert load_run(tmp_path / "a").epoch == 1
+    shutil.copy(tmp_path / "a" / "resolved.cfg", tmp_path / "b")
+    assert load_run(tmp_path / "b").epoch == 2
+
+
+# run directories written by the per-parameter Adam: mvae, and mwae with
+# trainer.critic_steps = 2, whose two phase groups have step counts 3 and 6
+_V1_RUNS = ["run_mvae", "run_mwae_critic2"]
+
+
+@pytest.mark.parametrize("run_dir", _V1_RUNS)
+def test_a_v1_checkpoint_is_written_back_byte_for_byte(tmp_path, run_dir):
+    run = load_run(FIXTURES / run_dir)
+    save_checkpoint(run, tmp_path / "checkpoint.mvxc")
+    raw = (FIXTURES / run_dir / "checkpoint.mvxc").read_bytes()
+    assert (tmp_path / "checkpoint.mvxc").read_bytes() == raw
+    steps = {t for _, _, t in run.optimizer.moments.values()}
+    assert steps == ({3} if run_dir == "run_mvae" else {3, 6})
+
+
+def test_a_step_count_that_differs_inside_a_phase_group_is_rejected(tmp_path):
+    fixture = FIXTURES / "run_mwae_critic2"
+    run = load_run(fixture)
+    params = run.state.parameters()
+    raw = bytearray((fixture / "checkpoint.mvxc").read_bytes())
+    offsets = step_count_offsets(raw)
+    struct.pack_into("<Q", raw, offsets[1], 4)
+    (tmp_path / "checkpoint.mvxc").write_bytes(bytes(raw))
+    before = [p.data.copy() for _, p in params]
+    moments = copy.deepcopy(run.optimizer.moments)
+    rng_state = run.rng.bit_generator.state
+    message = (f"step count of {params[1][0]} at byte {offsets[1]} is 4, "
+               f"{params[0][0]} in the same phase group has 3")
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(run, tmp_path / "checkpoint.mvxc")
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, params))
+    assert moments.keys() == run.optimizer.moments.keys()
+    for name, (m, v, t) in moments.items():
+        m2, v2, t2 = run.optimizer.moments[name]
+        assert np.array_equal(m, m2) and np.array_equal(v, v2) and t == t2
+    assert run.rng.bit_generator.state == rng_state and run.epoch == 1
 
 
 def test_load_run_round_trips_parameters(tmp_path):
@@ -580,7 +691,8 @@ def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, ph
     _phase_grads(state, views, phase, seed=7)
     full = {name: p.grad for name, p in stepped}
     assert any(p.grad is not None for _, p in frozen)
-    _backward_phase(lambda: (_phase_grads(state, views, phase, seed=7), {}), params, stepped)
+    _backward_phase(lambda: (_phase_grads(state, views, phase, seed=7), {}), params, stepped,
+                    Adam(0.1))
     for name, p in stepped:
         assert np.array_equal(p.grad, full[name]), name
     for name, p in frozen:
@@ -588,11 +700,13 @@ def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, ph
     assert all(p.requires_grad for _, p in params)
 
 
-_EVERY_MODEL = [(name, {}) for name in MODEL_SPECS] + [("dvcca", {"model.private": True})]
+_EVERY_MODEL = [(name, {}) for name in MODEL_SPECS] + [
+    ("dvcca", {"model.private": True}), ("mcvae", {"model.sparse": True})]
 
 
 @pytest.mark.parametrize("name, extra", _EVERY_MODEL,
-                         ids=[name + "-private" * bool(extra) for name, extra in _EVERY_MODEL])
+                         ids=[name + "".join("-" + key.split(".")[1] for key in extra)
+                              for name, extra in _EVERY_MODEL])
 def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name, extra):
     missing = []
     step = Adam.step
