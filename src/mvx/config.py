@@ -192,11 +192,23 @@ def _parse_section(cls, keys: dict[str, object], prefix: str, is_decoder: bool =
             continue
         _expect(is_decoder or not f.metadata["decoder_only"], path,
                 f"{key} applies to decoders only")
-        value = f.metadata["parse"](keys[key], path)
-        for ok, message in f.metadata["rules"]:
-            _expect(ok(value), path, message.format(x=value))
-        values[f.name] = value
+        values[f.name] = _parse_key(f, keys[key], path)
     return cls(**values)
+
+
+def _parse_key(f: Field, value, path: str):
+    """`value` parsed and checked as the key that field `f` declares."""
+    value = f.metadata["parse"](value, path)
+    for ok, message in f.metadata["rules"]:
+        _expect(ok(value), path, message.format(x=value))
+    return value
+
+
+def set_key(section, prefix: str, key: str, value) -> None:
+    """Set `key` of the parsed section `section` to `value`, checked as the
+    config line `<prefix>.<key> = value` would be."""
+    f = _declared_keys(type(section))[key]
+    setattr(section, f.name, _parse_key(f, value, f"{prefix}.{key}"))
 
 
 def _parse_nets(section: str, slots: dict[int | str, dict[str, object]]) -> dict:

@@ -61,8 +61,7 @@ class ProbeClassifier:
         opt = Adam(PROBE_LR)
         params = self.net.parameters()
         for _ in range(epochs):
-            _backward_phase(lambda: (self._loss(xt, yt), {}), params, params, opt)
-            opt.step(params)
+            _backward_phase(lambda: (self._loss(xt, yt), {}), params, [], opt)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         with nc.no_grad():

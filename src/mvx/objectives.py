@@ -611,11 +611,10 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     m_total = state.n_views
-    lam = state.cfg.lam if state.cfg.lam else [1.0] * m_total
-    if len(lam) == 1 and m_total > 1:
+    # config and `check_views` allow 1 or M weights; an empty list means 1
+    lam = state.cfg.lam or [1.0]
+    if len(lam) == 1:
         lam = lam * m_total
-    if len(lam) != m_total:
-        raise ContractError(f"dmvae_loss: need {m_total} lambda weights, got {len(lam)}")
     shared = _encode_variational(state, views)
     privates = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
     q_joint = _joint(state, shared)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .config import ModelConfig, check_views, load_config, save_resolved
+from .config import ModelConfig, check_views, load_config, save_resolved, set_key
 from .data import MultiViewBatch, read_exact
 from .distributions import GaussianParams, dropout_rate
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
@@ -131,8 +131,8 @@ def _flat_grads(params: list[tuple[str, Tensor]]) -> np.ndarray:
 
 class _Group:
     """A phase group: its parameters' values as views into one flat vector
-    `theta`, its flat Adam moments `m` and `v`, and the step count `t` that
-    its parameters share."""
+    `theta`, its flat Adam moments `m` and `v`, the step count `t` that its
+    parameters share, and the gradient `grad` of its last step."""
 
     def __init__(self, names: tuple[str, ...], tensors: tuple[Tensor, ...]):
         self.names = names
@@ -142,6 +142,7 @@ class _Group:
         self.m = np.zeros(ends[-1])
         self.v = np.zeros(ends[-1])
         self.t = 0
+        self.grad: np.ndarray | None = None
         self.bind(tensors)
 
     def bind(self, tensors: tuple[Tensor, ...]) -> None:
@@ -172,9 +173,6 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
         self._groups: dict[tuple[str, ...], _Group] = {}
-        # by group: the `grad` arrays gathered for its next step (none once
-        # stepped), and the vector gathered from them
-        self._gathered: dict[tuple[str, ...], tuple[list[np.ndarray], np.ndarray]] = {}
 
     @property
     def moments(self) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
@@ -182,21 +180,6 @@ class Adam:
         return {name: (g.m[s].reshape(shape), g.v[s].reshape(shape), g.t)
                 for g in self._groups.values()
                 for name, s, shape in zip(g.names, g.slices, g.shapes)}
-
-    def gather(self, params: list[tuple[str, Tensor]]) -> np.ndarray:
-        """The gradients of `params` as one vector, which the next step of
-        their group uses instead of gathering them again, unless a `grad`
-        has been rebound since. Write no `grad` in place in between.
-
-        The vector is kept until the group gathers again. Gathered after
-        `backward` and kept past the next one, it keeps each phase's freed
-        graph below it on the heap, so that the allocator does not return
-        that memory to the system and fault it back in at every phase.
-        """
-        grad = _flat_grads(params)
-        names, tensors = zip(*params)
-        self._gathered[names] = (list(map(_GRAD, tensors)), grad)
-        return grad
 
     def _group(self, params: list[tuple[str, Tensor]]) -> _Group:
         """The group of `params`, built on first use, its `theta` current."""
@@ -215,16 +198,23 @@ class Adam:
         return group
 
     def step(self, params: list[tuple[str, Tensor]]) -> None:
-        """One Adam step of the group of `params`; every one needs a gradient."""
+        """One Adam step of the group of `params`; every one needs a gradient.
+
+        The gradients are gathered into one vector and checked as one: a
+        non-finite one raises a `NumericError` naming its parameter before
+        anything is written. The vector is kept until the group's next step.
+        Gathered after `backward`, it keeps each phase's freed graph below it
+        on the heap, so that the allocator does not return that memory to the
+        system and fault it back in at every phase.
+        """
         if not params:
             return
-        names, tensors = zip(*params)
-        grads, grad = self._gathered.get(names, ([], None))
-        if grads and all(map(operator.is_, map(_GRAD, tensors), grads)):
-            self._gathered[names] = ([], grad)
-        else:
-            grad = _flat_grads(params)
+        grad = _flat_grads(params)
+        if not np.isfinite(grad).all():
+            for name, p in params:
+                nc._finite(p.grad, f"gradient of parameter '{name}'")
         group = self._group(params)
+        group.grad = grad
         group.t += 1
         m, v, t = group.m, group.v, group.t
         m *= ADAM_BETA1
@@ -277,53 +267,47 @@ def _objective_for(name: str):
 
 
 @contextlib.contextmanager
-def _frozen(tensors: list[Tensor]):
-    """Keep the parameters `tensors` out of the graph inside the context."""
-    for t in tensors:
-        t.requires_grad = False
+def _frozen(params: list[tuple[str, Tensor]]):
+    """Keep the parameters `params` out of the graph inside the context."""
+    for _, p in params:
+        p.requires_grad = False
     try:
         yield
     finally:
-        for t in tensors:
-            t.requires_grad = True
+        for _, p in params:
+            p.requires_grad = True
 
 
-def _backward_phase(forward, params: list[tuple[str, Tensor]],
-                    stepped: list[tuple[str, Tensor]], optimizer: Adam,
+def _backward_phase(forward, stepped: list[tuple[str, Tensor]],
+                    frozen: list[tuple[str, Tensor]], optimizer: Adam,
                     rng: np.random.Generator | None = None) -> dict[str, float]:
-    """Forward and backward of one optimizer phase, checked once at its end.
+    """One optimizer phase: forward, backward and the step of `stepped`,
+    checked once at its end.
 
     `forward()` returns the loss to differentiate and the named scalars the
     caller keeps. It and `backward` run without the per-op finiteness check
     (`nc._checked_once`); the loss and those scalars are checked before
-    `backward`, the gradients of `stepped` (the parameters about to be
-    stepped) after it. On a non-finite value the
-    phase is replayed with the per-op check on, from the same `rng` state:
-    no parameter has been written yet, so the replay sees the same values and
-    draws, and its error names the op. A replay that finds no bad op leaves
-    the fault in `backward`, and the error names the parameter. The
-    gradients are checked as one vector, gathered by `optimizer` for the
-    step that follows.
+    `backward`, and `optimizer.step(stepped)` checks the gradients after it,
+    before it writes anything. On a non-finite value the phase is replayed
+    with the per-op check on, from the same `rng` state: no parameter has
+    been written yet, so the replay sees the same values and draws, and its
+    error names the op. A replay that finds no bad op leaves the fault in
+    `backward`, and the step's error names the parameter.
 
-    The parameters of `params` not in `stepped` are frozen for the phase:
-    their ops record no graph, so `backward` neither walks nor differentiates
-    them, and their `grad` stays None. Every op still runs, so the values and
-    the checks are those of the unfrozen phase.
+    The parameters of `frozen` are frozen for the phase: their ops record no
+    graph, so `backward` neither walks nor differentiates them, and their
+    `grad` stays None. Every op still runs, so the values and the checks are
+    those of the unfrozen phase.
     """
-    stepped_ids = {id(p) for _, p in stepped}
-    frozen = [p for _, p in params if id(p) not in stepped_ids]
-
     def attempt() -> dict[str, float]:
         loss, kept = forward()
         # checked before `backward`, which would only spread the fault
         nc._finite(loss.data, "loss")
         for k, v in kept.items():
             nc._finite(v, f"term '{k}'")
-        _zero_grads(params)
+        _zero_grads(stepped + frozen)
         nc.backward(loss)
-        if not np.isfinite(optimizer.gather(stepped)).all():
-            for name, p in stepped:
-                nc._finite(p.grad, f"gradient of parameter '{name}'")
+        optimizer.step(stepped)
         return kept
 
     with _frozen(frozen):
@@ -344,7 +328,6 @@ def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
     batch_size = n if cfg.trainer.full_batch else cfg.trainer.batch_size
     sums: dict[str, float] = {}
     counts = 0
-    all_params = state.parameters()
     ae_params, disc_params = _phase_groups(state)
     adversary = MODEL_SPECS[cfg.name].adversary
     disc_steps = {None: 0, "discriminator": 1, "critic": cfg.trainer.critic_steps}[adversary]
@@ -364,13 +347,11 @@ def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
             return out.discriminator, out.scalars()
 
         try:
-            scalars = _backward_phase(autoencoder_phase, all_params, ae_params,
+            scalars = _backward_phase(autoencoder_phase, ae_params, disc_params,
                                       run.optimizer, run.rng)
-            run.optimizer.step(ae_params)
             for _ in range(disc_steps):
-                _backward_phase(discriminator_phase, all_params, disc_params,
+                _backward_phase(discriminator_phase, disc_params, ae_params,
                                 run.optimizer, run.rng)
-                run.optimizer.step(disc_params)
                 if adversary == "critic":
                     run.optimizer.clip(disc_params, cfg.trainer.clip)
         except NumericError as err:
@@ -403,10 +384,9 @@ def fit(
             f"fit: configured input_dims {cfg.input_dims} do not match data {data.dims}"
         )
     cfg.input_dims = data.dims
-    if max_epochs is not None:
-        cfg.trainer.max_epochs = max_epochs
-    if batch_size is not None:
-        cfg.trainer.batch_size = batch_size
+    for key, value in (("max_epochs", max_epochs), ("batch_size", batch_size)):
+        if value is not None:
+            set_key(cfg.trainer, "trainer", key, value)
     if not cfg.seed_everything:
         # record the drawn seed, so resolved.cfg can reproduce the run
         cfg.seed = int(np.random.SeedSequence().entropy % (2 ** 32))

@@ -86,6 +86,22 @@ def test_train_cli_epoch_override_wins(tmp_path):
     assert "trainer.max_epochs = 1" in resolved
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "0", "error: trainer.batch_size: must be >= 1"),
+    ("--epochs", "-1", "error: trainer.max_epochs: must be >= 0"),
+])
+def test_train_rejects_an_invalid_override(tmp_path, capsys, flag, value, message):
+    cfg = _write_config(tmp_path)
+    data = _gen_data(tmp_path)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out),
+               flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
 def test_train_invalid_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.name = mvae\nmodel.z_dim = 4\nmodel.learning_rate = 1.5\n")

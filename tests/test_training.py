@@ -1,5 +1,6 @@
 """Config validation, optimizer behaviour, determinism, checkpoint resume."""
 
+import ast
 import copy
 import io
 import re
@@ -242,12 +243,10 @@ def test_flat_adam_equals_the_per_parameter_loop_bitwise():
                     g = rng.standard_normal(shapes[name])
                     if k == 0:
                         flat[name].grad, loop[name].grad = g, g.copy()
-                    else:  # accumulated in place into the gathered arrays
+                    else:  # accumulated in place into the arrays the last step read
                         flat[name].grad += g
                         loop[name].grad += g
-                if k == 0:  # as the trainer's phase does before each step
-                    opt.gather([(name, flat[name]) for name in group])
-                if i == 4:  # rebound after the gather
+                if i == 4:  # rebound to a new array before the step
                     for tensors in (flat, loop):
                         tensors[group[0]].grad = tensors[group[0]].grad * 2.0
                 opt.step([(name, flat[name]) for name in group])
@@ -262,6 +261,42 @@ def test_flat_adam_equals_the_per_parameter_loop_bitwise():
         assert moments[name][0].tobytes() == m.tobytes(), name
         assert moments[name][1].tobytes() == v.tobytes(), name
         assert moments[name][2] == t == (5 if name in groups[0] else 10), name
+
+
+def test_adam_refuses_a_non_finite_gradient_before_writing():
+    a, b = nc.parameter(np.ones((2, 2))), nc.parameter(np.zeros(3))
+    a.grad, b.grad = np.ones((2, 2)), np.ones(3)
+    opt = Adam(0.1)
+    opt.step([("a", a), ("b", b)])
+    group = opt._groups[("a", "b")]
+
+    def snapshot():
+        moments = {name: (m.tobytes(), v.tobytes(), t) for name, (m, v, t) in opt.moments.items()}
+        return group.theta.tobytes(), group.m.tobytes(), group.v.tobytes(), group.t, moments
+
+    before = snapshot()
+    b.grad = np.array([0.5, np.nan, 0.5])
+    with pytest.raises(NumericError, match="^non-finite gradient of parameter 'b'$"):
+        opt.step([("a", a), ("b", b)])
+    assert snapshot() == before
+    # a group whose first step fails is not created
+    c = nc.parameter(np.ones(2))
+    c.grad = np.array([np.inf, 0.0])
+    with pytest.raises(NumericError, match="^non-finite gradient of parameter 'c'$"):
+        opt.step([("c", c)])
+    assert snapshot() == before and "c" not in opt.moments
+
+
+def test_only_the_phase_steps_an_optimizer():
+    # so that every step is checked once and replayed with the per-op check on
+    callers = []
+    for path in sorted(Path(training.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                callers += [(path.name, getattr(fn, "name", None)) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "step"]
+    assert callers == [("training.py", "_backward_phase")]
 
 
 def test_adam_contract_errors_name_the_parameter():
@@ -295,6 +330,20 @@ def test_fit_zero_epochs_returns_initialized_state():
     run = fit(cfg, _toy_data())
     assert run.epoch == 0
     assert run.history == []
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"batch_size": 0}, "trainer.batch_size: must be >= 1"),
+    ({"max_epochs": -1}, "trainer.max_epochs: must be >= 0"),
+    ({"batch_size": 2.5}, "trainer.batch_size: expected an integer, got 2.5"),
+    ({"max_epochs": True}, "trainer.max_epochs: expected an integer, got True"),
+], ids=["batch_size=0", "max_epochs=-1", "batch_size=2.5", "max_epochs=True"])
+def test_fit_overrides_are_checked_as_config_keys(tmp_path, override, message):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.max_epochs": 1})
+    with pytest.raises(ConfigError) as err:
+        fit(cfg, _toy_data(), out_dir=tmp_path / "run", **override)
+    assert str(err.value) == message
+    assert not (tmp_path / "run").exists()
 
 
 def test_modality_keys_beyond_the_view_count_are_rejected():
@@ -691,7 +740,7 @@ def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, ph
     _phase_grads(state, views, phase, seed=7)
     full = {name: p.grad for name, p in stepped}
     assert any(p.grad is not None for _, p in frozen)
-    _backward_phase(lambda: (_phase_grads(state, views, phase, seed=7), {}), params, stepped,
+    _backward_phase(lambda: (_phase_grads(state, views, phase, seed=7), {}), stepped, frozen,
                     Adam(0.1))
     for name, p in stepped:
         assert np.array_equal(p.grad, full[name]), name
