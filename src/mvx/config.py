@@ -20,6 +20,9 @@ from .networks import ACTIVATIONS
 from .objectives import MODEL_SPECS
 
 SUPPORTED_JOIN = ("PoE", "Mean")
+# the model-specific keys: a model accepts only the defaults of those that
+# its MODEL_SPECS entry does not name
+MODEL_KEYS = frozenset().union(*(spec.keys for spec in MODEL_SPECS.values()))
 
 
 def _expect(cond: bool, key: str, message: str) -> None:
@@ -204,11 +207,14 @@ def _parse_key(f: Field, value, path: str):
     return value
 
 
-def set_key(section, prefix: str, key: str, value) -> None:
-    """Set `key` of the parsed section `section` to `value`, checked as the
-    config line `<prefix>.<key> = value` would be."""
-    f = _declared_keys(type(section))[key]
-    setattr(section, f.name, _parse_key(f, value, f"{prefix}.{key}"))
+def check_key(section, prefix: str, key: str, value):
+    """`value` parsed and checked as the config line `<prefix>.<key> = value`
+    of the parsed section `section` would be."""
+    return _parse_key(_declared_keys(type(section))[key], value, f"{prefix}.{key}")
+
+
+def _default(f: Field):
+    return f.default if f.default_factory is MISSING else f.default_factory()
 
 
 def _parse_nets(section: str, slots: dict[int | str, dict[str, object]]) -> dict:
@@ -287,6 +293,9 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     # cross-field checks
     name = cfg.name
     spec = MODEL_SPECS[name]
+    for key, f in _declared_keys(ModelConfig).items():
+        if key in MODEL_KEYS and key not in spec.keys and getattr(cfg, f.name) != _default(f):
+            raise ConfigError(f"model.{key}: model '{name}' does not use this key")
     if spec.has_private(cfg.private):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")
@@ -296,9 +305,6 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
         lo, hi = spec.alpha_range
         _expect(lo <= cfg.alpha <= hi, "model.alpha",
                 f"model '{name}' requires {lo:g} <= alpha <= {hi:g}")
-    if cfg.sparse and not spec.sparse:
-        allowed = ", ".join(f"'{n}'" for n, other in MODEL_SPECS.items() if other.sparse)
-        raise ConfigError(f"model.sparse: only supported for model {allowed}")
     if cfg.input_dims is not None:
         check_views(cfg, len(cfg.input_dims))
     return cfg
@@ -313,12 +319,12 @@ def check_views(cfg: ModelConfig, n_views: int) -> None:
         )
     if spec.view_weights is not None:
         key, lengths = spec.view_weights
-        weights = {"model.pi": cfg.pi, "model.lambda": cfg.lam}[key]
+        weights = getattr(cfg, _declared_keys(ModelConfig)[key].name)
         allowed = sorted(set(lengths(n_views)))
         # an empty or unset list means the objective's default weights
         if weights and len(weights) not in allowed:
             raise ConfigError(
-                f"{key}: model '{cfg.name}' needs {' or '.join(map(str, allowed))} "
+                f"model.{key}: model '{cfg.name}' needs {' or '.join(map(str, allowed))} "
                 f"entries for {n_views} views, got {len(weights)}"
             )
     for section, specs in (("encoder", cfg.encoders), ("decoder", cfg.decoders)):

@@ -89,13 +89,15 @@ _SPARSE_K2 = 1.87320
 _SPARSE_K3 = 1.48695
 
 
-def kl_sparse(p: GaussianParams, alpha: Tensor) -> Tensor:
-    """KL of the dropout posterior N(mu, alpha*mu^2) from the log-uniform prior.
+def kl_sparse(alpha: Tensor, batch: int) -> Tensor:
+    """KL of the dropout posterior N(mu, alpha*mu^2) from the log-uniform prior,
+    for each of `batch` rows.
 
     Uses the sigmoid-polynomial fit
         -KL(a) ~= k1*sigmoid(k2 + k3*ln a) - 0.5*ln(1 + 1/a) - k1
-    summed per dimension and broadcast across the batch (alpha is a per-dim
-    rate). Monotone decreasing in alpha; tends to 0 as alpha -> inf.
+    summed over the per-dimension rates `alpha`, which every row shares, so
+    each row gets the same total. Monotone decreasing in alpha; tends to 0
+    as alpha -> inf.
     """
     if np.any(alpha.data <= 0.0):
         raise DomainError("kl_sparse: alpha must be strictly positive")
@@ -105,12 +107,7 @@ def kl_sparse(p: GaussianParams, alpha: Tensor) -> Tensor:
         - nc.constant(0.5) * nc.softplus(nc.neg(log_alpha))
         - nc.constant(_SPARSE_K1)
     )
-    per_dim = nc.neg(neg_kl)
-    if per_dim.data.ndim == 2:
-        return nc.sum_(per_dim, axis=1)
-    # per-dimension rate shared across the batch: replicate the scalar total
-    total = nc.sum_(per_dim)
-    batch = p.mean.shape[0]
+    total = nc.sum_(nc.neg(neg_kl))
     ones = nc.constant(np.ones((batch, 1)))
     return nc.sum_(ones * total, axis=1)
 

@@ -347,8 +347,7 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
             mu, alpha = _sparse_posterior(state, m, views[m])
             e = eps.normal(mu.shape)
             z_m = mu + mu * (nc.sqrt(alpha) * e)
-            q_for_kl = GaussianParams(mu, nc.constant(np.zeros(mu.shape)))
-            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(q_for_kl, alpha)))
+            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(alpha, mu.shape[0])))
         else:
             q_m = state.encoders[m].forward(views[m])
             z_m = rsample(q_m, eps.normal(q_m.shape))
@@ -845,6 +844,9 @@ def _aux_log_scales(state: ModelState) -> None:
 class ModelSpec:
     """Everything but the objective that sets one model apart.
 
+    `keys` names the model-specific config keys (`model.<key>`) that the
+    model reads; config rejects a non-default value of any other one, and
+    the union of every entry's `keys` is the set of model-specific keys.
     `pool` pools any modality subset (coherence and the subset terms of the
     objectives); `joint` is the joint posterior of every view, which the
     objective trains and the prediction API reports (a mixture by its mean
@@ -855,11 +857,13 @@ class ModelSpec:
     `alpha_range`.
     """
 
+    keys: frozenset[str] = frozenset()
     # "plain", "variational", or "reference": one variational encoder, of view 0
     encoder: str = "variational"
     joint_encoder: bool = False
-    # private latents: "never", "always", or "optional" (switched on by model.private)
-    private: str = "never"
+    # always private latents; a model whose `keys` hold "private" has them
+    # when model.private is set
+    private: bool = False
     n_views: int | None = None
     # decoder likelihood forced on every view, overriding the config
     likelihood: str | None = None
@@ -869,8 +873,6 @@ class ModelSpec:
     extras: Callable[[ModelState], None] | None = None
     # forced on: the objective degrades under mini-batching
     full_batch: bool = False
-    # model.sparse is allowed; the sparse variant has plain encoders
-    sparse: bool = False
     alpha_range: tuple[float, float] | None = None
     # a per-view weight list the objective reads: its config key, and the
     # list lengths allowed for a given view count
@@ -880,34 +882,40 @@ class ModelSpec:
     proposal: PoolHook | None = None
 
     def has_private(self, private: bool) -> bool:
-        return self.private == "always" or (self.private == "optional" and private)
+        return self.private or ("private" in self.keys and private)
 
 
 MODEL_SPECS = {
     "ae": ModelSpec(encoder="plain", likelihood="Default"),
-    "jmvae": ModelSpec(n_views=2, joint_encoder=True, joint=_joint_encoder_posterior,
-                       proposal=_joint_encoder_posterior),
-    "dccae": ModelSpec(encoder="plain", n_views=2, likelihood="Default", full_batch=True,
-                       view_weights=("model.lambda", lambda n: (1,))),
-    "dvcca": ModelSpec(encoder="reference", n_views=2, private="optional",
-                       proposal=_reference_posterior),
-    "mcvae": ModelSpec(sparse=True, extras=_sparse_log_alphas, joint=_pool_by_join_type),
-    "mvae": ModelSpec(pool=_pool_product_with_prior, joint=_pool_product_with_prior,
-                      proposal=_pool_product_with_prior),
-    "me_mvae": ModelSpec(pool=_pool_product_with_prior, joint=_pool_product_with_prior,
-                         proposal=_pool_product_with_prior),
-    "mmvae": ModelSpec(pool=_pool_mean, joint=_mixture, proposal=_mixture),
-    "mvtcae": ModelSpec(alpha_range=(0.0, 1.0), pool=_pool_product,
-                        joint=_pool_product, proposal=_pool_product),
-    "mopoe": ModelSpec(pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
-    "weighted_mvae": ModelSpec(extras=_gpoe_logits, pool=_pool_gpoe, joint=_pool_gpoe,
-                               proposal=_pool_gpoe),
-    "mmjsd": ModelSpec(view_weights=("model.pi", lambda n: (n + 1,)), pool=_pool_geometric,
-                       joint=_pool_geometric, proposal=_pool_geometric),
-    "mmvaeplus": ModelSpec(private="always", extras=_aux_log_scales, pool=_pool_mean,
-                           joint=_mixture),
-    "dmvae": ModelSpec(private="always", view_weights=("model.lambda", lambda n: (1, n)),
+    "jmvae": ModelSpec(keys=frozenset({"beta", "alpha"}), n_views=2, joint_encoder=True,
+                       joint=_joint_encoder_posterior, proposal=_joint_encoder_posterior),
+    "dccae": ModelSpec(keys=frozenset({"lambda"}), encoder="plain", n_views=2,
+                       likelihood="Default", full_batch=True,
+                       view_weights=("lambda", lambda n: (1,))),
+    "dvcca": ModelSpec(keys=frozenset({"beta", "private", "s_dim"}), encoder="reference",
+                       n_views=2, proposal=_reference_posterior),
+    "mcvae": ModelSpec(keys=frozenset({"beta", "sparse", "threshold", "join_type"}),
+                       extras=_sparse_log_alphas, joint=_pool_by_join_type),
+    "mvae": ModelSpec(keys=frozenset({"beta"}), pool=_pool_product_with_prior,
+                      joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
+    "me_mvae": ModelSpec(keys=frozenset({"beta"}), pool=_pool_product_with_prior,
+                         joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
+    "mmvae": ModelSpec(keys=frozenset({"K"}), pool=_pool_mean, joint=_mixture,
+                       proposal=_mixture),
+    "mvtcae": ModelSpec(keys=frozenset({"beta", "alpha"}), alpha_range=(0.0, 1.0),
+                        pool=_pool_product, joint=_pool_product, proposal=_pool_product),
+    "mopoe": ModelSpec(keys=frozenset({"beta", "stochastic_subsets"}), pool=_pool_product,
+                       joint=_subset_mixture, proposal=_subset_mixture),
+    "weighted_mvae": ModelSpec(keys=frozenset({"beta"}), extras=_gpoe_logits, pool=_pool_gpoe,
+                               joint=_pool_gpoe, proposal=_pool_gpoe),
+    "mmjsd": ModelSpec(keys=frozenset({"beta", "pi"}), view_weights=("pi", lambda n: (n + 1,)),
+                       pool=_pool_geometric, joint=_pool_geometric, proposal=_pool_geometric),
+    "mmvaeplus": ModelSpec(keys=frozenset({"s_dim", "K"}), private=True, extras=_aux_log_scales,
+                           pool=_pool_mean, joint=_mixture),
+    "dmvae": ModelSpec(keys=frozenset({"s_dim", "beta", "lambda"}), private=True,
+                       view_weights=("lambda", lambda n: (1, n)),
                        pool=_pool_product_with_prior, joint=_pool_product_with_prior),
-    "maae": ModelSpec(encoder="plain", likelihood="Default", adversary="discriminator"),
+    "maae": ModelSpec(keys=frozenset({"non_saturating"}), encoder="plain", likelihood="Default",
+                      adversary="discriminator"),
     "mwae": ModelSpec(encoder="plain", likelihood="Default", adversary="critic"),
 }

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .config import ModelConfig, check_views, load_config, save_resolved, set_key
+from .config import ModelConfig, check_key, check_views, load_config, save_resolved
 from .data import MultiViewBatch, read_exact
 from .distributions import GaussianParams, dropout_rate
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
@@ -62,7 +62,8 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     state = ModelState(cfg=cfg, n_views=m_total)
 
     # encoders
-    kind = "plain" if cfg.sparse else spec.encoder
+    # mcvae's sparse variant has plain encoders
+    kind = "plain" if "sparse" in spec.keys and cfg.sparse else spec.encoder
     encoder_cls = Encoder if kind == "plain" else VariationalEncoder
     n_encoders = 1 if kind == "reference" else m_total
     state.encoders = [
@@ -378,15 +379,22 @@ def fit(
     batch_size: int | None = None,
     out_dir: str | Path | None = None,
 ) -> RunState:
-    """Train from scratch; overrides win over the config's trainer section."""
+    """Train from scratch; overrides win over the config's trainer section.
+
+    The data and the overrides are checked before anything is written into
+    `cfg`, so a call that raises leaves it as it was.
+    """
     if cfg.input_dims is not None and cfg.input_dims != data.dims:
         raise DimensionError(
             f"fit: configured input_dims {cfg.input_dims} do not match data {data.dims}"
         )
+    check_views(cfg, len(data.dims))
+    overrides = {key: check_key(cfg.trainer, "trainer", key, value)
+                 for key, value in (("max_epochs", max_epochs), ("batch_size", batch_size))
+                 if value is not None}
     cfg.input_dims = data.dims
-    for key, value in (("max_epochs", max_epochs), ("batch_size", batch_size)):
-        if value is not None:
-            set_key(cfg.trainer, "trainer", key, value)
+    for key, value in overrides.items():
+        setattr(cfg.trainer, key, value)
     if not cfg.seed_everything:
         # record the drawn seed, so resolved.cfg can reproduce the run
         cfg.seed = int(np.random.SeedSequence().entropy % (2 ** 32))
@@ -410,6 +418,8 @@ def continue_fit(
     out_dir: str | Path | None = None,
 ) -> RunState:
     """Run `epochs` more epochs on an existing state (used by checkpoint resume)."""
+    if epochs < 0:
+        raise ContractError(f"continue_fit: epochs must be >= 0, got {epochs}")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

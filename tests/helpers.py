@@ -12,7 +12,7 @@ from mvx import numcore as nc
 from mvx.config import build_config
 from mvx.errors import NumericError
 from mvx.numcore import Tensor
-from mvx.objectives import EpsStream, ModelState
+from mvx.objectives import MODEL_SPECS, EpsStream, ModelState
 from mvx.training import build_model
 
 
@@ -28,10 +28,16 @@ def poison_layers(net) -> None:
         w.data[...] = 1e200
 
 
+def s_dim_key(name: str, s_dim: int) -> dict[str, int]:
+    """`model.s_dim = s_dim` for a model that reads the key, else nothing."""
+    return {"model.s_dim": s_dim} if "s_dim" in MODEL_SPECS[name].keys else {}
+
+
 def make_tiny_state(name: str, dims=(2, 2), z_dim=2, s_dim=2, seed=3,
                     **model_keys) -> ModelState:
-    """Seeded micro-instance of any model over `dims` views."""
-    flat = {"model.name": name, "model.z_dim": z_dim, "model.s_dim": s_dim}
+    """Seeded micro-instance of any model over `dims` views; `s_dim` is set
+    only on a model that reads it."""
+    flat = {"model.name": name, "model.z_dim": z_dim, **s_dim_key(name, s_dim)}
     for key, value in model_keys.items():
         flat[f"model.{key}"] = value
     cfg = build_config(flat)

@@ -30,7 +30,7 @@ from mvx.pooling import ExpertSet, enumerate_subsets, gpoe, poe
 from mvx.training import fit
 
 import oracle
-from helpers import RecordingEps, make_tiny_state, make_tiny_views
+from helpers import RecordingEps, make_tiny_state, make_tiny_views, s_dim_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,7 +291,7 @@ def test_criterion_7_optimization_sanity(linear_gaussian_toy):
     ]
     failures = []
     for name, extra in cases:
-        flat = {"model.name": name, "model.z_dim": 2, "model.s_dim": 2,
+        flat = {"model.name": name, "model.z_dim": 2, **s_dim_key(name, 2),
                 "model.seed": 1,
                 "encoder.default.hidden_layer_dim": [16],
                 "decoder.default.hidden_layer_dim": [16],

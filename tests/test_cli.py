@@ -112,6 +112,19 @@ def test_train_invalid_config_exits_1(tmp_path, capsys):
     assert "model.learning_rate" in capsys.readouterr().err
 
 
+def test_a_key_the_model_does_not_read_exits_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, extra=["model.K = 7"])
+    data = _gen_data(tmp_path)
+    message = "model.K: model 'mvae' does not use this key"
+    capsys.readouterr()
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip() == f"invalid: {message}"
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
 def test_train_missing_data_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope.mvds"),

@@ -2,6 +2,7 @@
 evaluation API, pinned on tiny untrained models."""
 
 import ast
+import copy
 import inspect
 import textwrap
 from dataclasses import fields
@@ -9,10 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvx.config import ModelConfig, build_config
+from mvx.config import MODEL_KEYS, ModelConfig, _declared_keys, build_config
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
-from mvx.errors import UnsupportedMetricError
+from mvx.errors import ConfigError, UnsupportedMetricError
 from mvx.evaluation import coherence, joint_log_likelihood, train_probe_classifier
 from mvx.objectives import (
     ADVERSARIAL_OBJECTIVES,
@@ -24,7 +25,7 @@ from mvx.objectives import (
 from mvx.pooling import geometric_poe
 from mvx.training import fit, predict_latent, predict_reconstruction
 
-from helpers import make_tiny_state, make_tiny_views
+from helpers import make_tiny_state, make_tiny_views, s_dim_key
 
 # name, extra config keys, views, has joint, reconstruction rows, coherence, loglik
 CAPABILITIES = [
@@ -71,7 +72,7 @@ def test_model_state_rejects_a_hyperparameter_write():
 def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
     data = generate_synthetic(SyntheticSpec(
         n_classes=2, n_samples=10, dims=[2, 3, 2][:n_views], seed=0))
-    cfg = build_config({"model.name": name, "model.z_dim": 2, "model.s_dim": 1,
+    cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
                         "encoder.default.hidden_layer_dim": [4],
                         "decoder.default.hidden_layer_dim": [4], **extra})
     run = fit(cfg, data, max_epochs=0)
@@ -119,3 +120,69 @@ def test_mmjsd_pools_every_subset_by_one_rule():
                         [0.3 / 0.8, 0.5 / 0.8])
     assert np.allclose(sub.mean.data, ref.mean.data, rtol=0, atol=1e-12)
     assert np.allclose(sub.log_var.data, ref.log_var.data, rtol=0, atol=1e-12)
+
+
+# a non-default value of every model-specific key; threshold 0.01 lies below
+# the dropout rate that sparse mcVAE starts from, so it masks every dimension
+_OTHER_VALUES = {
+    "s_dim": 2, "beta": 2.0, "alpha": 0.5, "K": 3, "lambda": [0.5], "sparse": True,
+    "threshold": 0.01, "private": True, "join_type": "Mean", "non_saturating": True,
+    "stochastic_subsets": True, "pi": [0.1, 0.2, 0.3, 0.4],
+}
+# keys that only act together with another one
+_COMPANIONS = {("dvcca", "s_dim"): {"private": True}, ("mcvae", "threshold"): {"sparse": True}}
+
+
+def _base_keys(name: str) -> dict:
+    return {"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
+            "encoder.default.hidden_layer_dim": [4], "decoder.default.hidden_layer_dim": [4]}
+
+
+def test_the_model_keys_are_the_union_of_the_entries_keys():
+    assert MODEL_KEYS == _OTHER_VALUES.keys()
+    assert sum(len(MODEL_KEYS - spec.keys) for spec in MODEL_SPECS.values()) == 166
+    for spec in MODEL_SPECS.values():
+        assert spec.view_weights is None or spec.view_weights[0] in spec.keys
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_a_model_accepts_only_the_defaults_of_keys_it_does_not_read(name):
+    defaults = build_config({"model.name": "ae", "model.z_dim": 1})
+    for key in sorted(MODEL_KEYS - MODEL_SPECS[name].keys):
+        with pytest.raises(ConfigError) as err:
+            build_config({**_base_keys(name), f"model.{key}": _OTHER_VALUES[key]})
+        assert str(err.value) == f"model.{key}: model '{name}' does not use this key"
+        default = getattr(defaults, _declared_keys(ModelConfig)[key].name)
+        if default is not None:  # an unset model.pi is its default
+            build_config({**_base_keys(name), f"model.{key}": default})
+
+
+def _outputs(cfg: ModelConfig) -> tuple:
+    """The 2-epoch history and the predictions of `cfg`, as comparable values."""
+    n_views = MODEL_SPECS[cfg.name].n_views or 3
+    data = generate_synthetic(SyntheticSpec(
+        n_classes=2, n_samples=16, dims=[2, 3, 2][:n_views], seed=0))
+    run = fit(cfg, data, max_epochs=2, batch_size=8)
+    lat = predict_latent(run, data)
+    arrays = [*lat.per_modality, lat.joint, *(lat.private or []), *(lat.kept_masks or []),
+              *(x for row in predict_reconstruction(run, data) for x in row)]
+    return run.history, [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+def _set(cfg: ModelConfig, keys: dict) -> ModelConfig:
+    """A copy of `cfg` with `keys` written into it, past `build_config`'s checks."""
+    cfg = copy.deepcopy(cfg)
+    for key, value in keys.items():
+        setattr(cfg, _declared_keys(ModelConfig)[key].name, value)
+    return cfg
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_a_model_reads_exactly_the_keys_of_its_entry(name):
+    cfg = build_config(_base_keys(name))
+    reference = _outputs(cfg)
+    for key in sorted(MODEL_KEYS - MODEL_SPECS[name].keys):
+        assert _outputs(_set(cfg, {key: _OTHER_VALUES[key]})) == reference, key
+    for key in sorted(MODEL_SPECS[name].keys):
+        base = _set(cfg, _COMPANIONS.get((name, key), {}))
+        assert _outputs(_set(base, {key: _OTHER_VALUES[key]})) != _outputs(base), key

@@ -16,7 +16,13 @@ from mvx.objectives import (
 )
 from mvx.training import build_model
 
-from helpers import RecordingEps, ReplayEps, assert_grad_close, finite_difference_grad
+from helpers import (
+    RecordingEps,
+    ReplayEps,
+    assert_grad_close,
+    finite_difference_grad,
+    s_dim_key,
+)
 
 REL_TOL = 1e-3
 
@@ -37,7 +43,7 @@ def _build(name: str, seed: int = 3):
     flat = {
         "model.name": base_name,
         "model.z_dim": 2,
-        "model.s_dim": 2,
+        **s_dim_key(base_name, 2),
         "encoder.default.hidden_layer_dim": [3],
         "encoder.default.activation": "tanh",
         "decoder.default.hidden_layer_dim": [3],

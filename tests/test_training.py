@@ -33,7 +33,12 @@ from mvx.training import (
 )
 
 import oracle
-from helpers import assert_per_op_check_on, corrupt_first_moment_size, step_count_offsets
+from helpers import (
+    assert_per_op_check_on,
+    corrupt_first_moment_size,
+    s_dim_key,
+    step_count_offsets,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -107,29 +112,54 @@ def test_private_models_require_s_dim():
     assert "model.s_dim" in str(err.value)
 
 
+# every model-specific key at its default, as `resolved_lines` writes it
+# (an unset `model.pi` is not written)
+_MODEL_KEY_DEFAULTS = {
+    "model.s_dim": 0, "model.beta": 1.0, "model.alpha": 1.0, "model.K": 1,
+    "model.lambda": [1.0], "model.sparse": False, "model.threshold": 0.0,
+    "model.private": False, "model.join_type": "PoE", "model.non_saturating": False,
+    "model.stochastic_subsets": False,
+}
+
+# models that, between them, set every model-specific key to a non-default value
+_ROUND_TRIP_MODELS = [
+    ("mcvae", [3, 4, 2], {"model.beta": 2.5, "model.sparse": True, "model.threshold": 0.5,
+                          "model.join_type": "Mean"}),
+    ("dvcca", [3, 4], {"model.s_dim": 2, "model.private": True}),
+    ("jmvae", [3, 4], {"model.alpha": 0.5}),
+    ("mmvae", [3, 4, 2], {"model.K": 3}),
+    ("dmvae", [3, 4, 2], {"model.s_dim": 2, "model.lambda": [0.5, 2.0, 1.5]}),
+    ("mmjsd", [3, 4, 2], {"model.pi": [0.1, 0.2, 0.3, 0.4]}),
+    ("mopoe", [3, 4, 2], {"model.stochastic_subsets": True}),
+    ("maae", [3, 4, 2], {"model.non_saturating": True}),
+]
+
+
 def test_resolved_config_round_trips_every_key():
-    # every key set to a non-default value; distribution and scale on decoders only
+    keys = {f"model.{key}" for spec in MODEL_SPECS.values() for key in spec.keys}
+    assert keys == {*_MODEL_KEY_DEFAULTS, "model.pi"}
+    assert set().union(*(extra for _, _, extra in _ROUND_TRIP_MODELS)) == keys
+    # every other key set to a non-default value; distribution and scale on decoders only
     net = {"hidden_layer_dim": [5, 3], "bias": False, "non_linear": False, "activation": "tanh"}
-    flat = {
-        "model.name": "mcvae", "model.z_dim": 3, "model.s_dim": 2, "model.beta": 2.5,
-        "model.alpha": 0.5, "model.K": 3, "model.lambda": [0.5, 2.0], "model.pi": [0.25, 0.75],
-        "model.learning_rate": 0.02, "model.seed": 7, "model.seed_everything": False,
-        "model.save_model": False, "model.sparse": True, "model.threshold": 0.5,
-        "model.private": True, "model.join_type": "Mean", "model.non_saturating": True,
-        "model.stochastic_subsets": True, "model.input_dims": [3, 4, 2],
-        **{f"encoder.{slot}.{k}": v for slot in ("default", 1) for k, v in net.items()},
-        **{f"decoder.{slot}.{k}": v for slot in ("default", 0) for k, v in net.items()},
-        **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
-        **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
-        "trainer.max_epochs": 7, "trainer.batch_size": 16, "trainer.full_batch": True,
-        "trainer.critic_steps": 2, "trainer.clip": 0.05,
-    }
-    cfg = build_config(flat)
-    lines = resolved_lines(cfg)
-    assert parse_config_text("\n".join(lines)) == flat
-    again = build_config(parse_config_text("\n".join(lines)))
-    assert again == cfg
-    assert resolved_lines(again) == lines
+    for name, dims, extra in _ROUND_TRIP_MODELS:
+        flat = {
+            **_MODEL_KEY_DEFAULTS, **extra,
+            "model.name": name, "model.z_dim": 3,
+            "model.learning_rate": 0.02, "model.seed": 7, "model.seed_everything": False,
+            "model.save_model": False, "model.input_dims": dims,
+            **{f"encoder.{slot}.{k}": v for slot in ("default", 1) for k, v in net.items()},
+            **{f"decoder.{slot}.{k}": v for slot in ("default", 0) for k, v in net.items()},
+            **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
+            **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
+            "trainer.max_epochs": 7, "trainer.batch_size": 16, "trainer.full_batch": True,
+            "trainer.critic_steps": 2, "trainer.clip": 0.05,
+        }
+        cfg = build_config(flat)
+        lines = resolved_lines(cfg)
+        assert parse_config_text("\n".join(lines)) == flat, name
+        again = build_config(parse_config_text("\n".join(lines)))
+        assert again == cfg, name
+        assert resolved_lines(again) == lines, name
 
 
 _BAD_VALUES = [
@@ -346,6 +376,36 @@ def test_fit_overrides_are_checked_as_config_keys(tmp_path, override, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("mvae", {"max_epochs": 3, "batch_size": 0}),
+    ("mvae", {"max_epochs": 3, "batch_size": 2.5}),
+    ("dccae", {"max_epochs": 3}),  # two views only, and the data has three
+], ids=["batch_size=0", "batch_size=2.5", "view_count"])
+def test_a_failed_fit_leaves_the_config_unchanged(name, overrides):
+    cfg = build_config({"model.name": name, "model.z_dim": 2, "trainer.max_epochs": 1})
+    before = copy.deepcopy(cfg)
+    with pytest.raises(ConfigError):
+        fit(cfg, _toy_data(dims=(3, 4, 2)), **overrides)
+    assert cfg == before
+
+
+def test_continue_fit_rejects_negative_epochs(tmp_path):
+    data = _toy_data()
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
+    fit(cfg, data, max_epochs=1, out_dir=tmp_path / "a")
+    run = load_run(tmp_path / "a")
+    files = {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()}
+    stamps = {f.name: f.stat().st_mtime_ns for f in (tmp_path / "a").iterdir()}
+    rng_state = run.rng.bit_generator.state
+    for out_dir in (tmp_path / "a", tmp_path / "b"):
+        with pytest.raises(ContractError, match="^continue_fit: epochs must be >= 0, got -3$"):
+            continue_fit(run, data, -3, out_dir=out_dir)
+    assert run.epoch == 1 and run.history == [] and run.rng.bit_generator.state == rng_state
+    assert {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()} == files
+    assert {f.name: f.stat().st_mtime_ns for f in (tmp_path / "a").iterdir()} == stamps
+    assert not (tmp_path / "b").exists()
+
+
 def test_modality_keys_beyond_the_view_count_are_rejected():
     for key in ("decoder.5.distribution", "encoder.2.activation"):
         value = "Bernoulli" if key.startswith("decoder") else "tanh"
@@ -361,7 +421,7 @@ def test_modality_keys_beyond_the_view_count_are_rejected():
 ])
 def test_per_view_weights_must_fit_the_view_count(name, key, value):
     data = _toy_data(dims=(3, 4, 2))
-    flat = {"model.name": name, "model.z_dim": 2, "model.s_dim": 1}
+    flat = {"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1)}
     with pytest.raises(ConfigError) as err:
         fit(build_config({**flat, key: value}), data, max_epochs=0)
     assert str(err.value).startswith(key + ":")
@@ -766,7 +826,7 @@ def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name,
 
     monkeypatch.setattr(Adam, "step", checked_step)
     data = _toy_data(dims=(3, 4, 2)[:MODEL_SPECS[name].n_views or 3])
-    cfg = build_config({"model.name": name, "model.z_dim": 2, "model.s_dim": 1,
+    cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
                         "trainer.batch_size": 8, "trainer.critic_steps": 2, **extra})
     fit(cfg, data, max_epochs=2)
     assert missing and all(names == [] for names in missing), missing
