@@ -139,12 +139,22 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
+def _dims(raw: str) -> list[int]:
+    """The per-view dims that `--dims` lists, comma-separated."""
+    dims = []
+    for part in filter(str.strip, raw.split(",")):
+        try:
+            dims.append(int(part))
+        except ValueError:
+            raise ConfigError(f"--dims: expected an integer, got {part.strip()!r}") from None
+    return dims
+
+
 def _cmd_gen_data(args) -> int:
-    dims = [int(d) for d in str(args.dims).split(",") if d.strip()]
     spec = SyntheticSpec(
         n_classes=args.classes,
         n_samples=args.samples,
-        dims=dims,
+        dims=_dims(args.dims),
         style_noise=args.style_noise,
         background_noise=args.background_noise,
         seed=check_seed(args.seed, "--seed") if args.seed is not None else (_env_seed() or 0),

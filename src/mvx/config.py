@@ -85,15 +85,17 @@ def _as_seed(value, key: str) -> int:
 
 
 def _key(parse, *rules, default=MISSING, key: str | None = None,
-         decoder_only: bool = False) -> Field:
+         decoder_only: bool = False, critic_only: bool = False) -> Field:
     """Declare a config key on a dataclass field.
 
     `parse(value, path)` type-checks the parsed value and converts it; each
     rule is a (predicate, message) pair checked on the result, and `{x}` in a
     message stands for the value. `key` is the key name when it is not the
-    field name. A field without a default is a required key.
+    field name. A field without a default is a required key. Only a model
+    whose adversary is a critic reads a `critic_only` key.
     """
-    meta = {"parse": parse, "rules": rules, "key": key, "decoder_only": decoder_only}
+    meta = {"parse": parse, "rules": rules, "key": key, "decoder_only": decoder_only,
+            "critic_only": critic_only}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -123,8 +125,10 @@ class TrainerConfig:
     max_epochs: int = _key(_as_int, (lambda x: x >= 0, "must be >= 0"), default=50)
     batch_size: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=64)
     full_batch: bool = _key(_as_bool, default=False)
-    critic_steps: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=5)
-    clip: float = _key(_as_float, (lambda x: x > 0, "must be > 0"), default=0.01)
+    critic_steps: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=5,
+                             critic_only=True)
+    clip: float = _key(_as_float, (lambda x: x > 0, "must be > 0"), default=0.01,
+                       critic_only=True)
 
 
 @dataclass
@@ -293,9 +297,12 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     # cross-field checks
     name = cfg.name
     spec = MODEL_SPECS[name]
-    for key, f in _declared_keys(ModelConfig).items():
-        if key in MODEL_KEYS and key not in spec.keys and getattr(cfg, f.name) != _default(f):
-            raise ConfigError(f"model.{key}: model '{name}' does not use this key")
+    for prefix, section in (("model", cfg), ("trainer", cfg.trainer)):
+        for key, f in _declared_keys(type(section)).items():
+            reads = (spec.adversary == "critic" if f.metadata["critic_only"]
+                     else key not in MODEL_KEYS or key in spec.keys)
+            if not reads and getattr(section, f.name) != _default(f):
+                raise ConfigError(f"{prefix}.{key}: model '{name}' does not use this key")
     if spec.has_private(cfg.private):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")

@@ -20,16 +20,9 @@ from .distributions import (
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import MODEL_SPECS, ModelState
+from .objectives import MODEL_SPECS
 from .pooling import ExpertSet, enumerate_subsets, moe_log_prob
-from .training import (
-    Adam,
-    RunState,
-    _as_views,
-    _backward_phase,
-    _decode_mean,
-    _encoder_posteriors,
-)
+from .training import Adam, RunState, _backward_phase, _decode_mean, _read
 
 PROBE_HIDDEN = 64
 PROBE_EPOCHS = 100
@@ -76,6 +69,11 @@ class ProbeClassifier:
 def train_probe_classifier(view: np.ndarray, labels: np.ndarray, seed: int = 0,
                            epochs: int = PROBE_EPOCHS) -> ProbeClassifier:
     labels = np.asarray(labels)
+    if labels.shape != (len(view),) or not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"train_probe_classifier: labels must be an integer vector of "
+                            f"length {len(view)}, got {labels.dtype} of shape {labels.shape}")
+    if (labels < 0).any():
+        raise ContractError("train_probe_classifier: labels must be non-negative")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateLabelError("train_probe_classifier: need at least 2 classes")
@@ -122,16 +120,16 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     if len(probes) != state.n_views:
         raise ContractError(f"coherence: need {state.n_views} probes, got {len(probes)}")
     per_size = nc._checked_once(
-        lambda: _coherence_per_size(state, pool, test, probes, eval_seed))
+        lambda: _coherence_per_size(run, pool, test, probes, eval_seed))
     return CoherenceReport(per_size=per_size, n_views=state.n_views)
 
 
-def _coherence_per_size(state: ModelState, pool, test: MultiViewBatch,
+def _coherence_per_size(run: RunState, pool, test: MultiViewBatch,
                         probes: list[ProbeClassifier], eval_seed: int) -> dict[int, float]:
+    state = run.state
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
-        views = _as_views(test)
-        posteriors = _encoder_posteriors(state, views)
+        _, posteriors = _read(run, test, "coherence")
         by_size: dict[int, list[float]] = {}
         for subset in enumerate_subsets(state.n_views):
             z = pool(state, posteriors, subset).mean
@@ -174,15 +172,15 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
             f"joint_log_likelihood: model '{state.cfg.name}' is not supported"
         )
     return nc._checked_once(
-        lambda: _log_likelihood(state, make_proposal, test, K, eval_seed))
+        lambda: _log_likelihood(run, make_proposal, test, K, eval_seed))
 
 
-def _log_likelihood(state: ModelState, make_proposal, test: MultiViewBatch, K: int,
+def _log_likelihood(run: RunState, make_proposal, test: MultiViewBatch, K: int,
                     eval_seed: int) -> float:
+    state = run.state
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
-        views = _as_views(test)
-        posteriors = _encoder_posteriors(state, views)
+        views, posteriors = _read(run, test, "joint_log_likelihood")
         proposal = make_proposal(state, posteriors, tuple(range(state.n_views)))
         mixture = isinstance(proposal, ExpertSet)
         components = proposal.experts if mixture else [proposal]

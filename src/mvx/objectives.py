@@ -668,7 +668,6 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
     recon = _ae_reconstruction(state, views, latents)
     disc_total: Tensor | None = None
     gen_total: Tensor | None = None
-    gan_value: Tensor | None = None
     for m in range(m_total):
         z_prior = eps.normal(latents[m].shape)
         d_prior = state.discriminator.score(z_prior)
@@ -677,16 +676,12 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
         log_one_minus = nc.mean(nc.log(nc.constant(1.0) - d_enc))
         pair = log_d_prior + log_one_minus
         disc_total = pair if disc_total is None else disc_total + pair
-        gan_value = pair if gan_value is None else gan_value + pair
-        if state.cfg.non_saturating:
-            g = nc.neg(nc.mean(nc.log(d_enc)))
-        else:
-            g = nc.mean(nc.log(nc.constant(1.0) - d_enc))
+        g = nc.neg(nc.mean(nc.log(d_enc))) if state.cfg.non_saturating else log_one_minus
         gen_total = g if gen_total is None else gen_total + g
     inv_m = nc.constant(1.0 / m_total)
     disc_loss = nc.neg(disc_total) * inv_m
     gen_loss = gen_total * inv_m
-    audit_total = recon.total + gan_value * inv_m
+    audit_total = recon.total + disc_total * inv_m
     return AdversarialLosses(
         reconstruction=recon,
         discriminator=disc_loss,

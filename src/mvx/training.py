@@ -102,15 +102,8 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     state.decoders = decoders
 
     if spec.adversary is not None:
-        disc_spec = cfg.encoder_spec(0)
-        state.discriminator = Discriminator(
-            MlpSpec(cfg.z_dim, list(disc_spec.hidden_layer_dim), 1,
-                    non_linear=disc_spec.non_linear, bias=disc_spec.bias,
-                    activation=disc_spec.activation),
-            rng,
-            critic=(spec.adversary == "critic"),
-            name="disc",
-        )
+        state.discriminator = Discriminator(_mlp_spec(cfg.encoder_spec(0), cfg.z_dim, 1), rng,
+                                            critic=(spec.adversary == "critic"), name="disc")
     return state
 
 
@@ -466,11 +459,41 @@ def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[Gaussian
     return out
 
 
-def _joint_posterior(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams | None:
-    """The model's joint posterior, a mixture summarised by its mean pooling."""
-    hook = MODEL_SPECS[state.cfg.name].joint
-    joint = hook(state, posteriors, tuple(range(state.n_views))) if hook else None
-    return mean_pool(joint) if isinstance(joint, ExpertSet) else joint
+def _read(run: RunState, data: MultiViewBatch,
+          caller: str) -> tuple[list[Tensor], list[GaussianParams]]:
+    """The read-out of `data` by the model of `run`: its views as constants and
+    `_encoder_posteriors`. Data whose dims differ from the model's raises a
+    DimensionError naming `caller`. Call it with graph recording off."""
+    if data.dims != run.cfg.input_dims:
+        raise DimensionError(f"{caller}: data dims {data.dims} vs model {run.cfg.input_dims}")
+    views = _as_views(data)
+    return views, _encoder_posteriors(run.state, views)
+
+
+def _latents(run: RunState, data: MultiViewBatch, caller: str) -> LatentResult:
+    """The full-width latents of `data`: every per-modality mean unmasked,
+    the model's joint (a mixture by its mean pooling), the private means and
+    the sparse kept-dimension masks."""
+    state = run.state
+    with nc.no_grad():
+        views, posteriors = _read(run, data, caller)
+        hook = MODEL_SPECS[state.cfg.name].joint
+        joint = hook(state, posteriors, tuple(range(state.n_views))) if hook else None
+        if isinstance(joint, ExpertSet):
+            joint = mean_pool(joint)
+        result = LatentResult(
+            per_modality=[q.mean.data.copy() for q in posteriors[:len(state.encoders)]],
+            joint=None if joint is None else joint.mean.data.copy(),
+        )
+        if state.private_encoders is not None:
+            result.private = [enc.forward(x).mean.data.copy()
+                              for enc, x in zip(state.private_encoders, views)]
+    if state.log_alphas is not None:
+        threshold = state.cfg.threshold
+        rates = [dropout_rate(np.exp(log_alpha.data)) for log_alpha in state.log_alphas]
+        result.kept_masks = [rate <= threshold if threshold > 0
+                             else np.ones_like(rate, dtype=bool) for rate in rates]
+    return result
 
 
 def _decode_mean(state: ModelState, z: Tensor, target: int, private: np.ndarray | None,
@@ -494,88 +517,43 @@ def _decode_mean(state: ModelState, z: Tensor, target: int, private: np.ndarray 
     return decoder.decode(nc.concat_cols([z, nc.constant(private)])).mean().data
 
 
-def _sparse_masks(state: ModelState) -> list[np.ndarray]:
-    masks = []
-    for log_alpha in state.log_alphas:
-        rate = dropout_rate(np.exp(log_alpha.data))
-        if state.cfg.threshold > 0:
-            masks.append(rate <= state.cfg.threshold)
-        else:
-            masks.append(np.ones_like(rate, dtype=bool))
-    return masks
-
-
-def _private_means(state: ModelState, views: list[Tensor]) -> list[np.ndarray] | None:
-    if state.private_encoders is None:
-        return None
-    return [enc.forward(x).mean.data.copy() for enc, x in zip(state.private_encoders, views)]
-
-
 def predict_latent(run: RunState, data: MultiViewBatch) -> LatentResult:
     """Deterministic latents: posterior means, model-specific joint pooling,
-    private means where defined, and sparse retained-dimension masks."""
-    state = run.state
-    if data.dims != run.cfg.input_dims:
-        raise DimensionError(
-            f"predict_latent: data dims {data.dims} vs model {run.cfg.input_dims}"
-        )
-    with nc.no_grad():
-        views = _as_views(data)
-        posteriors = _encoder_posteriors(state, views)
-        joint = _joint_posterior(state, posteriors)
-        result = LatentResult(
-            per_modality=[q.mean.data.copy() for q in posteriors[:len(state.encoders)]],
-            joint=None if joint is None else joint.mean.data.copy(),
-            private=_private_means(state, views),
-        )
-        if state.log_alphas is not None:
-            masks = _sparse_masks(state)
-            result.kept_masks = masks
-            result.per_modality = [
-                lat[:, mask] for lat, mask in zip(result.per_modality, masks)
-            ]
-        return result
+    private means where defined, and sparse retained-dimension masks; a sparse
+    model's per-modality means keep only the retained dimensions."""
+    result = _latents(run, data, "predict_latent")
+    if result.kept_masks is not None:
+        result.per_modality = [lat[:, mask]
+                               for lat, mask in zip(result.per_modality, result.kept_masks)]
+    return result
 
 
 def predict_reconstruction(run: RunState, data: MultiViewBatch,
                            eval_seed: int = 0) -> list[list[np.ndarray]]:
     """Nested [source][target] grid of deterministic reconstructions.
 
-    Sources are the per-modality latents followed by the joint latent when
-    the model defines one; a reference encoder's latent is the shared one.
-    Private-latent models decode each target with the source's own private
-    mean when the source covers the target, else as `_decode_mean` says.
+    Sources are the per-modality latents (a sparse model's with the dropped
+    dimensions zeroed) followed by the joint latent when the model defines
+    one; a reference encoder's latent is the shared one. Private-latent
+    models decode each target with the source's own private mean when the
+    source covers the target, else as `_decode_mean` says.
     """
     state = run.state
-    if data.dims != run.cfg.input_dims:
-        raise DimensionError(
-            f"predict_reconstruction: data dims {data.dims} vs model {run.cfg.input_dims}"
-        )
-    eval_rng = np.random.default_rng(eval_seed)
+    latents = _latents(run, data, "predict_reconstruction")
+    masks = latents.kept_masks
     shared = MODEL_SPECS[state.cfg.name].encoder == "reference"
+    sources = [(lat if masks is None else lat * masks[m], None if shared else m)
+               for m, lat in enumerate(latents.per_modality)]
+    if latents.joint is not None:
+        sources.append((latents.joint, None))
+    private = latents.private
+    eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
-        views = _as_views(data)
-        posteriors = _encoder_posteriors(state, views)
-        masks = _sparse_masks(state) if state.log_alphas is not None else None
-        latent_sources: list[tuple[np.ndarray, int | None]] = []
-        for m, q in enumerate(posteriors[:len(state.encoders)]):
-            lat = q.mean.data.copy()
-            if masks is not None:
-                lat = lat * masks[m]
-            latent_sources.append((lat, None if shared else m))
-        joint = _joint_posterior(state, posteriors)
-        if joint is not None:
-            latent_sources.append((joint.mean.data.copy(), None))
-        private_means = _private_means(state, views)
-        grid: list[list[np.ndarray]] = []
-        for lat, src in latent_sources:
-            z = nc.constant(lat)
-            row = []
-            for t in range(state.n_views):
-                own = private_means[t] if private_means and src in (None, t) else None
-                row.append(_decode_mean(state, z, t, own, eval_rng).copy())
-            grid.append(row)
-        return grid
+        return [[_decode_mean(state, nc.constant(lat), t,
+                              private[t] if private and src in (None, t) else None,
+                              eval_rng).copy()
+                 for t in range(state.n_views)]
+                for lat, src in sources]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def test_gen_data_writes_readable_dataset(tmp_path):
     assert batch.labels is not None
 
 
+def test_gen_data_rejects_a_dims_entry_that_is_not_an_integer(tmp_path, capsys):
+    out = tmp_path / "bad.mvds"
+    assert main(["gen-data", "--out", str(out), "--dims", "5,4.5"]) == 1
+    assert capsys.readouterr().err.strip() == "error: --dims: expected an integer, got '4.5'"
+    assert not out.exists()
+
+
 def test_validate_config_exit_codes(tmp_path, capsys):
     good = _write_config(tmp_path)
     assert main(["validate-config", "--config", str(good)]) == 0
@@ -162,6 +169,24 @@ def test_eval_unsupported_metric_exits_1(tmp_path, capsys):
                "--metric", "coherence"])
     assert rc == 1
     assert "dvcca" in capsys.readouterr().err
+
+
+def test_eval_on_data_with_another_view_count_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    train = tmp_path / "three.mvds"
+    assert main(["gen-data", "--out", str(train), "--classes", "3", "--samples", "48",
+                 "--dims", "5,4,3", "--seed", "2"]) == 0
+    test = _gen_data(tmp_path, "test.mvds", samples=30)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(train),
+                 "--out", str(out)]) == 0
+    for metric, caller in (("loglik", "joint_log_likelihood"), ("coherence", "coherence")):
+        capsys.readouterr()
+        rc = main(["eval", "--run", str(out), "--data", str(test), "--metric", metric,
+                   "--probe-data", str(train)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.strip() == f"error: {caller}: data dims [5, 4] vs model [5, 4, 3]"
 
 
 def test_eval_corrupt_checkpoint_exits_without_traceback(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from mvx import numcore as nc
 from mvx.config import build_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import DegenerateLabelError, NumericError, UnsupportedMetricError
+from mvx.errors import ContractError, DegenerateLabelError, NumericError, UnsupportedMetricError
 from mvx.distributions import gaussian_log_prob, rsample, standard_normal
 from mvx.evaluation import (
     LOGLIK_CHUNK_ROWS,
@@ -61,6 +61,21 @@ def test_probe_deterministic_per_seed():
 def test_probe_rejects_single_class():
     with pytest.raises(DegenerateLabelError):
         train_probe_classifier(np.zeros((10, 3)), np.zeros(10, dtype=int))
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.arange(10) % 3 - 1, "labels must be non-negative"),
+    ((np.arange(10) % 3).astype(float), "labels must be an integer vector of length 10, "
+                                        "got float64 of shape (10,)"),
+    (np.arange(9) % 3, "labels must be an integer vector of length 10, got int64 of shape (9,)"),
+    ((np.arange(10) % 3)[:, None], "labels must be an integer vector of length 10, "
+                                   "got int64 of shape (10, 1)"),
+], ids=["negative", "float", "short", "column"])
+def test_probe_rejects_labels_that_are_not_a_class_per_row(labels, message):
+    # a label of -1 would index the last class of the one-hot target
+    with pytest.raises(ContractError) as err:
+        train_probe_classifier(np.zeros((10, 3)), labels)
+    assert str(err.value) == f"train_probe_classifier: {message}"
 
 
 # -- coherence --------------------------------------------------------------------

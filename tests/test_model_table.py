@@ -10,10 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvx.config import MODEL_KEYS, ModelConfig, _declared_keys, build_config
+from mvx.config import MODEL_KEYS, ModelConfig, TrainerConfig, _declared_keys, build_config
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
-from mvx.errors import ConfigError, UnsupportedMetricError
+from mvx.errors import ConfigError, DimensionError, UnsupportedMetricError
 from mvx.evaluation import coherence, joint_log_likelihood, train_probe_classifier
 from mvx.objectives import (
     ADVERSARIAL_OBJECTIVES,
@@ -93,6 +93,21 @@ def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
     else:
         with pytest.raises(UnsupportedMetricError):
             joint_log_likelihood(run, data, K=2)
+
+    # data with one view fewer or one more is refused by every read-out
+    readouts = [("predict_latent", lambda d: predict_latent(run, d)),
+                ("predict_reconstruction", lambda d: predict_reconstruction(run, d))]
+    if coherent:
+        readouts.append(("coherence", lambda d: coherence(run, d, probes)))
+    if loglik:
+        readouts.append(("joint_log_likelihood", lambda d: joint_log_likelihood(run, d, K=2)))
+    for count in (n_views - 1, n_views + 1):
+        other = generate_synthetic(SyntheticSpec(
+            n_classes=2, n_samples=10, dims=[2, 3, 2, 2][:count], seed=0))
+        for caller, read in readouts:
+            with pytest.raises(DimensionError) as err:
+                read(other)
+            assert str(err.value) == f"{caller}: data dims {other.dims} vs model {data.dims}"
 
 
 def test_objectives_pool_only_through_the_table_hooks():
@@ -186,3 +201,22 @@ def test_a_model_reads_exactly_the_keys_of_its_entry(name):
     for key in sorted(MODEL_SPECS[name].keys):
         base = _set(cfg, _COMPANIONS.get((name, key), {}))
         assert _outputs(_set(base, {key: _OTHER_VALUES[key]})) != _outputs(base), key
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_only_a_critic_model_reads_the_critic_trainer_keys(name):
+    critic = MODEL_SPECS[name].adversary == "critic"
+    cfg = build_config(_base_keys(name))
+    reference = _outputs(cfg)
+    for key, value in (("critic_steps", 7), ("clip", 0.5)):
+        flat = {**_base_keys(name), f"trainer.{key}": value}
+        if critic:
+            build_config(flat)
+        else:
+            with pytest.raises(ConfigError) as err:
+                build_config(flat)
+            assert str(err.value) == f"trainer.{key}: model '{name}' does not use this key"
+        build_config({**_base_keys(name), f"trainer.{key}": getattr(TrainerConfig(), key)})
+        moved = copy.deepcopy(cfg)
+        setattr(moved.trainer, key, value)
+        assert (_outputs(moved) != reference) == critic, key

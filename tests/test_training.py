@@ -132,7 +132,11 @@ _ROUND_TRIP_MODELS = [
     ("mmjsd", [3, 4, 2], {"model.pi": [0.1, 0.2, 0.3, 0.4]}),
     ("mopoe", [3, 4, 2], {"model.stochastic_subsets": True}),
     ("maae", [3, 4, 2], {"model.non_saturating": True}),
+    ("mwae", [3, 4, 2], {}),
 ]
+# the trainer keys that only a critic reads: set on mwae, at their defaults elsewhere
+_CRITIC_KEYS = {"trainer.critic_steps": 2, "trainer.clip": 0.05}
+_CRITIC_KEY_DEFAULTS = {"trainer.critic_steps": 5, "trainer.clip": 0.01}
 
 
 def test_resolved_config_round_trips_every_key():
@@ -152,7 +156,7 @@ def test_resolved_config_round_trips_every_key():
             **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
             **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
             "trainer.max_epochs": 7, "trainer.batch_size": 16, "trainer.full_batch": True,
-            "trainer.critic_steps": 2, "trainer.clip": 0.05,
+            **(_CRITIC_KEYS if name == "mwae" else _CRITIC_KEY_DEFAULTS),
         }
         cfg = build_config(flat)
         lines = resolved_lines(cfg)
@@ -827,7 +831,8 @@ def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name,
     monkeypatch.setattr(Adam, "step", checked_step)
     data = _toy_data(dims=(3, 4, 2)[:MODEL_SPECS[name].n_views or 3])
     cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
-                        "trainer.batch_size": 8, "trainer.critic_steps": 2, **extra})
+                        "trainer.batch_size": 8,
+                        **({"trainer.critic_steps": 2} if name == "mwae" else {}), **extra})
     fit(cfg, data, max_epochs=2)
     assert missing and all(names == [] for names in missing), missing
 
