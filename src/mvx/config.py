@@ -85,17 +85,18 @@ def _as_seed(value, key: str) -> int:
 
 
 def _key(parse, *rules, default=MISSING, key: str | None = None,
-         decoder_only: bool = False, critic_only: bool = False) -> Field:
+         decoder_only: bool = False, read_by=None) -> Field:
     """Declare a config key on a dataclass field.
 
     `parse(value, path)` type-checks the parsed value and converts it; each
     rule is a (predicate, message) pair checked on the result, and `{x}` in a
     message stands for the value. `key` is the key name when it is not the
-    field name. A field without a default is a required key. Only a model
-    whose adversary is a critic reads a `critic_only` key.
+    field name. A field without a default is a required key. `read_by(spec)`
+    says whether the model of `MODEL_SPECS` entry `spec` reads the key; without
+    it, a model reads every key but the model-specific ones outside its `keys`.
     """
     meta = {"parse": parse, "rules": rules, "key": key, "decoder_only": decoder_only,
-            "critic_only": critic_only}
+            "read_by": read_by}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -123,12 +124,13 @@ class NetSpecConfig:
 @dataclass
 class TrainerConfig:
     max_epochs: int = _key(_as_int, (lambda x: x >= 0, "must be >= 0"), default=50)
-    batch_size: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=64)
+    batch_size: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=64,
+                           read_by=lambda spec: not spec.full_batch)
     full_batch: bool = _key(_as_bool, default=False)
     critic_steps: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=5,
-                             critic_only=True)
+                             read_by=lambda spec: spec.adversary == "critic")
     clip: float = _key(_as_float, (lambda x: x > 0, "must be > 0"), default=0.01,
-                       critic_only=True)
+                       read_by=lambda spec: spec.adversary == "critic")
 
 
 @dataclass
@@ -211,10 +213,22 @@ def _parse_key(f: Field, value, path: str):
     return value
 
 
-def check_key(section, prefix: str, key: str, value):
+def check_key(section, prefix: str, key: str, value, model: str):
     """`value` parsed and checked as the config line `<prefix>.<key> = value`
-    of the parsed section `section` would be."""
-    return _parse_key(_declared_keys(type(section))[key], value, f"{prefix}.{key}")
+    of the parsed section `section` of a `model` config would be."""
+    f = _declared_keys(type(section))[key]
+    value = _parse_key(f, value, f"{prefix}.{key}")
+    _check_read(model, prefix, key, f, value)
+    return value
+
+
+def _check_read(model: str, prefix: str, key: str, f: Field, value) -> None:
+    """Refuse a non-default `value` of a key that `model` does not read."""
+    spec = MODEL_SPECS[model]
+    read_by = f.metadata["read_by"]
+    reads = read_by(spec) if read_by else key not in MODEL_KEYS or key in spec.keys
+    if not reads and value != _default(f):
+        raise ConfigError(f"{prefix}.{key}: model '{model}' does not use this key")
 
 
 def _default(f: Field):
@@ -299,10 +313,7 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     spec = MODEL_SPECS[name]
     for prefix, section in (("model", cfg), ("trainer", cfg.trainer)):
         for key, f in _declared_keys(type(section)).items():
-            reads = (spec.adversary == "critic" if f.metadata["critic_only"]
-                     else key not in MODEL_KEYS or key in spec.keys)
-            if not reads and getattr(section, f.name) != _default(f):
-                raise ConfigError(f"{prefix}.{key}: model '{name}' does not use this key")
+            _check_read(name, prefix, key, f, getattr(section, f.name))
     if spec.has_private(cfg.private):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")

@@ -10,18 +10,12 @@ import numpy as np
 
 from . import numcore as nc
 from .data import MultiViewBatch
-from .distributions import (
-    GaussianParams,
-    Likelihood,
-    gaussian_log_prob,
-    rsample,
-    standard_normal,
-)
+from .distributions import GaussianParams, Likelihood, rsample
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import MODEL_SPECS
-from .pooling import ExpertSet, enumerate_subsets, moe_log_prob
+from .objectives import MODEL_SPECS, _log_weight
+from .pooling import ExpertSet, enumerate_subsets
 from .training import Adam, RunState, _backward_phase, _decode_mean, _read
 
 PROBE_HIDDEN = 64
@@ -205,12 +199,8 @@ def _log_likelihood(run: RunState, make_proposal, test: MultiViewBatch, K: int,
             q = GaussianParams(nc.constant(np.concatenate([p.mean.data for p in picks])),
                                nc.constant(np.concatenate([p.log_var.data for p in picks])))
             z = rsample(q, nc.constant(np.concatenate(eps)))
-            lw = gaussian_log_prob(standard_normal(z.shape), z)
-            for m in range(state.n_views):
-                lw = lw + state.decoders[m].decode(z).log_prob(xs[m])
-            log_q = moe_log_prob(ExpertSet(tiled), z) if mixture else gaussian_log_prob(tiled[0], z)
-            lw = lw - log_q
-            lw = nc._finite(lw.data, "importance log-weights")
+            q_tiled = ExpertSet(tiled) if mixture else tiled[0]
+            lw = nc._finite(_log_weight(state, xs, z, q_tiled).data, "importance log-weights")
             log_w[:, start:start + n] = lw.reshape(n, rows).T
         per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())

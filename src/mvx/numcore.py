@@ -388,26 +388,6 @@ def row(a: Tensor, i: int) -> Tensor:
     return _make(a.data[i].copy(), "row", (a,), bw)
 
 
-def rows(a: Tensor, idx: Sequence[int]) -> Tensor:
-    """Rows `idx` of a rank-2 tensor, in that order; `a` itself when `idx`
-    is every row in order, so that case adds no node to the graph."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"rows: expected rank-2, got {a.data.shape}")
-    n = a.data.shape[0]
-    if not all(0 <= i < n for i in idx):
-        raise DimensionError(f"rows: indices {tuple(idx)} out of range for {a.data.shape}")
-    if tuple(idx) == tuple(range(n)):
-        return a
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def bw(g: np.ndarray):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _make(a.data[idx], "rows", (a,), bw)
-
-
 def reshape_col(a: Tensor) -> Tensor:
     """View a batch vector (B,) as a single column (B, 1)."""
     if a.data.ndim != 1:

@@ -29,15 +29,7 @@ from .distributions import (
 from .errors import ContractError, DimensionError
 from .networks import Decoder, Discriminator, VariationalEncoder
 from .numcore import Tensor
-from .pooling import (
-    ExpertSet,
-    enumerate_subsets,
-    geometric_poe,
-    gpoe,
-    mean_pool,
-    moe_log_prob,
-    poe,
-)
+from .pooling import ExpertSet, enumerate_subsets, gpoe, mean_pool, moe_log_prob, poe
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ModelConfig
@@ -166,8 +158,9 @@ def _check_views(state: ModelState, views: list[Tensor]) -> None:
             raise DimensionError(f"{name}: views must be (batch, dim) with a shared batch")
 
 
-def _encode_variational(state: ModelState, views: list[Tensor]) -> list[GaussianParams]:
-    return [enc.forward(x) for enc, x in zip(state.encoders, views)]
+def _encode(encoders: list, views: list[Tensor]) -> list:
+    """Each encoder's output for its view."""
+    return [enc.forward(x) for enc, x in zip(encoders, views)]
 
 
 def _neg_mean(t: Tensor) -> Tensor:
@@ -179,11 +172,13 @@ def _scaled(w: float, t: Tensor) -> Tensor:
 
 
 def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
-           source, weight: float | None = None, mask: Tensor | None = None) -> None:
-    """Add `recon[<view><-<source>]` for every view: the negated mean
-    log-likelihood of the view decoded from `z` (one latent, or one per view),
-    its rows multiplied by `mask` and the mean scaled by `weight` when given."""
-    for m in range(state.n_views):
+           source, weight: float | None = None, mask: Tensor | None = None,
+           targets: tuple[int, ...] | None = None) -> None:
+    """Add `recon[<view><-<source>]` for every view in `targets` (default:
+    every view): the negated mean log-likelihood of the view decoded from `z`
+    (one latent, or one per view), its rows multiplied by `mask` and the mean
+    scaled by `weight` when given."""
+    for m in range(state.n_views) if targets is None else targets:
         lp = state.decoders[m].decode(z[m] if isinstance(z, list) else z).log_prob(views[m])
         if mask is not None:
             lp = lp * mask
@@ -191,10 +186,35 @@ def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
         terms[f"recon[{m}<-{source}]"] = term if weight is None else _scaled(weight, term)
 
 
-def _kl_prior(state: ModelState, q: GaussianParams, weight: float | None = None) -> Tensor:
-    """beta (times `weight` when given) times the mean KL of `q` to the prior."""
+def _kl_prior(state: ModelState, q: GaussianParams, weight: float | None = None,
+              mask: Tensor | None = None) -> Tensor:
+    """beta (times `weight` when given) times the mean KL of `q` to the prior,
+    its rows multiplied by `mask` when given."""
     beta = state.cfg.beta if weight is None else state.cfg.beta * weight
-    return _scaled(beta, nc.mean(kl_to_standard(q)))
+    kl = kl_to_standard(q)
+    if mask is not None:
+        kl = kl * mask
+    return _scaled(beta, nc.mean(kl))
+
+
+def _log_weight(state: ModelState, views: list[Tensor], z: Tensor,
+                proposal: GaussianParams | ExpertSet) -> Tensor:
+    """The importance log-weight of `z` drawn from `proposal`, a Gaussian or a
+    uniform mixture q: log p(z) + sum_m log p(x_m | z) - log q(z)."""
+    lw = gaussian_log_prob(standard_normal(z.shape), z)
+    for m in range(state.n_views):
+        lw = lw + state.decoders[m].decode(z).log_prob(views[m])
+    if isinstance(proposal, ExpertSet):
+        return lw - moe_log_prob(proposal, z)
+    return lw - gaussian_log_prob(proposal, z)
+
+
+def _k_sample_bound(log_weights: list[Tensor], n_views: int) -> Tensor:
+    """The negated K-sample bound of one mixture component, weighted 1/M:
+    the mean over rows of the logsumexp of the K log-weights, minus log K."""
+    stacked = nc.concat_cols([nc.reshape_col(lw) for lw in log_weights])
+    iw = nc.logsumexp(stacked, axis=1) - nc.constant(math.log(len(log_weights)))
+    return _scaled(1.0 / n_views, _neg_mean(iw))
 
 
 def _joint(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams:
@@ -213,8 +233,7 @@ def ae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreak
     Draws: none.
     """
     _check_views(state, views)
-    latents = [enc.forward(x) for enc, x in zip(state.encoders, views)]
-    return _ae_reconstruction(state, views, latents)
+    return _ae_reconstruction(state, views, _encode(state.encoders, views))
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +305,12 @@ def dccae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     lam_weight = state.cfg.lam[0] if state.cfg.lam else 1.0
-    h = [enc.forward(x) for enc, x in zip(state.encoders, views)]
+    h = _encode(state.encoders, views)
     terms: dict[str, Tensor] = {
         "corr": nc.neg(canonical_correlation_sum(h[0], h[1]))
     }
     for m in range(2):
-        lp = state.decoders[m].decode(h[m]).log_prob(views[m])
-        terms[f"recon[{m}<-{m}]"] = _scaled(lam_weight, _neg_mean(lp))
+        _recon(terms, state, views, h[m], m, lam_weight, targets=(m,))
     return LossBreakdown.from_terms(terms)
 
 
@@ -310,8 +328,7 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     _check_views(state, views)
     q_z = state.encoders[0].forward(views[0])
     z = rsample(q_z, eps.normal(q_z.shape))
-    q_h = ([enc.forward(x) for enc, x in zip(state.private_encoders, views)]
-           if state.cfg.private else [])
+    q_h = _encode(state.private_encoders, views) if state.cfg.private else []
     hs = [rsample(q, eps.normal(q.shape)) for q in q_h]
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, [nc.concat_cols([z, h]) for h in hs] if hs else z, "joint")
@@ -326,13 +343,6 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 # ---------------------------------------------------------------------------
 
 
-def _sparse_posterior(state: ModelState, m: int, x: Tensor) -> tuple[Tensor, Tensor]:
-    """Dropout posterior for modality m: mean network + per-dimension alpha."""
-    mu = state.encoders[m].forward(x)
-    alpha = nc.exp(state.log_alphas[m])
-    return mu, alpha
-
-
 def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
     """Per-modality ELBOs with same- and cross-modality reconstruction.
 
@@ -342,14 +352,13 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     terms: dict[str, Tensor] = {}
-    for m in range(state.n_views):
+    for m, q_m in enumerate(_encode(state.encoders, views)):
         if state.cfg.sparse:
-            mu, alpha = _sparse_posterior(state, m, views[m])
-            e = eps.normal(mu.shape)
-            z_m = mu + mu * (nc.sqrt(alpha) * e)
-            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(alpha, mu.shape[0])))
+            # a dropout posterior: the mean network and a per-dimension alpha
+            alpha = nc.exp(state.log_alphas[m])
+            z_m = q_m + q_m * (nc.sqrt(alpha) * eps.normal(q_m.shape))
+            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(alpha, q_m.shape[0])))
         else:
-            q_m = state.encoders[m].forward(views[m])
             z_m = rsample(q_m, eps.normal(q_m.shape))
             kl_m = _kl_prior(state, q_m)
         _recon(terms, state, views, z_m, m)
@@ -370,7 +379,7 @@ def mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBre
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    q = _joint(state, _encode_variational(state, views))
+    q = _joint(state, _encode(state.encoders, views))
     z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, z, "joint")
@@ -385,7 +394,7 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     sample first, then one per uni-modal ELBO in modality order.
     """
     _check_views(state, views)
-    experts = _encode_variational(state, views)
+    experts = _encode(state.encoders, views)
     q_joint = _joint(state, experts)
     z = rsample(q_joint, eps.normal(q_joint.shape))
     terms: dict[str, Tensor] = {}
@@ -394,8 +403,7 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     for m in range(state.n_views):
         q_m = MODEL_SPECS[state.cfg.name].pool(state, experts, (m,))
         z_m = rsample(q_m, eps.normal(q_m.shape))
-        lp = state.decoders[m].decode(z_m).log_prob(views[m])
-        terms[f"recon[{m}<-uni{m}]"] = _neg_mean(lp)
+        _recon(terms, state, views, z_m, f"uni{m}", targets=(m,))
         terms[f"kl[uni{m}]"] = _kl_prior(state, q_m)
     return LossBreakdown.from_terms(terms)
 
@@ -411,22 +419,15 @@ def mmvae_iwae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> L
     Draws: for each modality m (outer), K normals (B, z) in k order.
     """
     _check_views(state, views)
-    experts = _encode_variational(state, views)
+    experts = _encode(state.encoders, views)
     moe = ExpertSet(experts)
-    k_samples = max(1, state.cfg.K)
-    log_k = math.log(k_samples)
     terms: dict[str, Tensor] = {}
     for m in range(state.n_views):
-        cols = []
-        for _ in range(k_samples):
+        log_weights = []
+        for _ in range(state.cfg.K):
             z = rsample(experts[m], eps.normal(experts[m].shape))
-            lw = gaussian_log_prob(standard_normal(z.shape), z)
-            for n in range(state.n_views):
-                lw = lw + state.decoders[n].decode(z).log_prob(views[n])
-            lw = lw - moe_log_prob(moe, z)
-            cols.append(nc.reshape_col(lw))
-        iw = nc.logsumexp(nc.concat_cols(cols), axis=1) - nc.constant(log_k)
-        terms[f"iwae[{m}]"] = _scaled(1.0 / state.n_views, _neg_mean(iw))
+            log_weights.append(_log_weight(state, views, z, moe))
+        terms[f"iwae[{m}]"] = _k_sample_bound(log_weights, state.n_views)
     return LossBreakdown.from_terms(terms)
 
 
@@ -445,7 +446,7 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
     if state.cfg.beta <= 0.0:
         raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
-    experts = _encode_variational(state, views)
+    experts = _encode(state.encoders, views)
     q = _joint(state, experts)
     z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
@@ -478,7 +479,7 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     _check_views(state, views)
     subsets = enumerate_subsets(state.n_views)
     n_subsets = len(subsets)
-    experts = _encode_variational(state, views)
+    experts = _encode(state.encoders, views)
     selection = None
     batch = views[0].shape[0]
     if state.cfg.stochastic_subsets:
@@ -495,10 +496,7 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
             weight = 1.0
             kl_mask = nc.constant((selection == k).astype(np.float64))
         _recon(terms, state, views, z_k, f"{{{label}}}", weight, kl_mask)
-        kl_k = kl_to_standard(q_k)
-        if kl_mask is not None:
-            kl_k = kl_k * kl_mask
-        terms[f"kl[{{{label}}}]"] = _scaled(state.cfg.beta * weight, nc.mean(kl_k))
+        terms[f"kl[{{{label}}}]"] = _kl_prior(state, q_k, weight, kl_mask)
     return LossBreakdown.from_terms(terms)
 
 
@@ -533,7 +531,7 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     _check_views(state, views)
     m_total = state.n_views
     pi = state.cfg.pi or [1.0 / (m_total + 1)] * (m_total + 1)
-    experts = _encode_variational(state, views)
+    experts = _encode(state.encoders, views)
     dynamic_prior = _joint(state, experts)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
@@ -566,15 +564,13 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
     """
     _check_views(state, views)
     m_total = state.n_views
-    shared = _encode_variational(state, views)
-    privates = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
+    shared = _encode(state.encoders, views)
+    privates = _encode(state.private_encoders, views)
     moe_shared = ExpertSet(shared)
-    k_samples = max(1, state.cfg.K)
-    log_k = math.log(k_samples)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
-        cols = []
-        for _ in range(k_samples):
+        log_weights = []
+        for _ in range(state.cfg.K):
             z = rsample(shared[m], eps.normal(shared[m].shape))
             h_m = rsample(privates[m], eps.normal(privates[m].shape))
             lw = state.decoders[m].decode(nc.concat_cols([z, h_m])).log_prob(views[m])
@@ -590,9 +586,8 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
                 lw = lw + state.decoders[n].decode(
                     nc.concat_cols([z, h_tilde])
                 ).log_prob(views[n])
-            cols.append(nc.reshape_col(lw))
-        iw = nc.logsumexp(nc.concat_cols(cols), axis=1) - nc.constant(log_k)
-        terms[f"iwae[{m}]"] = _scaled(1.0 / m_total, _neg_mean(iw))
+            log_weights.append(lw)
+        terms[f"iwae[{m}]"] = _k_sample_bound(log_weights, m_total)
     return LossBreakdown.from_terms(terms)
 
 
@@ -614,8 +609,8 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     lam = state.cfg.lam or [1.0]
     if len(lam) == 1:
         lam = lam * m_total
-    shared = _encode_variational(state, views)
-    privates = [enc.forward(x) for enc, x in zip(state.private_encoders, views)]
+    shared = _encode(state.encoders, views)
+    privates = _encode(state.private_encoders, views)
     q_joint = _joint(state, shared)
     z_joint = rsample(q_joint, eps.normal(q_joint.shape))
     hs = [rsample(q, eps.normal(q.shape)) for q in privates]
@@ -625,15 +620,13 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     kl_shared = [nc.mean(kl_to_standard(q)) for q in shared]
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
-        lp = state.decoders[m].decode(nc.concat_cols([z_joint, hs[m]])).log_prob(views[m])
-        terms[f"recon[{m}<-joint]"] = _scaled(lam[m], _neg_mean(lp))
+        _recon(terms, state, views, nc.concat_cols([z_joint, hs[m]]), "joint", lam[m],
+               targets=(m,))
         terms[f"kl[h{m}@joint]"] = _scaled(state.cfg.beta, kl_priv[m])
         terms[f"kl[joint@{m}]"] = _scaled(state.cfg.beta, kl_joint)
         for n in range(m_total):
-            lp = state.decoders[m].decode(
-                nc.concat_cols([z_uni[n], hs[m]])
-            ).log_prob(views[m])
-            terms[f"recon[{m}<-{n}]"] = _scaled(lam[m], _neg_mean(lp))
+            _recon(terms, state, views, nc.concat_cols([z_uni[n], hs[m]]), n, lam[m],
+                   targets=(m,))
             terms[f"kl[h{m}@{m},{n}]"] = _scaled(state.cfg.beta, kl_priv[m])
             terms[f"kl[z{n}@{m},{n}]"] = _scaled(state.cfg.beta, kl_shared[n])
     return LossBreakdown.from_terms(terms)
@@ -650,8 +643,7 @@ def _ae_reconstruction(state: ModelState, views: list[Tensor], latents: list[Ten
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
         for n in range(m_total):
-            lp = state.decoders[m].decode(latents[n]).log_prob(views[m])
-            terms[f"recon[{m}<-{n}]"] = _scaled(w, _neg_mean(lp))
+            _recon(terms, state, views, latents[n], n, w, targets=(m,))
     return LossBreakdown.from_terms(terms)
 
 
@@ -664,7 +656,7 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
     """
     _check_views(state, views)
     m_total = state.n_views
-    latents = [enc.forward(x) for enc, x in zip(state.encoders, views)]
+    latents = _encode(state.encoders, views)
     recon = _ae_reconstruction(state, views, latents)
     disc_total: Tensor | None = None
     gen_total: Tensor | None = None
@@ -698,7 +690,7 @@ def mwae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
     """
     _check_views(state, views)
     m_total = state.n_views
-    latents = [enc.forward(x) for enc, x in zip(state.encoders, views)]
+    latents = _encode(state.encoders, views)
     recon = _ae_reconstruction(state, views, latents)
     critic_obj: Tensor | None = None
     gen_obj: Tensor | None = None
@@ -763,29 +755,35 @@ def _chosen(posteriors: list[GaussianParams], members: tuple[int, ...]) -> list[
     return [posteriors[i] for i in members]
 
 
+def _with_prior(experts: list[GaussianParams]) -> list[GaussianParams]:
+    """`experts` followed by the standard-normal prior expert."""
+    return [*experts, standard_normal(experts[0].shape)]
+
+
 def _pool_product(state, posteriors, members):
-    return poe(ExpertSet(_chosen(posteriors, members)))
+    return poe(_chosen(posteriors, members))
 
 
 def _pool_product_with_prior(state, posteriors, members):
-    return poe(ExpertSet(_chosen(posteriors, members), include_prior_expert=True))
+    return poe(_with_prior(_chosen(posteriors, members)))
 
 
 def _pool_gpoe(state, posteriors, members):
-    weights = nc.rows(gpoe_weights(state), members)
-    return gpoe(ExpertSet(_chosen(posteriors, members), weights=weights,
-                          include_prior_expert=True))
+    """The gPoE of the members and the prior: each member's precision scaled
+    by its row of `gpoe_weights`, the prior's by 1."""
+    weights = gpoe_weights(state)
+    return gpoe(_with_prior(_chosen(posteriors, members)),
+                [nc.row(weights, i) for i in members] + [1.0])
 
 
 def _pool_geometric(state, posteriors, members):
     """mmJSD's dynamic prior: the normalized product of the members and the
     prior, with `model.pi` restricted to them and renormalized as exponents
     (uniform exponents when `model.pi` is unset)."""
-    chosen = _chosen(posteriors, members)
     pi = state.cfg.pi
-    pi = [pi[i] for i in members] + [pi[-1]] if pi else [1.0] * (len(chosen) + 1)
+    pi = [pi[i] for i in members] + [pi[-1]] if pi else [1.0] * (len(members) + 1)
     total = math.fsum(pi)
-    return geometric_poe(chosen + [standard_normal(chosen[0].shape)], [w / total for w in pi])
+    return gpoe(_with_prior(_chosen(posteriors, members)), [w / total for w in pi])
 
 
 def _pool_mean(state, posteriors, members):

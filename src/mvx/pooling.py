@@ -8,43 +8,30 @@ from itertools import combinations
 import numpy as np
 
 from . import numcore as nc
-from .distributions import GaussianParams, gaussian_log_prob, standard_normal
+from .distributions import GaussianParams, gaussian_log_prob
 from .errors import CapacityError, ContractError, DimensionError, DomainError
 from .numcore import Tensor
 
 MAX_SUBSET_MODALITIES = 10
 
 
+def _check_experts(experts: list[GaussianParams], who: str) -> None:
+    if not experts:
+        raise ContractError(f"{who}: at least one expert required")
+    shape = experts[0].shape
+    for e in experts:
+        if e.shape != shape:
+            raise DimensionError(f"{who}: experts must share shape")
+
+
 @dataclass
 class ExpertSet:
-    """Per-modality Gaussian posteriors plus optional gPoE weights.
-
-    `weights` is an (M, d) tensor of per-modality, per-dimension exponents;
-    `include_prior_expert` appends a standard-normal expert to product pooling.
-    """
+    """A uniform mixture of per-modality Gaussian experts of one shape."""
 
     experts: list[GaussianParams]
-    weights: Tensor | None = None
-    include_prior_expert: bool = False
 
     def __post_init__(self):
-        if not self.experts:
-            raise ContractError("ExpertSet: at least one expert required")
-        shape = self.experts[0].shape
-        for e in self.experts:
-            if e.shape != shape:
-                raise DimensionError("ExpertSet: experts must share shape")
-        if self.weights is not None:
-            m, d = self.weights.shape
-            if m != len(self.experts) or d != shape[1]:
-                raise DimensionError(
-                    f"ExpertSet: weights {self.weights.shape} vs "
-                    f"{len(self.experts)} experts of dim {shape[1]}"
-                )
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.experts)
+        _check_experts(self.experts, "ExpertSet")
 
 
 def _product_pool(experts: list[GaussianParams], alphas: list[Tensor | float]) -> GaussianParams:
@@ -66,58 +53,41 @@ def _product_pool(experts: list[GaussianParams], alphas: list[Tensor | float]) -
     return GaussianParams(mean, log_var)
 
 
-def poe(e: ExpertSet) -> GaussianParams:
-    """Inverse-variance-weighted product of experts; optional prior expert."""
-    experts = list(e.experts)
-    if e.include_prior_expert:
-        experts.append(standard_normal(experts[0].shape))
+def poe(experts: list[GaussianParams]) -> GaussianParams:
+    """Inverse-variance-weighted product of experts."""
+    _check_experts(experts, "poe")
     return _product_pool(experts, [1.0] * len(experts))
 
 
-def gpoe(e: ExpertSet) -> GaussianParams:
-    """Generalised PoE: each expert's precision scaled by its weight row.
+def gpoe(experts: list[GaussianParams], weights: list[Tensor | float]) -> GaussianParams:
+    """Generalised PoE: each expert's precision scaled by its weight, a (d,)
+    row of per-dimension exponents or one number for every dimension.
 
-    A prior expert, when included, enters with unit weight.
+    Weights that sum to 1 make it a normalized product: identical experts are
+    then a fixed point, unlike the plain product, whose precisions add.
     """
-    if e.weights is None:
-        raise ContractError("gpoe: ExpertSet.weights required")
-    if np.any(e.weights.data <= 0.0):
-        raise DomainError("gpoe: weights must be strictly positive")
-    experts = list(e.experts)
-    alphas: list[Tensor | float] = [nc.row(e.weights, m) for m in range(len(experts))]
-    if e.include_prior_expert:
-        experts.append(standard_normal(experts[0].shape))
-        alphas.append(1.0)
-    return _product_pool(experts, alphas)
-
-
-def geometric_poe(components: list[GaussianParams], pi) -> GaussianParams:
-    """Exponent-weighted normalized product: precision = sum(pi_v * prec_v).
-
-    With weights summing to 1 this is the geometric mean of the components,
-    so identical components are a fixed point (unlike the plain product,
-    whose precisions add).
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    if len(pi) != len(components):
-        raise ContractError(
-            f"geometric_poe: {len(pi)} weights for {len(components)} components"
-        )
-    if np.any(pi <= 0.0):
-        raise DomainError("geometric_poe: weights must be strictly positive")
-    return _product_pool(components, [float(w) for w in pi])
+    _check_experts(experts, "gpoe")
+    if len(weights) != len(experts):
+        raise ContractError(f"gpoe: {len(weights)} weights for {len(experts)} experts")
+    dim = experts[0].shape[1:]
+    for w in weights:
+        if isinstance(w, Tensor) and w.shape != dim:
+            raise DimensionError(f"gpoe: weight {w.shape} vs experts of dim {dim}")
+        if np.any((w.data if isinstance(w, Tensor) else w) <= 0.0):
+            raise DomainError("gpoe: weights must be strictly positive")
+    return _product_pool(experts, weights)
 
 
 def moe_log_prob(e: ExpertSet, z: Tensor) -> Tensor:
     """Log-density of the uniform mixture at z -> [batch], via logsumexp."""
     cols = [nc.reshape_col(gaussian_log_prob(comp, z)) for comp in e.experts]
     stacked = nc.concat_cols(cols)
-    return nc.logsumexp(stacked, axis=1) - nc.constant(np.log(e.n_experts))
+    return nc.logsumexp(stacked, axis=1) - nc.constant(np.log(len(e.experts)))
 
 
 def mean_pool(e: ExpertSet) -> GaussianParams:
     """Arithmetic mean of expert means and of expert variances."""
-    m = float(e.n_experts)
+    m = float(len(e.experts))
     mean_sum: Tensor | None = None
     var_sum: Tensor | None = None
     for comp in e.experts:

@@ -382,7 +382,7 @@ def fit(
             f"fit: configured input_dims {cfg.input_dims} do not match data {data.dims}"
         )
     check_views(cfg, len(data.dims))
-    overrides = {key: check_key(cfg.trainer, "trainer", key, value)
+    overrides = {key: check_key(cfg.trainer, "trainer", key, value, cfg.name)
                  for key, value in (("max_epochs", max_epochs), ("batch_size", batch_size))
                  if value is not None}
     cfg.input_dims = data.dims
@@ -410,9 +410,14 @@ def continue_fit(
     epochs: int,
     out_dir: str | Path | None = None,
 ) -> RunState:
-    """Run `epochs` more epochs on an existing state (used by checkpoint resume)."""
+    """Run `epochs` more epochs on an existing state (used by checkpoint resume).
+
+    The arguments are checked before anything is drawn or written; the data's
+    dims only when the run records the model's, as every fit and load does."""
     if epochs < 0:
         raise ContractError(f"continue_fit: epochs must be >= 0, got {epochs}")
+    if run.cfg.input_dims is not None:
+        _check_dims(run, data, "continue_fit")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -459,13 +464,17 @@ def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[Gaussian
     return out
 
 
+def _check_dims(run: RunState, data: MultiViewBatch, caller: str) -> None:
+    """Raise a DimensionError naming `caller` when `data`'s dims differ from the model's."""
+    if data.dims != run.cfg.input_dims:
+        raise DimensionError(f"{caller}: data dims {data.dims} vs model {run.cfg.input_dims}")
+
+
 def _read(run: RunState, data: MultiViewBatch,
           caller: str) -> tuple[list[Tensor], list[GaussianParams]]:
     """The read-out of `data` by the model of `run`: its views as constants and
-    `_encoder_posteriors`. Data whose dims differ from the model's raises a
-    DimensionError naming `caller`. Call it with graph recording off."""
-    if data.dims != run.cfg.input_dims:
-        raise DimensionError(f"{caller}: data dims {data.dims} vs model {run.cfg.input_dims}")
+    `_encoder_posteriors`, after `_check_dims`. Call it with graph recording off."""
+    _check_dims(run, data, caller)
     views = _as_views(data)
     return views, _encoder_posteriors(run.state, views)
 

@@ -26,7 +26,7 @@ from mvx.objectives import (
     mmvae_iwae_loss,
     mvtcae_loss,
 )
-from mvx.pooling import ExpertSet, enumerate_subsets, gpoe, poe
+from mvx.pooling import enumerate_subsets, gpoe, poe
 from mvx.training import fit
 
 import oracle
@@ -80,7 +80,7 @@ def test_criterion_2_closed_form_oracles():
     experts_spec = [(0.5, 0.6), (-1.0, 2.0), (0.2, 0.9)]
     experts = [GaussianParams(nc.constant([[m]]), nc.constant([[math.log(v)]]))
                for m, v in experts_spec]
-    pooled = poe(ExpertSet(experts))
+    pooled = poe(experts)
     grid = np.linspace(-8, 8, 160001)
     dx = grid[1] - grid[0]
     prod = np.ones_like(grid)
@@ -96,8 +96,8 @@ def test_criterion_2_closed_form_oracles():
     experts2 = [GaussianParams(nc.constant(rng2.normal(size=(4, 3))),
                                nc.constant(rng2.uniform(-1, 1, (4, 3))))
                 for _ in range(3)]
-    p_ref = poe(ExpertSet(list(experts2)))
-    g_ref = gpoe(ExpertSet(list(experts2), weights=nc.constant(np.ones((3, 3)))))
+    p_ref = poe(list(experts2))
+    g_ref = gpoe(list(experts2), [nc.constant(np.ones(3)) for _ in range(3)])
     bitwise = (p_ref.mean.data.tobytes() == g_ref.mean.data.tobytes()
                and p_ref.log_var.data.tobytes() == g_ref.log_var.data.tobytes())
 

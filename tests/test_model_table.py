@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mvx import evaluation, objectives
 from mvx.config import MODEL_KEYS, ModelConfig, TrainerConfig, _declared_keys, build_config
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
@@ -22,7 +23,7 @@ from mvx.objectives import (
     ModelState,
     VARIATIONAL_OBJECTIVES,
 )
-from mvx.pooling import geometric_poe
+from mvx.pooling import gpoe
 from mvx.training import fit, predict_latent, predict_reconstruction
 
 from helpers import make_tiny_state, make_tiny_views, s_dim_key
@@ -111,13 +112,26 @@ def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
 
 
 def test_objectives_pool_only_through_the_table_hooks():
-    pooling = {"poe", "gpoe", "geometric_poe"}
+    pooling = {"poe", "gpoe"}
     for table in (VARIATIONAL_OBJECTIVES, PLAIN_OBJECTIVES, ADVERSARIAL_OBJECTIVES):
         for fn in table.values():
             tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
             called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                       for node in ast.walk(tree) if isinstance(node, ast.Call)}
             assert not called & pooling, fn.__name__
+
+
+def test_losses_decode_only_through_the_shared_helpers():
+    # mmvaeplus decodes each cross view from the shared code and a private code
+    # drawn for that target, which neither helper takes
+    decoding = set()
+    for module in (objectives, evaluation):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "decode"
+                    for call in ast.walk(node)):
+                decoding.add(node.name)
+    assert decoding == {"_recon", "_log_weight", "mmvaeplus_loss"}
 
 
 def test_mmjsd_pools_every_subset_by_one_rule():
@@ -131,8 +145,8 @@ def test_mmjsd_pools_every_subset_by_one_rule():
         assert np.array_equal(q.log_var.data, full.log_var.data)
     # a subset takes the exponents of its members and the prior, renormalized
     sub = spec.pool(state, posteriors, (1,))
-    ref = geometric_poe([posteriors[1], standard_normal(posteriors[1].shape)],
-                        [0.3 / 0.8, 0.5 / 0.8])
+    ref = gpoe([posteriors[1], standard_normal(posteriors[1].shape)],
+               [0.3 / 0.8, 0.5 / 0.8])
     assert np.allclose(sub.mean.data, ref.mean.data, rtol=0, atol=1e-12)
     assert np.allclose(sub.log_var.data, ref.log_var.data, rtol=0, atol=1e-12)
 
@@ -177,7 +191,8 @@ def _outputs(cfg: ModelConfig) -> tuple:
     n_views = MODEL_SPECS[cfg.name].n_views or 3
     data = generate_synthetic(SyntheticSpec(
         n_classes=2, n_samples=16, dims=[2, 3, 2][:n_views], seed=0))
-    run = fit(cfg, data, max_epochs=2, batch_size=8)
+    batched = not MODEL_SPECS[cfg.name].full_batch
+    run = fit(cfg, data, max_epochs=2, batch_size=8 if batched else None)
     lat = predict_latent(run, data)
     arrays = [*lat.per_modality, lat.joint, *(lat.private or []), *(lat.kept_masks or []),
               *(x for row in predict_reconstruction(run, data) for x in row)]
@@ -201,6 +216,24 @@ def test_a_model_reads_exactly_the_keys_of_its_entry(name):
     for key in sorted(MODEL_SPECS[name].keys):
         base = _set(cfg, _COMPANIONS.get((name, key), {}))
         assert _outputs(_set(base, {key: _OTHER_VALUES[key]})) != _outputs(base), key
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_a_full_batch_model_refuses_a_batch_size(name):
+    data = generate_synthetic(SyntheticSpec(
+        n_classes=2, n_samples=16, dims=[2, 3, 2][:MODEL_SPECS[name].n_views or 3], seed=0))
+    default = TrainerConfig().batch_size
+    build_config({**_base_keys(name), "trainer.batch_size": default})
+    fit(build_config(_base_keys(name)), data, max_epochs=0, batch_size=default)
+    calls = [lambda: build_config({**_base_keys(name), "trainer.batch_size": 8}),
+             lambda: fit(build_config(_base_keys(name)), data, max_epochs=0, batch_size=8)]
+    for call in calls:
+        if not MODEL_SPECS[name].full_batch:
+            call()
+            continue
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == f"trainer.batch_size: model '{name}' does not use this key"
 
 
 @pytest.mark.parametrize("name", MODEL_SPECS)

@@ -405,24 +405,6 @@ def test_concat_and_row_ops():
     assert np.array_equal(m.grad, expect)
 
 
-def test_rows_gathers_in_order_and_sums_repeated_gradients():
-    a = nc.parameter(np.arange(12.0).reshape(4, 3))
-    assert nc.rows(a, (0, 1, 2, 3)) is a
-    weights = np.random.default_rng(2).normal(size=(3, 3))
-    for idx in ([2, 0], [1, 3, 1]):
-        out = nc.rows(a, idx)
-        assert np.array_equal(out.data, a.data[idx])
-        w = nc.constant(weights[:len(idx)])
-        a.grad = None
-        nc.backward(nc.sum_(out * w))
-        numeric = finite_difference_grad(lambda: float(np.sum(nc.rows(a, idx).data * w.data)), a)
-        assert_grad_close(a.grad, numeric, label=f"rows {idx}")
-    with pytest.raises(DimensionError):
-        nc.rows(a, [4])
-    with pytest.raises(DimensionError):
-        nc.rows(nc.constant(np.ones(3)), [0])
-
-
 # -- symmetric eigendecomposition --------------------------------------------------
 
 

@@ -374,13 +374,14 @@ def test_weighted_mvae_uniform_alpha_matches_scaled_poe():
     state = make_tiny_state("weighted_mvae")
     views = make_tiny_views()
     from mvx.distributions import kl_to_standard  # noqa: F401
-    from mvx.pooling import ExpertSet, gpoe, poe
+    from mvx.pooling import gpoe, poe
     from mvx.objectives import gpoe_weights
 
     experts = [enc.forward(x) for enc, x in zip(state.encoders, views)]
     w = gpoe_weights(state)
     assert np.allclose(w.data, 0.5)
-    fused = gpoe(ExpertSet(experts, weights=w, include_prior_expert=True))
+    fused = gpoe(experts + [standard_normal(experts[0].shape)],
+                 [nc.row(w, m) for m in range(len(experts))] + [1.0])
     prec = np.exp(-fused.log_var.data)
     expect = 1.0 + 0.5 * sum(np.exp(-e.log_var.data) for e in experts)
     assert np.allclose(prec, expect, atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvx import numcore as nc
-from mvx.distributions import GaussianParams
+from mvx.distributions import GaussianParams, standard_normal
 from mvx.errors import CapacityError, ContractError, DomainError
 from mvx.pooling import (
     ExpertSet,
@@ -29,14 +29,14 @@ def _normal_pdf(x, mean, var):
 
 
 def test_poe_symmetric_case():
-    pooled = poe(ExpertSet([_gp([[1.0]], [[1.0]]), _gp([[3.0]], [[1.0]])]))
+    pooled = poe([_gp([[1.0]], [[1.0]]), _gp([[3.0]], [[1.0]])])
     assert abs(pooled.mean.item() - 2.0) < 1e-12
     assert abs(math.exp(pooled.log_var.item()) - 0.5) < 1e-12
 
 
 def test_poe_single_expert_with_prior():
     mu, var = 1.8, 0.25
-    pooled = poe(ExpertSet([_gp([[mu]], [[var]])], include_prior_expert=True))
+    pooled = poe([_gp([[mu]], [[var]]), standard_normal((1, 1))])
     prec = 1.0 / var + 1.0
     assert abs(pooled.mean.item() - (mu / var) / prec) < 1e-12
     assert abs(math.exp(pooled.log_var.item()) - 1.0 / prec) < 1e-12
@@ -45,7 +45,7 @@ def test_poe_single_expert_with_prior():
 def test_poe_matches_grid_product_density():
     # normalized pointwise product of expert densities on a 1-d grid
     experts = [([[0.5]], [[0.6]]), ([[-1.0]], [[2.0]]), ([[0.2]], [[0.9]])]
-    pooled = poe(ExpertSet([_gp(m, v) for m, v in experts]))
+    pooled = poe([_gp(m, v) for m, v in experts])
     grid = np.linspace(-8, 8, 160001)
     dx = grid[1] - grid[0]
     prod = np.ones_like(grid)
@@ -59,8 +59,8 @@ def test_poe_matches_grid_product_density():
 def test_gpoe_alpha_one_equals_poe_bitwise():
     rng = np.random.default_rng(3)
     experts = [_gp(rng.normal(size=(4, 3)), rng.uniform(0.3, 2, (4, 3))) for _ in range(3)]
-    p = poe(ExpertSet(list(experts)))
-    g = gpoe(ExpertSet(list(experts), weights=nc.constant(np.ones((3, 3)))))
+    p = poe(list(experts))
+    g = gpoe(list(experts), [nc.constant(np.ones(3)) for _ in range(3)])
     assert p.mean.data.tobytes() == g.mean.data.tobytes()
     assert p.log_var.data.tobytes() == g.log_var.data.tobytes()
 
@@ -70,15 +70,14 @@ def test_gpoe_uniform_weights_scale_variance():
     m_total = 4
     experts = [_gp(rng.normal(size=(2, 2)), rng.uniform(0.5, 1.5, (2, 2)))
                for _ in range(m_total)]
-    p = poe(ExpertSet(list(experts)))
-    g = gpoe(ExpertSet(list(experts),
-                       weights=nc.constant(np.full((m_total, 2), 1.0 / m_total))))
+    p = poe(list(experts))
+    g = gpoe(list(experts), [nc.constant(np.full(2, 1.0 / m_total)) for _ in range(m_total)])
     assert np.allclose(np.exp(g.log_var.data), m_total * np.exp(p.log_var.data))
 
 
 def test_gpoe_identical_experts_fixed_point():
     e = _gp([[0.7, -0.2]], [[1.3, 0.5]])
-    g = gpoe(ExpertSet([e, e], weights=nc.constant(np.full((2, 2), 0.5))))
+    g = gpoe([e, e], [nc.constant(np.full(2, 0.5)), nc.constant(np.full(2, 0.5))])
     assert np.allclose(g.mean.data, e.mean.data)
     assert np.allclose(np.exp(g.log_var.data), np.exp(e.log_var.data))
 
@@ -86,7 +85,7 @@ def test_gpoe_identical_experts_fixed_point():
 def test_gpoe_vanishing_weight_limit():
     a = _gp([[0.0]], [[1.0]])
     b = _gp([[5.0]], [[0.01]])
-    g = gpoe(ExpertSet([a, b], weights=nc.constant(np.array([[1.0], [1e-9]]))))
+    g = gpoe([a, b], [nc.constant(np.array([1.0])), nc.constant(np.array([1e-9]))])
     assert abs(g.mean.item()) < 1e-6
     assert abs(math.exp(g.log_var.item()) - 1.0) < 1e-6
 
@@ -94,15 +93,15 @@ def test_gpoe_vanishing_weight_limit():
 def test_gpoe_rejects_non_positive_weights():
     e = _gp([[0.0]], [[1.0]])
     with pytest.raises(DomainError):
-        gpoe(ExpertSet([e], weights=nc.constant(np.array([[0.0]]))))
+        gpoe([e], [nc.constant(np.array([0.0]))])
     with pytest.raises(ContractError):
-        gpoe(ExpertSet([e]))
+        gpoe([e], [])
 
 
 def test_poe_precision_dominates_components():
     rng = np.random.default_rng(11)
     experts = [_gp(rng.normal(size=(3, 2)), rng.uniform(0.2, 3, (3, 2))) for _ in range(3)]
-    pooled = poe(ExpertSet(list(experts)))
+    pooled = poe(list(experts))
     pooled_prec = np.exp(-pooled.log_var.data)
     for e in experts:
         assert np.all(pooled_prec >= np.exp(-e.log_var.data) - 1e-12)
@@ -113,13 +112,13 @@ def test_pooling_permutation_invariance():
     experts = [_gp(rng.normal(size=(2, 3)), rng.uniform(0.4, 2, (2, 3))) for _ in range(3)]
     w = rng.uniform(0.2, 1.0, (3, 3))
     perm = [2, 0, 1]
-    for pool in (poe, mean_pool):
-        a = pool(ExpertSet(list(experts)))
-        b = pool(ExpertSet([experts[i] for i in perm]))
+    for pool in (poe, lambda e: mean_pool(ExpertSet(e))):
+        a = pool(list(experts))
+        b = pool([experts[i] for i in perm])
         assert np.allclose(a.mean.data, b.mean.data, atol=1e-12)
         assert np.allclose(a.log_var.data, b.log_var.data, atol=1e-12)
-    ga = gpoe(ExpertSet(list(experts), weights=nc.constant(w)))
-    gb = gpoe(ExpertSet([experts[i] for i in perm], weights=nc.constant(w[perm])))
+    ga = gpoe(list(experts), [nc.constant(row) for row in w])
+    gb = gpoe([experts[i] for i in perm], [nc.constant(w[i]) for i in perm])
     assert np.allclose(ga.mean.data, gb.mean.data, atol=1e-12)
 
 

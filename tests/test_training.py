@@ -15,7 +15,7 @@ from mvx import numcore as nc
 from mvx import training
 from mvx.config import ModelConfig, build_config, load_config, parse_config_text, resolved_lines
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import ConfigError, ContractError, FormatError, NumericError
+from mvx.errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from mvx.objectives import ADVERSARIAL_OBJECTIVES, MODEL_SPECS, VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.training import (
     Adam,
@@ -408,6 +408,21 @@ def test_continue_fit_rejects_negative_epochs(tmp_path):
     assert {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()} == files
     assert {f.name: f.stat().st_mtime_ns for f in (tmp_path / "a").iterdir()} == stamps
     assert not (tmp_path / "b").exists()
+
+
+def test_continue_fit_checks_the_data_before_it_draws():
+    data = _toy_data(dims=(3, 4, 2))
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
+    uninterrupted = fit(copy.deepcopy(cfg), data, max_epochs=2)
+    run = fit(cfg, data, max_epochs=1)
+    wrong = _toy_data(dims=(3, 5, 2))
+    with pytest.raises(DimensionError) as err:
+        continue_fit(run, wrong, 1)
+    assert str(err.value) == "continue_fit: data dims [3, 5, 2] vs model [3, 4, 2]"
+    continue_fit(run, data, 1)
+    assert run.history[-1] == uninterrupted.history[-1]
+    for (name, a), (_, b) in zip(run.state.parameters(), uninterrupted.state.parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_modality_keys_beyond_the_view_count_are_rejected():
@@ -831,7 +846,7 @@ def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name,
     monkeypatch.setattr(Adam, "step", checked_step)
     data = _toy_data(dims=(3, 4, 2)[:MODEL_SPECS[name].n_views or 3])
     cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
-                        "trainer.batch_size": 8,
+                        **({} if MODEL_SPECS[name].full_batch else {"trainer.batch_size": 8}),
                         **({"trainer.critic_steps": 2} if name == "mwae" else {}), **extra})
     fit(cfg, data, max_epochs=2)
     assert missing and all(names == [] for names in missing), missing
