@@ -91,9 +91,10 @@ def _key(parse, *rules, default=MISSING, key: str | None = None,
     `parse(value, path)` type-checks the parsed value and converts it; each
     rule is a (predicate, message) pair checked on the result, and `{x}` in a
     message stands for the value. `key` is the key name when it is not the
-    field name. A field without a default is a required key. `read_by(spec)`
-    says whether the model of `MODEL_SPECS` entry `spec` reads the key; without
-    it, a model reads every key but the model-specific ones outside its `keys`.
+    field name. A field without a default is a required key. `read_by(spec,
+    section)` says whether the model of `MODEL_SPECS` entry `spec` reads the
+    key of the parsed `section`; without it, a model reads every key but the
+    model-specific ones outside its `keys`.
     """
     meta = {"parse": parse, "rules": rules, "key": key, "decoder_only": decoder_only,
             "read_by": read_by}
@@ -125,12 +126,12 @@ class NetSpecConfig:
 class TrainerConfig:
     max_epochs: int = _key(_as_int, (lambda x: x >= 0, "must be >= 0"), default=50)
     batch_size: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=64,
-                           read_by=lambda spec: not spec.full_batch)
+                           read_by=lambda spec, t: not (spec.full_batch or t.full_batch))
     full_batch: bool = _key(_as_bool, default=False)
     critic_steps: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"), default=5,
-                             read_by=lambda spec: spec.adversary == "critic")
+                             read_by=lambda spec, _: spec.adversary == "critic")
     clip: float = _key(_as_float, (lambda x: x > 0, "must be > 0"), default=0.01,
-                       read_by=lambda spec: spec.adversary == "critic")
+                       read_by=lambda spec, _: spec.adversary == "critic")
 
 
 @dataclass
@@ -218,15 +219,15 @@ def check_key(section, prefix: str, key: str, value, model: str):
     of the parsed section `section` of a `model` config would be."""
     f = _declared_keys(type(section))[key]
     value = _parse_key(f, value, f"{prefix}.{key}")
-    _check_read(model, prefix, key, f, value)
+    _check_read(model, section, prefix, key, f, value)
     return value
 
 
-def _check_read(model: str, prefix: str, key: str, f: Field, value) -> None:
-    """Refuse a non-default `value` of a key that `model` does not read."""
+def _check_read(model: str, section, prefix: str, key: str, f: Field, value) -> None:
+    """Refuse a non-default `value` of a key that `model` does not read in `section`."""
     spec = MODEL_SPECS[model]
     read_by = f.metadata["read_by"]
-    reads = read_by(spec) if read_by else key not in MODEL_KEYS or key in spec.keys
+    reads = read_by(spec, section) if read_by else key not in MODEL_KEYS or key in spec.keys
     if not reads and value != _default(f):
         raise ConfigError(f"{prefix}.{key}: model '{model}' does not use this key")
 
@@ -313,7 +314,7 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     spec = MODEL_SPECS[name]
     for prefix, section in (("model", cfg), ("trainer", cfg.trainer)):
         for key, f in _declared_keys(type(section)).items():
-            _check_read(name, prefix, key, f, getattr(section, f.name))
+            _check_read(name, section, prefix, key, f, getattr(section, f.name))
     if spec.has_private(cfg.private):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")

@@ -12,6 +12,7 @@ are single-threaded per training run.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 EPS_FLOOR = 1e-10
+_F64 = np.dtype(np.float64)
 
 _grad_enabled = True
 _check_ops = True
@@ -72,12 +74,13 @@ class Tensor:
     """A numpy-backed value participating in the autodiff graph.
 
     `grad` accumulates only on leaf tensors created with `requires_grad=True`
-    (parameters and explicitly tracked inputs); intermediate adjoints live in
-    per-backward scratch buffers so repeated `backward` calls accumulate
-    cleanly on the leaves.
+    (parameters and explicitly tracked inputs). A node's adjoint lives in its
+    `_adj` slot while a `backward` runs: each call resets it on every node it
+    visits (`_mark` holds the call's stamp) and clears it when it runs the
+    node's rule, so repeated `backward` calls accumulate cleanly on the leaves.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_op", "_adj", "_mark")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
@@ -86,6 +89,8 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bw: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
         self._op = "leaf"
+        self._adj: np.ndarray | None = None
+        self._mark = 0
 
     # -- basic introspection -------------------------------------------------
 
@@ -139,29 +144,34 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64))
+    return Tensor(data)
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    return Tensor(data, requires_grad=True)
 
 
 # -- graph construction ---------------------------------------------------------
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw) -> Tensor:
-    if _check_ops and not np.all(np.isfinite(data)):
+    if _check_ops and not np.isfinite(data).all():
         raise NumericError(f"non-finite result in op '{op}'")
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._bw = bw
-        out._op = op
+    # a kernel's output is kept as it is when it is already what __init__ makes
+    if type(data) is not np.ndarray or data.dtype is not _F64 or not data.flags.c_contiguous:
+        data = np.asarray(data, dtype=np.float64, order="C")
+    out = object.__new__(Tensor)
+    out.data, out.grad, out._adj, out._mark = data, None, None, 0
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._bw, out._op = True, parents, bw, op
+                return out
+    out.requires_grad, out._parents, out._bw, out._op = False, (), None, "leaf"
     return out
 
 
@@ -203,6 +213,8 @@ def _binary(op: str, a: Tensor, b: Tensor, data, da, db) -> Tensor:
 
 def _above_floor(x: np.ndarray) -> bool:
     """True when no element of `x` lies below EPS_FLOOR."""
+    if x.ndim == 0:
+        return x >= EPS_FLOOR
     return x.size == 0 or x.min() >= EPS_FLOOR
 
 
@@ -291,8 +303,10 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     ad = a.data
-    # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces
-    return _make(np.maximum(ad, 0.0), "relu", (a,), lambda g: (g * (ad > 0),))
+    # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces; a float
+    # mask multiplies without a cast in the loop and gives the bool mask's bits
+    return _make(np.maximum(ad, 0.0), "relu", (a,),
+                 lambda g: (g * (ad > 0).astype(np.float64),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -324,8 +338,10 @@ def absolute(a: Tensor) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes only inside the range."""
-    inside = (a.data >= lo) & (a.data <= hi)
-    return _make(np.clip(a.data, lo, hi), "clip", (a,), lambda g: (g * inside,))
+    x = a.data
+    out = np.clip(x, lo, hi)
+    # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
+    return _make(out, "clip", (a,), lambda g: (g * (out == x),))
 
 
 # -- matrix ops -------------------------------------------------------------------
@@ -409,29 +425,28 @@ def _check_axis(a: Tensor, axis: int | None, op: str) -> None:
         raise DimensionError(f"{op}: empty reduction axis {axis}")
 
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarray:
+    """`g` repeated along the reduced `axis` (every axis when None) into a fresh
+    contiguous array of `shape`, the adjoint of a sum."""
+    out = np.empty(shape)
+    # a reduced leading axis needs no new axis to broadcast along
+    out[...] = g if not axis else np.expand_dims(g, axis)
+    return out
+
+
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "sum")
     shape = a.data.shape
-
-    def bw(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _make(a.data.sum(axis=axis), "sum", (a,), bw)
+    return _make(a.data.sum(axis=axis), "sum", (a,), lambda g: (_spread(g, shape, axis),))
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "mean")
     shape = a.data.shape
     n = a.data.size if axis is None else shape[axis]
-
-    def bw(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
-
-    return _make(a.data.mean(axis=axis), "mean", (a,), bw)
+    # numpy's mean is this sum divided by the count
+    return _make(a.data.sum(axis=axis) / n, "mean", (a,),
+                 lambda g: (_spread(g / n, shape, axis),))
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
@@ -443,20 +458,18 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
         e = np.exp(x - m)
         s = e.sum()
         out = np.asarray(m + np.log(s))
-        soft = e / s
 
         def bw(g: np.ndarray):
-            return (g * soft,)
+            return (g * (e / s),)
 
     else:
         m = x.max(axis=axis, keepdims=True)
         e = np.exp(x - m)
         s = e.sum(axis=axis, keepdims=True)
         out = np.squeeze(m + np.log(s), axis=axis)
-        soft = e / s
 
         def bw(g: np.ndarray):
-            return (np.expand_dims(g, axis) * soft,)
+            return (np.expand_dims(g, axis) * (e / s),)
 
     return _make(out, "logsumexp", (a,), bw)
 
@@ -464,21 +477,27 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
 # -- backward pass -----------------------------------------------------------------
 
 
+_stamps = itertools.count(1)
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
+    """The requires-grad nodes reachable from `root`, parents first (depth
+    first). Each is stamped as visited by this call and its adjoint reset."""
+    stamp = next(_stamps)
     order: list[Tensor] = []
-    seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node._mark == stamp:
             continue
-        seen.add(id(node))
+        node._mark = stamp
+        node._adj = None
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen and parent.requires_grad:
+            if parent._mark != stamp and parent.requires_grad:
                 stack.append((parent, False))
     return order
 
@@ -486,35 +505,34 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable requires-grad leaf.
 
-    Repeated calls without zeroing add up; adjoints of interior nodes are
-    scratch state local to each call.
+    Repeated calls without zeroing add up. An interior node's adjoint is kept
+    in its `_adj` slot only during a call: `_toposort` resets it on every node
+    the call visits, so a call that raised part-way leaves nothing stale for
+    the next, and the call clears it again when it runs the node's rule.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     order = _toposort(loss)
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    loss._adj = np.ones_like(loss.data)
     for node in reversed(order):
-        g = adjoint.pop(id(node), None)
+        g = node._adj
         if g is None:
             continue
+        node._adj = None
         if node._bw is None:
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
+            if node.grad is None:
+                # a fresh array with the bits of zeros + g (-0.0 becomes +0.0)
+                node.grad = np.add(g, 0.0, out=np.empty_like(node.data))
+            else:
                 node.grad += g
             continue
-        parent_grads = node._bw(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.requires_grad:
-                continue
-            key = id(parent)
-            # adjoints are never written in place, so `pg` need not be copied
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + pg
-            else:
-                adjoint[key] = pg
+        for parent, pg in zip(node._parents, node._bw(g)):
+            if parent.requires_grad:
+                # adjoints are never written in place, so `pg` need not be copied
+                adj = parent._adj
+                parent._adj = pg if adj is None else adj + pg
 
 
 # -- symmetric eigendecomposition ----------------------------------------------------

@@ -55,10 +55,15 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
 
     Parameter initialization consumes `rng` in a fixed order: per-modality
     encoders, joint encoder, private encoders, decoders, discriminator.
+    `cfg.input_dims` records `input_dims`, which the read-outs check data against.
     """
     spec = MODEL_SPECS[cfg.name]
     m_total = len(input_dims)
     check_views(cfg, m_total)
+    if cfg.input_dims is not None and cfg.input_dims != list(input_dims):
+        raise DimensionError(
+            f"build_model: input_dims {list(input_dims)} vs configured {cfg.input_dims}")
+    cfg.input_dims = list(input_dims)
     state = ModelState(cfg=cfg, n_views=m_total)
 
     # encoders
@@ -412,12 +417,10 @@ def continue_fit(
 ) -> RunState:
     """Run `epochs` more epochs on an existing state (used by checkpoint resume).
 
-    The arguments are checked before anything is drawn or written; the data's
-    dims only when the run records the model's, as every fit and load does."""
+    The arguments are checked before anything is drawn or written."""
     if epochs < 0:
         raise ContractError(f"continue_fit: epochs must be >= 0, got {epochs}")
-    if run.cfg.input_dims is not None:
-        _check_dims(run, data, "continue_fit")
+    _check_dims(run, data, "continue_fit")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

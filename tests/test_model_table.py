@@ -236,6 +236,19 @@ def test_a_full_batch_model_refuses_a_batch_size(name):
         assert str(err.value) == f"trainer.batch_size: model '{name}' does not use this key"
 
 
+def test_a_full_batch_config_refuses_a_batch_size():
+    data = generate_synthetic(SyntheticSpec(n_classes=2, n_samples=16, dims=[2, 3, 2], seed=0))
+    keys = {**_base_keys("mvae"), "trainer.full_batch": True}
+    calls = [lambda: build_config({**keys, "trainer.batch_size": 4}),
+             lambda: fit(build_config(keys), data, max_epochs=0, batch_size=4)]
+    for call in calls:
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == "trainer.batch_size: model 'mvae' does not use this key"
+    fit(build_config({**keys, "trainer.batch_size": 64}), data, max_epochs=0, batch_size=64)
+    build_config({**_base_keys("mvae"), "trainer.batch_size": 4})
+
+
 @pytest.mark.parametrize("name", MODEL_SPECS)
 def test_only_a_critic_model_reads_the_critic_trainer_keys(name):
     critic = MODEL_SPECS[name].adversary == "critic"

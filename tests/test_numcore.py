@@ -370,6 +370,124 @@ def test_relu_matches_the_masked_kernel_bitwise():
     _assert_bitwise(dx, 0.0 + ref_dx, "relu grad")
 
 
+@pytest.mark.parametrize("denominator", [3.0, EPS, 0.5 * EPS, 0.0, -0.0, -EPS, -2.0])
+def test_a_scalar_denominator_matches_the_floored_kernel_bitwise(denominator):
+    a = np.array([1.5, -2.0, 0.25, 4.0])
+    g = np.array([0.5, -1.25, 2.0, -0.0])
+    out, (da, db) = _value_and_grads(nc.div, a, np.array(denominator), g=g)
+    ref_out, ref_da, ref_db = _floored_div(a, np.array(denominator), g)
+    _assert_bitwise(out, ref_out, "div value")
+    _assert_bitwise(da, 0.0 + ref_da, "div grad a")
+    _assert_bitwise(db, 0.0 + np.asarray(ref_db.sum()), "div grad b")
+
+
+# -- each rule against the formula it replaced, applied to the node itself ---------
+
+_SIGNED_ZEROS = np.array([[-0.0, 0.0, -1.5, 2.0], [0.0, -0.0, 3.25, -0.5], [1.0, -2.0, -0.0, 0.0]])
+
+
+def _rule(node: nc.Tensor, g: np.ndarray) -> np.ndarray:
+    (adjoint,) = node._bw(g)
+    return adjoint
+
+
+def _old_spread(g, shape, axis):
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
+
+
+def test_relu_and_clip_rules_match_the_old_masks_bitwise(monkeypatch):
+    monkeypatch.setattr(nc, "_check_ops", False)  # lets a NaN through clip
+    x = np.concatenate([_SIGNED_ZEROS, [[-1.0, 1.0, 0.5, np.nan]]])
+    g = _SIGNED_ZEROS[[1, 2, 0, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
+    relu = nc.relu(nc.parameter(x))
+    _assert_bitwise(_rule(relu, g), g * (x > 0), "relu rule")
+    for lo, hi in [(-1.0, 1.0), (0.0, 2.0), (-0.0, 0.5), (-1.5, np.inf)]:
+        clip = nc.clip(nc.parameter(x), lo, hi)
+        _assert_bitwise(clip.data, np.clip(x, lo, hi), f"clip value [{lo}, {hi}]")
+        _assert_bitwise(_rule(clip, g), g * ((x >= lo) & (x <= hi)), f"clip rule [{lo}, {hi}]")
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_reduction_rules_match_the_old_formulas_bitwise(axis):
+    x = _SIGNED_ZEROS * 1.7
+    shape = x.shape
+    g = np.asarray(-0.0 if axis is None else -_SIGNED_ZEROS.sum(axis=axis))
+    n = x.size if axis is None else shape[axis]
+    total, mean = nc.sum_(nc.parameter(x), axis), nc.mean(nc.parameter(x), axis)
+    _assert_bitwise(total.data, np.asarray(x.sum(axis=axis)), "sum value")
+    _assert_bitwise(mean.data, np.asarray(x.mean(axis=axis)), "mean value")
+    _assert_bitwise(_rule(total, g), _old_spread(g, shape, axis), "sum rule")
+    old_mean = np.broadcast_to(g / n if axis is None else np.expand_dims(g, axis) / n, shape)
+    _assert_bitwise(_rule(mean, g), old_mean.copy(), "mean rule")
+
+    lse = nc.logsumexp(nc.parameter(x), axis)
+    m = x.max(axis=axis, keepdims=axis is not None)
+    e = np.exp(x - m)
+    soft = e / e.sum(axis=axis, keepdims=axis is not None)
+    old = g * soft if axis is None else np.expand_dims(g, axis) * soft
+    _assert_bitwise(_rule(lse, g), old, "logsumexp rule")
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_sum_and_mean_return_fresh_writable_adjoints(axis):
+    x = nc.parameter(_SIGNED_ZEROS)
+    g = np.asarray(2.0 if axis is None else np.ones(x.shape[1 - axis]))
+    for node in (nc.sum_(x, axis), nc.mean(x, axis)):
+        first, second = _rule(node, g), _rule(node, g)
+        for adjoint in (first, second):
+            assert adjoint.shape == x.shape and adjoint.flags.c_contiguous
+            assert adjoint.flags.writeable and adjoint.flags.owndata
+            assert not np.shares_memory(adjoint, g) and not np.shares_memory(adjoint, x.data)
+        assert not np.shares_memory(first, second)
+
+
+def _failing(a: nc.Tensor) -> nc.Tensor:
+    """`a` passed through a node whose rule raises."""
+    def bw(g):
+        raise RuntimeError("rule failed")
+
+    return nc._make(a.data.copy(), "failing", (a,), bw)
+
+
+def test_a_backward_that_raised_leaves_no_stale_adjoint():
+    rng = np.random.default_rng(11)
+    values, c = rng.normal(size=(3, 4)), nc.constant(rng.normal(size=(3, 4)))
+
+    def loss(w, fail=False):
+        # the square's rule runs, and adds into w's adjoint, before the failing one
+        t = nc.tanh(w * c)
+        return nc.sum_(nc.square(w) + (_failing(t) if fail else t))
+
+    w = nc.parameter(values)
+    with pytest.raises(RuntimeError, match="rule failed"):
+        nc.backward(loss(w, fail=True))
+    assert w.grad is None
+    nc.backward(loss(w))
+    clean = nc.parameter(values)
+    nc.backward(loss(clean))
+    _assert_bitwise(w.grad, clean.grad, "grad after a failed backward")
+
+
+def test_losses_over_a_shared_subgraph_accumulate_the_exact_sum():
+    rng = np.random.default_rng(12)
+    values, v = rng.normal(size=(4, 3)), nc.constant(rng.normal(size=(3, 2)))
+
+    def losses(x):
+        shared = nc.tanh(nc.matmul(x, v))
+        return nc.sum_(nc.square(shared)), nc.mean(nc.exp(shared) * shared)
+
+    x = nc.parameter(values)
+    first, second = losses(x)
+    nc.backward(first)
+    nc.backward(second)
+    alone = []
+    for i in range(2):
+        y = nc.parameter(values)
+        nc.backward(losses(y)[i])
+        alone.append(y.grad)
+    _assert_bitwise(x.grad, alone[0] + alone[1], "accumulated grad")
+
+
 def test_constant_operands_get_no_gradient():
     rng = np.random.default_rng(3)
     x = nc.constant(rng.normal(size=(4, 2)))

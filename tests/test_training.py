@@ -137,6 +137,10 @@ _ROUND_TRIP_MODELS = [
 # the trainer keys that only a critic reads: set on mwae, at their defaults elsewhere
 _CRITIC_KEYS = {"trainer.critic_steps": 2, "trainer.clip": 0.05}
 _CRITIC_KEY_DEFAULTS = {"trainer.critic_steps": 5, "trainer.clip": 0.01}
+# a config that sets `trainer.full_batch` leaves the batch size unread: full
+# batch on mopoe, a batch size of 16 elsewhere
+_FULL_BATCH_KEYS = {"trainer.batch_size": 64, "trainer.full_batch": True}
+_BATCH_KEYS = {"trainer.batch_size": 16, "trainer.full_batch": False}
 
 
 def test_resolved_config_round_trips_every_key():
@@ -155,7 +159,8 @@ def test_resolved_config_round_trips_every_key():
             **{f"decoder.{slot}.{k}": v for slot in ("default", 0) for k, v in net.items()},
             **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
             **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
-            "trainer.max_epochs": 7, "trainer.batch_size": 16, "trainer.full_batch": True,
+            "trainer.max_epochs": 7,
+            **(_FULL_BATCH_KEYS if name == "mopoe" else _BATCH_KEYS),
             **(_CRITIC_KEYS if name == "mwae" else _CRITIC_KEY_DEFAULTS),
         }
         cfg = build_config(flat)
@@ -423,6 +428,30 @@ def test_continue_fit_checks_the_data_before_it_draws():
     assert run.history[-1] == uninterrupted.history[-1]
     for (name, a), (_, b) in zip(run.state.parameters(), uninterrupted.state.parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_a_hand_built_run_reads_against_the_dims_it_was_built_with():
+    data = _toy_data()
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
+    rng = np.random.default_rng(0)
+    run = RunState(cfg=cfg, state=build_model(cfg, data.dims, rng),
+                   optimizer=Adam(cfg.learning_rate), rng=rng)
+    assert cfg.input_dims == [3, 4]
+    with pytest.raises(DimensionError) as err:
+        build_model(cfg, [3, 5], np.random.default_rng(0))
+    assert str(err.value) == "build_model: input_dims [3, 5] vs configured [3, 4]"
+    assert predict_latent(run, data).joint.shape == (24, 2)
+    wrong = _toy_data(dims=(3, 5))
+    with pytest.raises(DimensionError) as err:
+        predict_latent(run, wrong)
+    assert str(err.value) == "predict_latent: data dims [3, 5] vs model [3, 4]"
+    rng_state = rng.bit_generator.state
+    with pytest.raises(DimensionError) as err:
+        continue_fit(run, wrong, 1)
+    assert str(err.value) == "continue_fit: data dims [3, 5] vs model [3, 4]"
+    assert run.epoch == 0 and run.history == [] and rng.bit_generator.state == rng_state
+    continue_fit(run, data, 1)
+    assert run.epoch == 1
 
 
 def test_modality_keys_beyond_the_view_count_are_rejected():
