@@ -85,7 +85,8 @@ def _cmd_train(args) -> int:
         if "model.seed" not in explicit:
             cfg.seed = env_seed
     if args.seed is not None:
-        cfg.seed = check_seed(args.seed, "--seed")
+        # --seed wins over the config, a draw that it asks for included
+        cfg.seed, cfg.seed_everything = check_seed(args.seed, "--seed"), True
     data = read_dataset(args.data)
     run = fit(cfg, data, max_epochs=args.epochs, batch_size=args.batch_size,
               out_dir=args.out)

@@ -18,6 +18,7 @@ from .distributions import Likelihood
 from .errors import ConfigError
 from .networks import ACTIVATIONS
 from .objectives import MODEL_SPECS
+from .pooling import MAX_SUBSET_MODALITIES
 
 SUPPORTED_JOIN = ("PoE", "Mean")
 # the model-specific keys: a model accepts only the defaults of those that
@@ -335,6 +336,11 @@ def check_views(cfg: ModelConfig, n_views: int) -> None:
     if spec.n_views is not None and n_views != spec.n_views:
         raise ConfigError(
             f"model.name: '{cfg.name}' requires exactly {spec.n_views} views, got {n_views}"
+        )
+    if spec.subsets and n_views > MAX_SUBSET_MODALITIES:
+        raise ConfigError(
+            f"model.name: '{cfg.name}' allows at most {MAX_SUBSET_MODALITIES} views "
+            f"(pooling.MAX_SUBSET_MODALITIES), got {n_views}"
         )
     if spec.view_weights is not None:
         key, lengths = spec.view_weights

@@ -158,12 +158,7 @@ class Likelihood:
             per = x * nc.softplus(nc.neg(logits)) + (nc.constant(1.0) - x) * nc.softplus(logits)
             return nc.sum_(nc.neg(per), axis=1)
         if self.kind == "Categorical":
-            # per-row normalizer expanded back to (B, D) via an outer product,
-            # since (B,1)-against-(B,D) broadcasting is outside the numcore contract
-            log_norm = nc.logsumexp(self.params, axis=1)
-            ones = nc.constant(np.ones((1, self.params.shape[1])))
-            log_probs = self.params - nc.matmul(nc.reshape_col(log_norm), ones)
-            return nc.sum_(x * log_probs, axis=1)
+            return nc.sum_(x * self._log_softmax(), axis=1)
         # Default: negative sum of squared errors (factor 1)
         return nc.neg(nc.sum_(nc.square(x - self.params), axis=1))
 
@@ -174,9 +169,15 @@ class Likelihood:
         if self.kind == "Bernoulli":
             return nc.sigmoid(self.params)
         # Categorical: softmax rows
+        return nc.exp(self._log_softmax())
+
+    def _log_softmax(self) -> Tensor:
+        """The Categorical logits normalized per row. The per-row normalizer is
+        expanded back to (B, D) via an outer product, since (B,1)-against-(B,D)
+        broadcasting is outside the numcore contract."""
         log_norm = nc.logsumexp(self.params, axis=1)
         ones = nc.constant(np.ones((1, self.params.shape[1])))
-        return nc.exp(self.params - nc.matmul(nc.reshape_col(log_norm), ones))
+        return self.params - nc.matmul(nc.reshape_col(log_norm), ones)
 
     def probs(self) -> np.ndarray:
         return self.mean().data

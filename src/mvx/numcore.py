@@ -234,9 +234,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
     ad, bd = a.data, b.data
-    with np.errstate(over="ignore"):
-        out = ad * bd
-    return _binary("mul", a, b, out, lambda g: g * bd, lambda g: g * ad)
+    return _binary("mul", a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -263,8 +261,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
+    out = np.exp(a.data)
     return _make(out, "exp", (a,), lambda g: (g * out,))
 
 
@@ -291,9 +288,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def square(a: Tensor) -> Tensor:
     ad = a.data
-    with np.errstate(over="ignore"):
-        out = ad * ad
-    return _make(out, "square", (a,), lambda g: (2.0 * g * ad,))
+    return _make(ad * ad, "square", (a,), lambda g: (2.0 * g * ad,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -453,25 +448,12 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     """Max-shifted log-sum-exp; never overflows for finite input."""
     _check_axis(a, axis, "logsumexp")
     x = a.data
-    if axis is None:
-        m = x.max()
-        e = np.exp(x - m)
-        s = e.sum()
-        out = np.asarray(m + np.log(s))
-
-        def bw(g: np.ndarray):
-            return (g * (e / s),)
-
-    else:
-        m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-        s = e.sum(axis=axis, keepdims=True)
-        out = np.squeeze(m + np.log(s), axis=axis)
-
-        def bw(g: np.ndarray):
-            return (np.expand_dims(g, axis) * (e / s),)
-
-    return _make(out, "logsumexp", (a,), bw)
+    # kept dims broadcast against `x`, also when every axis is reduced
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    return _make(np.squeeze(m + np.log(s), axis=axis), "logsumexp", (a,),
+                 lambda g: (np.reshape(g, s.shape) * (e / s),))
 
 
 # -- backward pass -----------------------------------------------------------------

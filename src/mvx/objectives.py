@@ -129,13 +129,14 @@ class ModelState:
             out.extend(self.discriminator.parameters())
         return out
 
-    def autoencoder_parameters(self) -> list[tuple[str, Tensor]]:
-        return [p for p in self.parameters() if not p[0].startswith("disc")]
-
-    def discriminator_parameters(self) -> list[tuple[str, Tensor]]:
-        if self.discriminator is None:
-            return []
-        return self.discriminator.parameters()
+    def phase_groups(self) -> tuple[list[tuple[str, Tensor]], list[tuple[str, Tensor]]]:
+        """The parameter groups that the trainer steps, each with its own Adam
+        step count: the autoencoder's, then the discriminator's (maybe empty),
+        which `parameters` lists last."""
+        params = self.parameters()
+        split = len(params) - (0 if self.discriminator is None
+                               else len(self.discriminator.parameters()))
+        return params[:split], params[split:]
 
 
 def _check_views(state: ModelState, views: list[Tensor]) -> None:
@@ -169,6 +170,11 @@ def _neg_mean(t: Tensor) -> Tensor:
 
 def _scaled(w: float, t: Tensor) -> Tensor:
     return nc.constant(w) * t
+
+
+def _mean_kl(weight: float, q: GaussianParams, p: GaussianParams) -> Tensor:
+    """`weight` times the mean over rows of KL(q || p)."""
+    return _scaled(weight, nc.mean(kl_normal(q, p)))
 
 
 def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
@@ -254,11 +260,8 @@ def jmvae_kl_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Los
     _recon(terms, state, views, z, "joint")
     terms["kl[joint]"] = _kl_prior(state, q_joint)
     if state.cfg.alpha != 0.0:
-        for m in range(2):
-            q_m = state.encoders[m].forward(views[m])
-            terms[f"kl[joint||uni{m}]"] = _scaled(
-                state.cfg.alpha, nc.mean(kl_normal(q_joint, q_m))
-            )
+        for m, q_m in enumerate(_encode(state.encoders, views)):
+            terms[f"kl[joint||uni{m}]"] = _mean_kl(state.cfg.alpha, q_joint, q_m)
     return LossBreakdown.from_terms(terms)
 
 
@@ -371,6 +374,23 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 # ---------------------------------------------------------------------------
 
 
+def _joint_elbo(state: ModelState, views: list[Tensor],
+                eps: EpsStream) -> tuple[list[GaussianParams], dict[str, Tensor]]:
+    """Every view's posterior, and the terms of the ELBO under the model's
+    joint of them: `recon[*<-joint]` from one joint sample, then `kl[joint]`.
+
+    Draws: one (B, z) normal for the joint sample.
+    """
+    _check_views(state, views)
+    experts = _encode(state.encoders, views)
+    q = _joint(state, experts)
+    z = rsample(q, eps.normal(q.shape))
+    terms: dict[str, Tensor] = {}
+    _recon(terms, state, views, z, "joint")
+    terms["kl[joint]"] = _kl_prior(state, q)
+    return experts, terms
+
+
 def mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
     """Single ELBO under the model's joint posterior: the PoE with the prior
     expert (mvae), or the gPoE whose per-modality, per-dimension weights are
@@ -378,13 +398,7 @@ def mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBre
 
     Draws: one (B, z) normal for the joint sample.
     """
-    _check_views(state, views)
-    q = _joint(state, _encode(state.encoders, views))
-    z = rsample(q, eps.normal(q.shape))
-    terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint")
-    terms["kl[joint]"] = _kl_prior(state, q)
-    return LossBreakdown.from_terms(terms)
+    return LossBreakdown.from_terms(_joint_elbo(state, views, eps)[1])
 
 
 def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
@@ -393,13 +407,7 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     Every posterior is a PoE that includes the prior expert. Draws: joint
     sample first, then one per uni-modal ELBO in modality order.
     """
-    _check_views(state, views)
-    experts = _encode(state.encoders, views)
-    q_joint = _joint(state, experts)
-    z = rsample(q_joint, eps.normal(q_joint.shape))
-    terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint")
-    terms["kl[joint]"] = _kl_prior(state, q_joint)
+    experts, terms = _joint_elbo(state, views, eps)
     for m in range(state.n_views):
         q_m = MODEL_SPECS[state.cfg.name].pool(state, experts, (m,))
         z_m = rsample(q_m, eps.normal(q_m.shape))
@@ -455,9 +463,8 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
         terms["kl[prior]"] = _kl_prior(state, q, 1.0 - state.cfg.alpha)
     if state.cfg.alpha > 0.0:
         for m in range(m_total):
-            terms[f"kl[cvib{m}]"] = _scaled(
-                state.cfg.beta * state.cfg.alpha / m_total, nc.mean(kl_normal(q, experts[m]))
-            )
+            terms[f"kl[cvib{m}]"] = _mean_kl(state.cfg.beta * state.cfg.alpha / m_total,
+                                             q, experts[m])
     return LossBreakdown.from_terms(terms)
 
 
@@ -538,13 +545,9 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
         z_m = rsample(experts[m], eps.normal(experts[m].shape))
         _recon(terms, state, views, z_m, m, 1.0 / m_total)
     for m in range(m_total):
-        terms[f"kl[js{m}]"] = _scaled(
-            state.cfg.beta * pi[m], nc.mean(kl_normal(experts[m], dynamic_prior))
-        )
+        terms[f"kl[js{m}]"] = _mean_kl(state.cfg.beta * pi[m], experts[m], dynamic_prior)
     prior = standard_normal(experts[0].shape)
-    terms["kl[js_prior]"] = _scaled(
-        state.cfg.beta * pi[m_total], nc.mean(kl_normal(prior, dynamic_prior))
-    )
+    terms["kl[js_prior]"] = _mean_kl(state.cfg.beta * pi[m_total], prior, dynamic_prior)
     return LossBreakdown.from_terms(terms)
 
 
@@ -647,6 +650,21 @@ def _ae_reconstruction(state: ModelState, views: list[Tensor], latents: list[Ten
     return LossBreakdown.from_terms(terms)
 
 
+def _adversarial_scores(state: ModelState, views: list[Tensor],
+                        eps: EpsStream) -> tuple[LossBreakdown, list[tuple[Tensor, Tensor]]]:
+    """What both adversarial models build: the reconstruction terms of the
+    encodings, and per view the discriminator's scores of one prior sample and
+    of the view's encoding.
+
+    Draws: one (B, z) prior sample per modality, in modality order.
+    """
+    _check_views(state, views)
+    latents = _encode(state.encoders, views)
+    recon = _ae_reconstruction(state, views, latents)
+    score = state.discriminator.score
+    return recon, [(score(eps.normal(z.shape)), score(z)) for z in latents]
+
+
 def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> AdversarialLosses:
     """Adversarial autoencoder: squared-error reconstruction, a discriminator
     loss over prior-vs-encoding samples, and the generator loss (literal
@@ -654,23 +672,17 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
 
     Draws: one (B, z) prior sample per modality, in modality order.
     """
-    _check_views(state, views)
-    m_total = state.n_views
-    latents = _encode(state.encoders, views)
-    recon = _ae_reconstruction(state, views, latents)
+    recon, scores = _adversarial_scores(state, views, eps)
     disc_total: Tensor | None = None
     gen_total: Tensor | None = None
-    for m in range(m_total):
-        z_prior = eps.normal(latents[m].shape)
-        d_prior = state.discriminator.score(z_prior)
-        d_enc = state.discriminator.score(latents[m])
+    for d_prior, d_enc in scores:
         log_d_prior = nc.mean(nc.log(d_prior))
         log_one_minus = nc.mean(nc.log(nc.constant(1.0) - d_enc))
         pair = log_d_prior + log_one_minus
         disc_total = pair if disc_total is None else disc_total + pair
         g = nc.neg(nc.mean(nc.log(d_enc))) if state.cfg.non_saturating else log_one_minus
         gen_total = g if gen_total is None else gen_total + g
-    inv_m = nc.constant(1.0 / m_total)
+    inv_m = nc.constant(1.0 / state.n_views)
     disc_loss = nc.neg(disc_total) * inv_m
     gen_loss = gen_total * inv_m
     audit_total = recon.total + disc_total * inv_m
@@ -688,20 +700,16 @@ def mwae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
 
     Draws: one (B, z) prior sample per modality, in modality order.
     """
-    _check_views(state, views)
-    m_total = state.n_views
-    latents = _encode(state.encoders, views)
-    recon = _ae_reconstruction(state, views, latents)
+    recon, scores = _adversarial_scores(state, views, eps)
     critic_obj: Tensor | None = None
     gen_obj: Tensor | None = None
-    for m in range(m_total):
-        z_prior = eps.normal(latents[m].shape)
-        c_prior = nc.mean(state.discriminator.score(z_prior))
-        c_enc = nc.mean(state.discriminator.score(latents[m]))
+    for s_prior, s_enc in scores:
+        c_prior = nc.mean(s_prior)
+        c_enc = nc.mean(s_enc)
         pair = c_prior - c_enc
         critic_obj = pair if critic_obj is None else critic_obj + pair
         gen_obj = c_enc if gen_obj is None else gen_obj + c_enc
-    inv_m = nc.constant(1.0 / m_total)
+    inv_m = nc.constant(1.0 / state.n_views)
     critic_loss = nc.neg(critic_obj) * inv_m
     gen_loss = nc.neg(gen_obj) * inv_m
     audit_total = recon.total - (critic_obj * inv_m + gen_obj * inv_m)
@@ -858,6 +866,9 @@ class ModelSpec:
     # when model.private is set
     private: bool = False
     n_views: int | None = None
+    # the objective pools every non-empty view subset, so config caps the view
+    # count at the powerset guard, pooling.MAX_SUBSET_MODALITIES
+    subsets: bool = False
     # decoder likelihood forced on every view, overriding the config
     likelihood: str | None = None
     # "discriminator" or "critic" (unbounded scores, clipped weights, several steps)
@@ -897,8 +908,8 @@ MODEL_SPECS = {
                        proposal=_mixture),
     "mvtcae": ModelSpec(keys=frozenset({"beta", "alpha"}), alpha_range=(0.0, 1.0),
                         pool=_pool_product, joint=_pool_product, proposal=_pool_product),
-    "mopoe": ModelSpec(keys=frozenset({"beta", "stochastic_subsets"}), pool=_pool_product,
-                       joint=_subset_mixture, proposal=_subset_mixture),
+    "mopoe": ModelSpec(keys=frozenset({"beta", "stochastic_subsets"}), subsets=True,
+                       pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
     "weighted_mvae": ModelSpec(keys=frozenset({"beta"}), extras=_gpoe_logits, pool=_pool_gpoe,
                                joint=_pool_gpoe, proposal=_pool_gpoe),
     "mmjsd": ModelSpec(keys=frozenset({"beta", "pi"}), view_weights=("pi", lambda n: (n + 1,)),

@@ -29,6 +29,7 @@ from .objectives import (
     ModelState,
     PLAIN_OBJECTIVES,
     VARIATIONAL_OBJECTIVES,
+    _encode,
 )
 from .pooling import ExpertSet, mean_pool
 
@@ -255,14 +256,20 @@ class RunState:
     history: list[dict[str, float]] = field(default_factory=list)
 
 
+def _new_run(cfg: ModelConfig, input_dims: list[int]) -> RunState:
+    """A fresh run of `cfg`: the generator seeded with `cfg.seed`, the model
+    built from it and an Adam optimizer with no steps."""
+    rng = np.random.default_rng(cfg.seed)
+    state = build_model(cfg, input_dims, rng)
+    return RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
+
+
 def _as_views(batch: MultiViewBatch) -> list[Tensor]:
     return [nc.constant(v) for v in batch.views]
 
 
 def _objective_for(name: str):
-    for table in (VARIATIONAL_OBJECTIVES, PLAIN_OBJECTIVES, ADVERSARIAL_OBJECTIVES):
-        if name in table:
-            return table[name]
+    return {**VARIATIONAL_OBJECTIVES, **PLAIN_OBJECTIVES, **ADVERSARIAL_OBJECTIVES}[name]
 
 
 @contextlib.contextmanager
@@ -313,12 +320,6 @@ def _backward_phase(forward, stepped: list[tuple[str, Tensor]],
         return nc._checked_once(attempt, rng)
 
 
-def _phase_groups(state: ModelState) -> tuple[list[tuple[str, Tensor]], ...]:
-    """The parameter groups that the trainer steps, each with its own Adam
-    step count: the autoencoder's and the discriminator's (maybe empty)."""
-    return state.autoencoder_parameters(), state.discriminator_parameters()
-
-
 def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
     cfg, state = run.cfg, run.state
     objective = _objective_for(cfg.name)
@@ -327,7 +328,7 @@ def _train_epoch(run: RunState, data: MultiViewBatch) -> dict[str, float]:
     batch_size = n if cfg.trainer.full_batch else cfg.trainer.batch_size
     sums: dict[str, float] = {}
     counts = 0
-    ae_params, disc_params = _phase_groups(state)
+    ae_params, disc_params = state.phase_groups()
     adversary = MODEL_SPECS[cfg.name].adversary
     disc_steps = {None: 0, "discriminator": 1, "critic": cfg.trainer.critic_steps}[adversary]
     for start in range(0, n, batch_size):
@@ -394,11 +395,10 @@ def fit(
     for key, value in overrides.items():
         setattr(cfg.trainer, key, value)
     if not cfg.seed_everything:
-        # record the drawn seed, so resolved.cfg can reproduce the run
+        # record the drawn seed as a seeded run, so resolved.cfg reproduces the run
         cfg.seed = int(np.random.SeedSequence().entropy % (2 ** 32))
-    rng = np.random.default_rng(cfg.seed)
-    state = build_model(cfg, data.dims, rng)
-    run = RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
+        cfg.seed_everything = True
+    run = _new_run(cfg, data.dims)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -455,13 +455,9 @@ class LatentResult:
 def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[GaussianParams]:
     """One posterior per encoder in `state.encoders` (a plain encoder's has zero
     log-variance), then the joint encoder's when the model has one."""
-    out = []
-    for enc, x in zip(state.encoders, views):
-        if isinstance(enc, VariationalEncoder):
-            out.append(enc.forward(x))
-        else:
-            mu = enc.forward(x)
-            out.append(GaussianParams(mu, nc.constant(np.zeros(mu.shape))))
+    out = [q if isinstance(q, GaussianParams)
+           else GaussianParams(q, nc.constant(np.zeros(q.shape)))
+           for q in _encode(state.encoders, views)]
     if state.joint_encoder is not None:
         out.append(state.joint_encoder.forward(nc.concat_cols(views)))
     return out
@@ -498,8 +494,8 @@ def _latents(run: RunState, data: MultiViewBatch, caller: str) -> LatentResult:
             joint=None if joint is None else joint.mean.data.copy(),
         )
         if state.private_encoders is not None:
-            result.private = [enc.forward(x).mean.data.copy()
-                              for enc, x in zip(state.private_encoders, views)]
+            result.private = [q.mean.data.copy()
+                              for q in _encode(state.private_encoders, views)]
     if state.log_alphas is not None:
         threshold = state.cfg.threshold
         rates = [dropout_rate(np.exp(log_alpha.data)) for log_alpha in state.log_alphas]
@@ -637,9 +633,7 @@ def load_run(run_dir: str | Path) -> RunState:
     cfg = load_config(run_dir / "resolved.cfg")
     if cfg.input_dims is None:
         raise ConfigError("model.input_dims: missing from resolved config")
-    rng = np.random.default_rng(cfg.seed)
-    state = build_model(cfg, cfg.input_dims, rng)
-    run = RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
+    run = _new_run(cfg, cfg.input_dims)
     load_checkpoint(run, run_dir / "checkpoint.mvxc")
     return run
 
@@ -692,7 +686,7 @@ def load_checkpoint(run: RunState, path: str | Path) -> None:
             m = _read_moment(fh, name, "m", p.data.shape)
             v = _read_moment(fh, name, "v", p.data.shape)
             moments[name] = (m, v, t, offset)
-        groups = [group for group in _phase_groups(run.state) if group]
+        groups = [group for group in run.state.phase_groups() if group]
         for (first, _), *rest in groups:
             for name, _ in rest:
                 t, offset = moments[name][2:]

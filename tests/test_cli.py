@@ -267,6 +267,19 @@ def test_env_seed_lowest_precedence(tmp_path, monkeypatch):
     assert "model.seed = 5" in (out2 / "resolved.cfg").read_text()
 
 
+def test_seed_wins_over_a_drawn_seed(tmp_path):
+    data = _gen_data(tmp_path)
+    # sets model.seed too, as the resolved.cfg of a drawn-seed run did
+    cfg = _write_config(tmp_path, extra=["model.seed_everything = false"])
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), "--seed", "5"]) == 0
+    resolved = (outs[0] / "resolved.cfg").read_text()
+    assert "model.seed = 5" in resolved and "model.seed_everything = true" in resolved
+    assert (outs[0] / "metrics.csv").read_text() == (outs[1] / "metrics.csv").read_text()
+
+
 @pytest.mark.parametrize("source, value", [
     ("MVX_SEED", "seven"), ("MVX_SEED", "-3"), ("--seed", "-1"), ("--seed", str(2**32)),
 ])

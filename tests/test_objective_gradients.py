@@ -135,7 +135,7 @@ def test_adversarial_objective_gradients(name):
         lambda: (lambda o: o.reconstruction.total + o.generator)(
             objective(state, views, rec)
         ),
-        params=state.autoencoder_parameters(),
+        params=state.phase_groups()[0],
     )
 
     def disc_scalar(state, views, eps):
@@ -147,5 +147,5 @@ def test_adversarial_objective_gradients(name):
         state,
         f_disc,
         lambda: objective(state, views, rec2).discriminator,
-        params=state.discriminator_parameters(),
+        params=state.phase_groups()[1],
     )

@@ -17,6 +17,7 @@ from mvx.config import ModelConfig, build_config, load_config, parse_config_text
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
 from mvx.errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from mvx.objectives import ADVERSARIAL_OBJECTIVES, MODEL_SPECS, VARIATIONAL_OBJECTIVES, EpsStream
+from mvx.pooling import MAX_SUBSET_MODALITIES
 from mvx.training import (
     Adam,
     RunState,
@@ -80,6 +81,8 @@ def test_validation_messages_name_key_paths():
         ("neg_eps_zero.cfg", "model.eps: unknown key"),
         ("neg_threshold_bool.cfg", "model.threshold: expected a number, got False"),
         ("neg_input_dims_empty.cfg", "model.input_dims: must list at least one view"),
+        ("neg_mopoe_eleven_views.cfg", "model.name: 'mopoe' allows at most 10 views "
+                                       "(pooling.MAX_SUBSET_MODALITIES), got 11"),
     ]:
         with pytest.raises(ConfigError) as err:
             load_config(FIXTURES / fixture)
@@ -482,6 +485,24 @@ def test_per_view_weights_must_fit_the_view_count(name, key, value):
     fit(build_config({**flat, key: fitting}), data, max_epochs=1)
 
 
+def test_mopoe_views_are_capped_at_the_powerset_guard(tmp_path):
+    dims = [2] * (MAX_SUBSET_MODALITIES + 1)
+    data = _toy_data(n=8, dims=dims)
+    flat = {"model.name": "mopoe", "model.z_dim": 2}
+    message = (f"model.name: 'mopoe' allows at most {MAX_SUBSET_MODALITIES} views "
+               f"(pooling.MAX_SUBSET_MODALITIES), got {len(dims)}")
+    with pytest.raises(ConfigError) as err:
+        build_config({**flat, "model.input_dims": dims})
+    assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:
+        fit(build_config(flat), data, out_dir=tmp_path / "run")
+    assert str(err.value) == message
+    assert not (tmp_path / "run").exists()
+    # mopoe at the guard, and mvae, which pools no subsets, past it
+    build_config({**flat, "model.input_dims": dims[1:]})
+    fit(build_config({**flat, "model.name": "mvae"}), data, max_epochs=1)
+
+
 def test_fit_same_seed_is_bitwise_identical():
     data = _toy_data()
     runs = []
@@ -696,7 +717,7 @@ def test_mwae_weights_stay_clipped(tmp_path):
                         "model.seed": 0, "trainer.max_epochs": 2,
                         "trainer.batch_size": 8})
     run = fit(cfg, data)
-    for name, p in run.state.discriminator_parameters():
+    for name, p in run.state.phase_groups()[1]:
         assert np.all(np.abs(p.data) <= cfg.trainer.clip + 1e-12), name
 
 
@@ -841,8 +862,8 @@ def test_a_phase_differentiates_only_the_group_it_steps(name, non_saturating, ph
     state = build_model(cfg, data.dims, np.random.default_rng(4))
     views = _as_views(data)
     params = state.parameters()
-    stepped = (state.discriminator_parameters() if phase == "critic"
-               else state.autoencoder_parameters())
+    ae_params, disc_params = state.phase_groups()
+    stepped = disc_params if phase == "critic" else ae_params
     frozen = [p for p in params if p not in stepped]
     assert stepped and frozen
     _phase_grads(state, views, phase, seed=7)
@@ -927,6 +948,7 @@ def test_drawn_seed_is_recorded_and_reproduces_the_run(tmp_path):
     flat = {"model.name": "mvae", "model.z_dim": 2, "model.seed_everything": False,
             "trainer.max_epochs": 2, "trainer.batch_size": 8}
     run = fit(build_config(flat), data, out_dir=tmp_path)
-    seed = load_config(tmp_path / "resolved.cfg").seed
-    again = fit(build_config({**flat, "model.seed_everything": True, "model.seed": seed}), data)
+    resolved = load_config(tmp_path / "resolved.cfg")
+    assert resolved.seed_everything
+    again = fit(resolved, data)
     assert again.history == run.history

@@ -48,6 +48,9 @@ VARIANTS = [(name, name, {}) for name in MODELS] + [
     ("maae-non-saturating", "maae", {"model.non_saturating": True}),
     ("mwae-2-critic-steps", "mwae", {"trainer.critic_steps": 2}),
     ("mmvae-K3", "mmvae", {"model.K": 3}),
+    # Bernoulli stays out: the synthetic views do not lie in [0, 1]
+    ("mvae-laplace", "mvae", {"decoder.default.distribution": "Laplace"}),
+    ("mvae-categorical", "mvae", {"decoder.default.distribution": "Categorical"}),
 ]
 
 ARTEFACTS = ["history", "metrics.csv", "resolved.cfg", "checkpoint", "predict_latent",
