@@ -16,6 +16,7 @@ from .config import check_seed, load_config, parse_config_text
 from .data import MultiViewBatch, SyntheticSpec, generate_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, MvxError, UnsupportedMetricError
 from .evaluation import (
+    _coherence_pool,
     coherence,
     coherence_csv,
     joint_log_likelihood,
@@ -105,6 +106,7 @@ def _cmd_eval(args) -> int:
         metric_csv("joint_log_likelihood", value, run_dir / "loglik.csv")
         print(f"joint log-likelihood (K={args.K}): {value:.4f} nats")
         return 0
+    _coherence_pool(run.state)  # refused before any probe is trained
     probe_data = read_dataset(args.probe_data or args.data)
     if probe_data.labels is None:
         print("error: probe data has no labels", file=sys.stderr)

@@ -178,6 +178,3 @@ class Likelihood:
         log_norm = nc.logsumexp(self.params, axis=1)
         ones = nc.constant(np.ones((1, self.params.shape[1])))
         return self.params - nc.matmul(nc.reshape_col(log_norm), ones)
-
-    def probs(self) -> np.ndarray:
-        return self.mean().data

@@ -14,8 +14,8 @@ from .distributions import GaussianParams, Likelihood, rsample
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import MODEL_SPECS, _log_weight
-from .pooling import ExpertSet, enumerate_subsets
+from .objectives import MODEL_SPECS, ModelState, _log_weight
+from .pooling import MAX_SUBSET_MODALITIES, ExpertSet, enumerate_subsets
 from .training import Adam, RunState, _backward_phase, _decode_mean, _read
 
 PROBE_HIDDEN = 64
@@ -104,11 +104,7 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     model defines a joint) is reported as self-coherence at size M.
     """
     state = run.state
-    pool = MODEL_SPECS[state.cfg.name].pool
-    if pool is None:
-        raise UnsupportedMetricError(
-            f"coherence: model '{state.cfg.name}' does not support subset encoding"
-        )
+    pool = _coherence_pool(state)
     if test.labels is None:
         raise ContractError("coherence: test batch has no labels")
     if len(probes) != state.n_views:
@@ -116,6 +112,19 @@ def coherence(run: RunState, test: MultiViewBatch, probes: list[ProbeClassifier]
     per_size = nc._checked_once(
         lambda: _coherence_per_size(run, pool, test, probes, eval_seed))
     return CoherenceReport(per_size=per_size, n_views=state.n_views)
+
+
+def _coherence_pool(state: ModelState):
+    """The model's `pool` hook. A model without one, or with more views than
+    the subsets can be enumerated for, raises `UnsupportedMetricError`."""
+    name = state.cfg.name
+    if MODEL_SPECS[name].pool is None:
+        raise UnsupportedMetricError(f"coherence: model '{name}' does not support subset encoding")
+    if state.n_views > MAX_SUBSET_MODALITIES:
+        raise UnsupportedMetricError(
+            f"coherence: model '{name}' has {state.n_views} views, more than "
+            f"pooling.MAX_SUBSET_MODALITIES = {MAX_SUBSET_MODALITIES}")
+    return MODEL_SPECS[name].pool
 
 
 def _coherence_per_size(run: RunState, pool, test: MultiViewBatch,

@@ -98,9 +98,6 @@ class Mlp:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return _named_parameters(self.name, {f"layer{i}": lay for i, lay in enumerate(self.layers)})
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for _, p in self.parameters())
-
 
 class Encoder(Mlp):
     """Deterministic encoder: features -> latent point."""

@@ -98,10 +98,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._bw is None
-
     def __repr__(self) -> str:
         return f"Tensor(op={self._op}, shape={self.data.shape})"
 

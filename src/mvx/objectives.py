@@ -19,6 +19,7 @@ import numpy as np
 from . import numcore as nc
 from .distributions import (
     GaussianParams,
+    Likelihood,
     gaussian_log_prob,
     kl_normal,
     kl_sparse,
@@ -164,6 +165,20 @@ def _encode(encoders: list, views: list[Tensor]) -> list:
     return [enc.forward(x) for enc, x in zip(encoders, views)]
 
 
+def _posteriors(state: ModelState, views: list[Tensor]) -> list:
+    """What the pooling hooks read: each encoder's output for its view, then
+    the joint encoder's for all views when the model has one."""
+    if state.joint_encoder is None:
+        return _encode(state.encoders, views)
+    return _encode(state.encoders + [state.joint_encoder], views + [nc.concat_cols(views)])
+
+
+def _decode(state: ModelState, m: int, z: Tensor, private: Tensor | None = None) -> Likelihood:
+    """View `m`'s likelihood given the shared latent `z` and, for a model with
+    private latents, the private code `private`."""
+    return state.decoders[m].decode(z if private is None else nc.concat_cols([z, private]))
+
+
 def _neg_mean(t: Tensor) -> Tensor:
     return nc.neg(nc.mean(t))
 
@@ -177,15 +192,15 @@ def _mean_kl(weight: float, q: GaussianParams, p: GaussianParams) -> Tensor:
     return _scaled(weight, nc.mean(kl_normal(q, p)))
 
 
-def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z,
+def _recon(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], z: Tensor,
            source, weight: float | None = None, mask: Tensor | None = None,
-           targets: tuple[int, ...] | None = None) -> None:
+           targets: tuple[int, ...] | None = None, private: list[Tensor] | None = None) -> None:
     """Add `recon[<view><-<source>]` for every view in `targets` (default:
     every view): the negated mean log-likelihood of the view decoded from `z`
-    (one latent, or one per view), its rows multiplied by `mask` and the mean
-    scaled by `weight` when given."""
+    and the view's code in `private` when given, its rows multiplied by `mask`
+    and the mean scaled by `weight` when given."""
     for m in range(state.n_views) if targets is None else targets:
-        lp = state.decoders[m].decode(z[m] if isinstance(z, list) else z).log_prob(views[m])
+        lp = _decode(state, m, z, None if private is None else private[m]).log_prob(views[m])
         if mask is not None:
             lp = lp * mask
         term = _neg_mean(lp)
@@ -209,7 +224,7 @@ def _log_weight(state: ModelState, views: list[Tensor], z: Tensor,
     uniform mixture q: log p(z) + sum_m log p(x_m | z) - log q(z)."""
     lw = gaussian_log_prob(standard_normal(z.shape), z)
     for m in range(state.n_views):
-        lw = lw + state.decoders[m].decode(z).log_prob(views[m])
+        lw = lw + _decode(state, m, z).log_prob(views[m])
     if isinstance(proposal, ExpertSet):
         return lw - moe_log_prob(proposal, z)
     return lw - gaussian_log_prob(proposal, z)
@@ -223,9 +238,10 @@ def _k_sample_bound(log_weights: list[Tensor], n_views: int) -> Tensor:
     return _scaled(1.0 / n_views, _neg_mean(iw))
 
 
-def _joint(state: ModelState, posteriors: list[GaussianParams]) -> GaussianParams:
-    """The joint posterior of every view, by the model's `joint` hook."""
-    return MODEL_SPECS[state.cfg.name].joint(state, posteriors, tuple(range(state.n_views)))
+def _joint(state: ModelState, posteriors: list[GaussianParams]):
+    """The joint posterior of every view by the model's `joint` hook; None without one."""
+    hook = MODEL_SPECS[state.cfg.name].joint
+    return None if hook is None else hook(state, posteriors, tuple(range(state.n_views)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +269,9 @@ def jmvae_kl_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Los
 
     Draws: one (B, z) normal for the joint posterior sample.
     """
-    _check_views(state, views)
-    q_joint = state.joint_encoder.forward(nc.concat_cols(views))
-    z = rsample(q_joint, eps.normal(q_joint.shape))
-    terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint")
-    terms["kl[joint]"] = _kl_prior(state, q_joint)
+    (*unimodal, q_joint), terms = _joint_elbo(state, views, eps)
     if state.cfg.alpha != 0.0:
-        for m, q_m in enumerate(_encode(state.encoders, views)):
+        for m, q_m in enumerate(unimodal):
             terms[f"kl[joint||uni{m}]"] = _mean_kl(state.cfg.alpha, q_joint, q_m)
     return LossBreakdown.from_terms(terms)
 
@@ -329,12 +340,12 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     Draws: z from q(z|x1); with private=True additionally h_m for m = 0, 1.
     """
     _check_views(state, views)
-    q_z = state.encoders[0].forward(views[0])
+    [q_z] = _encode(state.encoders, views)
     z = rsample(q_z, eps.normal(q_z.shape))
     q_h = _encode(state.private_encoders, views) if state.cfg.private else []
     hs = [rsample(q, eps.normal(q.shape)) for q in q_h]
     terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, [nc.concat_cols([z, h]) for h in hs] if hs else z, "joint")
+    _recon(terms, state, views, z, "joint", private=hs or None)
     terms["kl[z]"] = _kl_prior(state, q_z)
     for m, q in enumerate(q_h):
         terms[f"kl[h{m}]"] = _kl_prior(state, q)
@@ -376,13 +387,13 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
 def _joint_elbo(state: ModelState, views: list[Tensor],
                 eps: EpsStream) -> tuple[list[GaussianParams], dict[str, Tensor]]:
-    """Every view's posterior, and the terms of the ELBO under the model's
+    """The `_posteriors` of the views, and the ELBO terms under the model's
     joint of them: `recon[*<-joint]` from one joint sample, then `kl[joint]`.
 
     Draws: one (B, z) normal for the joint sample.
     """
     _check_views(state, views)
-    experts = _encode(state.encoders, views)
+    experts = _posteriors(state, views)
     q = _joint(state, experts)
     z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
@@ -576,7 +587,7 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
         for _ in range(state.cfg.K):
             z = rsample(shared[m], eps.normal(shared[m].shape))
             h_m = rsample(privates[m], eps.normal(privates[m].shape))
-            lw = state.decoders[m].decode(nc.concat_cols([z, h_m])).log_prob(views[m])
+            lw = _decode(state, m, z, h_m).log_prob(views[m])
             lw = lw + gaussian_log_prob(standard_normal(z.shape), z)
             lw = lw + gaussian_log_prob(standard_normal(h_m.shape), h_m)
             lw = lw - moe_log_prob(moe_shared, z)
@@ -586,9 +597,7 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
                     continue
                 scale_n = nc.exp(state.aux_log_scales[n])
                 h_tilde = scale_n * eps.normal(privates[n].shape)
-                lw = lw + state.decoders[n].decode(
-                    nc.concat_cols([z, h_tilde])
-                ).log_prob(views[n])
+                lw = lw + _decode(state, n, z, h_tilde).log_prob(views[n])
             log_weights.append(lw)
         terms[f"iwae[{m}]"] = _k_sample_bound(log_weights, m_total)
     return LossBreakdown.from_terms(terms)
@@ -623,13 +632,11 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     kl_shared = [nc.mean(kl_to_standard(q)) for q in shared]
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
-        _recon(terms, state, views, nc.concat_cols([z_joint, hs[m]]), "joint", lam[m],
-               targets=(m,))
+        _recon(terms, state, views, z_joint, "joint", lam[m], targets=(m,), private=hs)
         terms[f"kl[h{m}@joint]"] = _scaled(state.cfg.beta, kl_priv[m])
         terms[f"kl[joint@{m}]"] = _scaled(state.cfg.beta, kl_joint)
         for n in range(m_total):
-            _recon(terms, state, views, nc.concat_cols([z_uni[n], hs[m]]), n, lam[m],
-                   targets=(m,))
+            _recon(terms, state, views, z_uni[n], n, lam[m], targets=(m,), private=hs)
             terms[f"kl[h{m}@{m},{n}]"] = _scaled(state.cfg.beta, kl_priv[m])
             terms[f"kl[z{n}@{m},{n}]"] = _scaled(state.cfg.beta, kl_shared[n])
     return LossBreakdown.from_terms(terms)

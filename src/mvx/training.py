@@ -29,7 +29,10 @@ from .objectives import (
     ModelState,
     PLAIN_OBJECTIVES,
     VARIATIONAL_OBJECTIVES,
+    _decode,
     _encode,
+    _joint,
+    _posteriors,
 )
 from .pooling import ExpertSet, mean_pool
 
@@ -452,17 +455,6 @@ class LatentResult:
     kept_masks: list[np.ndarray] | None = None
 
 
-def _encoder_posteriors(state: ModelState, views: list[Tensor]) -> list[GaussianParams]:
-    """One posterior per encoder in `state.encoders` (a plain encoder's has zero
-    log-variance), then the joint encoder's when the model has one."""
-    out = [q if isinstance(q, GaussianParams)
-           else GaussianParams(q, nc.constant(np.zeros(q.shape)))
-           for q in _encode(state.encoders, views)]
-    if state.joint_encoder is not None:
-        out.append(state.joint_encoder.forward(nc.concat_cols(views)))
-    return out
-
-
 def _check_dims(run: RunState, data: MultiViewBatch, caller: str) -> None:
     """Raise a DimensionError naming `caller` when `data`'s dims differ from the model's."""
     if data.dims != run.cfg.input_dims:
@@ -471,11 +463,14 @@ def _check_dims(run: RunState, data: MultiViewBatch, caller: str) -> None:
 
 def _read(run: RunState, data: MultiViewBatch,
           caller: str) -> tuple[list[Tensor], list[GaussianParams]]:
-    """The read-out of `data` by the model of `run`: its views as constants and
-    `_encoder_posteriors`, after `_check_dims`. Call it with graph recording off."""
+    """The read-out of `data` by the model of `run`, after `_check_dims`: its
+    views as constants and their `_posteriors`, a plain encoder's with zero
+    log-variance. Call it with graph recording off."""
     _check_dims(run, data, caller)
     views = _as_views(data)
-    return views, _encoder_posteriors(run.state, views)
+    return views, [q if isinstance(q, GaussianParams)
+                   else GaussianParams(q, nc.constant(np.zeros(q.shape)))
+                   for q in _posteriors(run.state, views)]
 
 
 def _latents(run: RunState, data: MultiViewBatch, caller: str) -> LatentResult:
@@ -485,8 +480,7 @@ def _latents(run: RunState, data: MultiViewBatch, caller: str) -> LatentResult:
     state = run.state
     with nc.no_grad():
         views, posteriors = _read(run, data, caller)
-        hook = MODEL_SPECS[state.cfg.name].joint
-        joint = hook(state, posteriors, tuple(range(state.n_views))) if hook else None
+        joint = _joint(state, posteriors)
         if isinstance(joint, ExpertSet):
             joint = mean_pool(joint)
         result = LatentResult(
@@ -512,17 +506,15 @@ def _decode_mean(state: ModelState, z: Tensor, target: int, private: np.ndarray 
     code; without one it draws the code from the target's auxiliary prior
     where the model learns one (seeded by `eval_rng`), else uses the prior mean.
     """
-    decoder = state.decoders[target]
-    if state.private_encoders is None:
-        return decoder.decode(z).mean().data
-    if private is None:
+    if state.private_encoders is not None and private is None:
         shape = (z.shape[0], state.cfg.s_dim)
         if state.aux_log_scales is None:
             private = np.zeros(shape)
         else:
             scale = np.exp(state.aux_log_scales[target].data)
             private = scale * eval_rng.standard_normal(shape)
-    return decoder.decode(nc.concat_cols([z, nc.constant(private)])).mean().data
+    code = None if private is None else nc.constant(private)
+    return _decode(state, target, z, code).mean().data
 
 
 def predict_latent(run: RunState, data: MultiViewBatch) -> LatentResult:

@@ -1,7 +1,9 @@
-"""Shared test utilities: finite differences, recording eps streams, tiny models."""
+"""Shared test utilities: finite differences, recording eps streams, tiny models,
+linear-Gaussian data with its exact log-likelihoods."""
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from mvx.training import build_model
 
 def assert_per_op_check_on() -> None:
     """A direct op call still raises on a non-finite result."""
-    with pytest.raises(NumericError, match="op 'exp'"):
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="op 'exp'"):
         nc.exp(nc.constant(np.full(3, 1e4)))
 
 
@@ -160,3 +162,50 @@ def corrupt_first_moment_size(path: Path) -> int:
     struct.pack_into("<I", raw, offset, size + 1)
     path.write_bytes(bytes(raw))
     return offset
+
+
+# -- linear-Gaussian data: x_m = W_m z + b_m + sigma * eps --------------------------
+
+
+def linear_gaussian_views(ws: list[np.ndarray], bs: list[np.ndarray], sigma: float, n: int,
+                          rng: np.random.Generator) -> list[np.ndarray]:
+    """`n` rows of every view x_m = W_m z + b_m + sigma * eps_m, with z and the
+    eps_m standard normal: z is drawn first, then each view's noise in turn."""
+    z = rng.standard_normal((n, ws[0].shape[1]))
+    return [z @ w.T + b + sigma * rng.standard_normal((n, len(b))) for w, b in zip(ws, bs)]
+
+
+def gaussian_log_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """The mean over the rows of `x` of log N(x; mean, cov)."""
+    sign, logdet = np.linalg.slogdet(cov)
+    assert sign > 0
+    diff = x - mean
+    maha = np.einsum("ij,ij->i", diff @ np.linalg.inv(cov), diff)
+    return float(np.mean(-0.5 * (x.shape[1] * math.log(2 * math.pi) + logdet + maha)))
+
+
+def linear_model_log_likelihood(state: ModelState, views: list[np.ndarray]) -> float:
+    """The exact mean log p(x) of `views` under a model whose decoders are
+    single affine maps x_m = W_m z + b_m with Normal likelihoods of one scale
+    sigma: the views stacked are N(b, W W^T + sigma^2 I)."""
+    decoders = state.decoders
+    sigma = decoders[0].scale
+    assert all(len(dec.layers) == 1 and dec.distribution == "Normal" and dec.scale == sigma
+               for dec in decoders)
+    w = np.vstack([dec.layers[0][0].data.T for dec in decoders])
+    b = np.concatenate([dec.layers[0][1].data for dec in decoders])
+    return gaussian_log_density(np.hstack(views), b, w @ w.T + sigma * sigma * np.eye(len(b)))
+
+
+def ppca_log_likelihood(train: np.ndarray, test: np.ndarray, z_dim: int, sigma: float) -> float:
+    """The mean log-likelihood of `test` under the maximum-likelihood
+    probabilistic PCA fit of `train` with the noise scale `sigma` known
+    (Tipping & Bishop 1999): the train mean, and W W^T from the top `z_dim`
+    eigenpairs of the train covariance, each eigenvalue less sigma^2 and
+    floored at 0."""
+    mean = train.mean(axis=0)
+    lam, vec = np.linalg.eigh(np.cov(train, rowvar=False, bias=True))
+    lam, vec = lam[-z_dim:], vec[:, -z_dim:]
+    var = sigma * sigma
+    cov = (vec * np.maximum(lam - var, 0.0)) @ vec.T + var * np.eye(len(mean))
+    return gaussian_log_density(test, mean, cov)

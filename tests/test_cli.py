@@ -159,16 +159,28 @@ def test_eval_loglik_and_coherence_round_trip(tmp_path, capsys):
     assert len(lines) == 3  # sizes 1 and 2
 
 
-def test_eval_unsupported_metric_exits_1(tmp_path, capsys):
-    cfg = _write_config(tmp_path, name="dvcca")
-    train = _gen_data(tmp_path)
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--data", str(train),
-                 "--out", str(out)]) == 0
-    rc = main(["eval", "--run", str(out), "--data", str(train),
-               "--metric", "coherence"])
-    assert rc == 1
-    assert "dvcca" in capsys.readouterr().err
+def test_eval_unsupported_metric_exits_1(tmp_path, capsys, monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a probe was trained")
+
+    # both refusals come before any probe is trained
+    monkeypatch.setattr("mvx.cli.train_probe_classifier", no_probe)
+    for name, dims, message in [
+            ("dvcca", "5,4", "model 'dvcca' does not support subset encoding"),
+            ("mvae", ",".join(["3"] * 11),
+             "has 11 views, more than pooling.MAX_SUBSET_MODALITIES = 10")]:
+        cfg = _write_config(tmp_path, name=name)
+        train = tmp_path / f"{name}.mvds"
+        assert main(["gen-data", "--out", str(train), "--classes", "3", "--samples", "48",
+                     "--dims", dims, "--seed", "2"]) == 0
+        out = tmp_path / name
+        assert main(["train", "--config", str(cfg), "--data", str(train),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--run", str(out), "--data", str(train),
+                   "--metric", "coherence"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 def test_eval_on_data_with_another_view_count_exits_2(tmp_path, capsys):

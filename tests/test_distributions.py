@@ -225,7 +225,7 @@ def test_normalization_on_grid_or_support():
     )
     assert abs(total - 1.0) < 1e-12
     cat = Likelihood("Categorical", nc.constant([[0.3, -0.2, 1.4]]))
-    probs = cat.probs()
+    probs = cat.mean().data
     assert abs(probs.sum() - 1.0) < 1e-6
 
 

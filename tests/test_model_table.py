@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvx import evaluation, objectives
+from mvx import evaluation, objectives, training
 from mvx.config import MODEL_KEYS, ModelConfig, TrainerConfig, _declared_keys, build_config
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
@@ -121,17 +121,41 @@ def test_objectives_pool_only_through_the_table_hooks():
             assert not called & pooling, fn.__name__
 
 
+class _NetworkReads(ast.NodeVisitor):
+    """(innermost function, attribute, receiver) for every read of a
+    network's `decode`, `forward` or `score`."""
+
+    def __init__(self):
+        self.function = None
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Attribute(self, node):
+        if node.attr in ("decode", "forward", "score"):
+            self.found.add((self.function, node.attr, ast.unparse(node.value)))
+        self.generic_visit(node)
+
+
 def test_losses_decode_only_through_the_shared_helpers():
-    # mmvaeplus decodes each cross view from the shared code and a private code
-    # drawn for that target, which neither helper takes
-    decoding = set()
-    for module in (objectives, evaluation):
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.FunctionDef) and any(
-                    isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "decode"
-                    for call in ast.walk(node)):
-                decoding.add(node.name)
-    assert decoding == {"_recon", "_log_weight", "mmvaeplus_loss"}
+    # the losses, the read-out and the metrics call each kind of model network
+    # from one function; an alias of the method counts as a call
+    reads = _NetworkReads()
+    for module in (objectives, evaluation, training):
+        reads.visit(ast.parse(inspect.getsource(module)))
+    assert reads.found == {
+        ("_decode", "decode", "state.decoders[m]"),
+        ("_encode", "forward", "enc"),
+        ("_adversarial_scores", "score", "state.discriminator"),
+        # the probe classifier's own network, and bytes read from a checkpoint
+        ("_loss", "forward", "self.net"),
+        ("predict", "forward", "self.net"),
+        ("load_checkpoint", "decode", "stored"),
+        ("load_checkpoint", "decode", "blob"),
+    }
 
 
 def test_mmjsd_pools_every_subset_by_one_rule():

@@ -68,9 +68,9 @@ def test_parameter_count_matches_spec():
     spec = MlpSpec(5, [7, 3], 2, bias=True)
     net = Encoder(spec, rng)
     expect = 5 * 7 + 7 + 7 * 3 + 3 + 3 * 2 + 2
-    assert net.parameter_count() == expect
+    assert sum(p.data.size for _, p in net.parameters()) == expect
     no_bias = Encoder(MlpSpec(5, [7], 2, bias=False), rng)
-    assert no_bias.parameter_count() == 5 * 7 + 7 * 2
+    assert sum(p.data.size for _, p in no_bias.parameters()) == 5 * 7 + 7 * 2
 
 
 def test_linear_network_is_single_affine_map():

@@ -818,7 +818,7 @@ def test_nan_loss_aborts_with_diagnostics():
     # poison a decoder weight so the loss blows up immediately
     state.decoders[0].layers[0][0].data[...] = 1e200
     run = RunState(cfg=cfg, state=state, optimizer=Adam(cfg.learning_rate), rng=rng)
-    with pytest.raises(NumericError) as err:
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as err:
         continue_fit(run, data, 1)
     assert "epoch 0: non-finite result in op 'square'" in str(err.value)
     assert_per_op_check_on()
@@ -831,7 +831,7 @@ def test_nan_in_a_critic_step_names_the_op():
     # the autoencoder step moves each weight by about the learning rate, so
     # the critic step after it overflows
     run.optimizer.learning_rate = 1e200
-    with pytest.raises(NumericError) as err:
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as err:
         continue_fit(run, data, 1)
     assert "epoch 0: non-finite result in op 'matmul'" in str(err.value)
     steps = {name: t for name, (_, _, t) in run.optimizer.moments.items()}
@@ -925,7 +925,7 @@ def test_non_finite_gradient_names_the_parameter_and_steps_nothing():
     moments = copy.deepcopy(run.optimizer.moments)
     rng = np.random.default_rng()
     rng.bit_generator.state = run.rng.bit_generator.state
-    with pytest.raises(NumericError) as err:
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as err:
         continue_fit(run, data, 1)
     named = re.search(r"epoch 1: non-finite gradient of parameter '(.+)'", str(err.value))
     assert named and not np.isfinite(params[named.group(1)].grad).all()
