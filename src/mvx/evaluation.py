@@ -211,6 +211,8 @@ def _log_likelihood(run: RunState, make_proposal, test: MultiViewBatch, K: int,
             q_tiled = ExpertSet(tiled) if mixture else tiled[0]
             lw = nc._finite(_log_weight(state, xs, z, q_tiled).data, "importance log-weights")
             log_w[:, start:start + n] = lw.reshape(n, rows).T
+        # released first: the reduction's (rows, K) temporaries would come on top
+        del full, xs, tiled, q, z, q_tiled, lw
         per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())
 

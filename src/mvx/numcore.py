@@ -7,6 +7,12 @@ All data is contiguous row-major float64.
 
 Tensors are immutable once forward-evaluated; graph construction and backward
 are single-threaded per training run.
+
+A graph node is its value plus three references: its parents, its backward
+rule and the values that rule needs besides them (`Tensor`). Each rule is a
+module-level function `rule(g, node)` shared by every node of its op, so an
+op call builds no closure: after the forward kernels, it allocates only the
+node, its parents tuple and, for some ops, a small tuple of saved values.
 """
 
 from __future__ import annotations
@@ -74,20 +80,29 @@ class Tensor:
     """A numpy-backed value participating in the autodiff graph.
 
     `grad` accumulates only on leaf tensors created with `requires_grad=True`
-    (parameters and explicitly tracked inputs). A node's adjoint lives in its
+    (parameters and explicitly tracked inputs). A node built by an op while
+    grad is on and some parent requires grad keeps `_parents`, `_op` (the op
+    name), `_bw`, the op's module-level rule, and `_saved`, what the rule reads
+    besides the parents' values and `data`: an axis and count, a floor mask,
+    the index of a row (None when it needs nothing more). The rule
+    `_bw(g, node)` returns one adjoint per parent, or None for a parent that
+    does not require grad. Any other tensor is a leaf with no parents, rule
+    or saved values. A node's adjoint lives in its
     `_adj` slot while a `backward` runs: each call resets it on every node it
     visits (`_mark` holds the call's stamp) and clears it when it runs the
     node's rule, so repeated `backward` calls accumulate cleanly on the leaves.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_op", "_adj", "_mark")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_saved", "_op", "_adj",
+                 "_mark")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._bw: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
+        self._bw: Callable[[np.ndarray, Tensor], Sequence[np.ndarray | None]] | None = None
+        self._saved = None
         self._op = "leaf"
         self._adj: np.ndarray | None = None
         self._mark = 0
@@ -154,7 +169,10 @@ def parameter(data) -> Tensor:
 # -- graph construction ---------------------------------------------------------
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw) -> Tensor:
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], rule, saved=None) -> Tensor:
+    """The node of `op` with value `data`. While grad is on and a parent
+    requires grad, it keeps `parents`, its backward `rule` and `saved` (see
+    `Tensor`); otherwise it is a leaf and keeps none of them."""
     if _check_ops and not np.isfinite(data).all():
         raise NumericError(f"non-finite result in op '{op}'")
     # a kernel's output is kept as it is when it is already what __init__ makes
@@ -165,9 +183,11 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw) -> Tensor:
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad, out._parents, out._bw, out._op = True, parents, bw, op
+                out.requires_grad, out._parents, out._op = True, parents, op
+                out._bw, out._saved = rule, saved
                 return out
-    out.requires_grad, out._parents, out._bw, out._op = False, (), None, "leaf"
+    out.requires_grad, out._parents, out._op = False, (), "leaf"
+    out._bw = out._saved = None
     return out
 
 
@@ -196,17 +216,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=0)
 
 
-def _binary(op: str, a: Tensor, b: Tensor, data, da, db) -> Tensor:
-    # a parent that does not require grad (data, constants) gets no adjoint
-    def bw(g: np.ndarray):
-        return (
-            _unbroadcast(da(g), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(db(g), b.data.shape) if b.requires_grad else None,
-        )
-
-    return _make(data, op, (a, b), bw)
-
-
 def _above_floor(x: np.ndarray) -> bool:
     """True when no element of `x` lies below EPS_FLOOR."""
     if x.ndim == 0:
@@ -214,23 +223,181 @@ def _above_floor(x: np.ndarray) -> bool:
     return x.size == 0 or x.min() >= EPS_FLOOR
 
 
+# -- backward rules ---------------------------------------------------------------
+# `rule(g, node)` maps the adjoint `g` of `node` to one adjoint per parent, in
+# the order of `node._parents`. A binary rule leaves None for a parent that does
+# not require grad (data, constants) and reduces a broadcast operand's adjoint
+# back to its shape.
+
+
+def _add_rule(g, node):
+    a, b = node._parents
+    return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+
+def _sub_rule(g, node):
+    a, b = node._parents
+    return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+
+
+def _mul_rule(g, node):
+    a, b = node._parents
+    return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+
+def _div_rule(g, node):
+    a, b = node._parents
+    bd = b.data
+    return (_unbroadcast(g / bd, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (bd * bd), bd.shape) if b.requires_grad else None)
+
+
+def _floored_div_rule(g, node):
+    """Saved: the floored denominator and where the true one is not floored."""
+    a, b = node._parents
+    safe, inside = node._saved
+    return (_unbroadcast(g / safe, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(inside, -g * a.data / (safe * safe), 0.0), b.data.shape)
+            if b.requires_grad else None)
+
+
+def _neg_rule(g, node):
+    return (-g,)
+
+
+def _exp_rule(g, node):
+    return (g * node.data,)
+
+
+def _log_rule(g, node):
+    return (g / node._parents[0].data,)
+
+
+def _floored_log_rule(g, node):
+    """Saved: the floored input and where the true one is not floored."""
+    x, inside = node._saved
+    return (np.where(inside, g / x, 0.0),)
+
+
+def _sqrt_rule(g, node):
+    return (g / (2.0 * node.data),)
+
+
+def _floored_sqrt_rule(g, node):
+    """Saved: where the input is not floored."""
+    return (np.where(node._saved, g / (2.0 * node.data), 0.0),)
+
+
+def _square_rule(g, node):
+    return (2.0 * g * node._parents[0].data,)
+
+
+def _tanh_rule(g, node):
+    out = node.data
+    return (g * (1.0 - out * out),)
+
+
+def _relu_rule(g, node):
+    # a float mask multiplies without a cast in the loop and gives the bool
+    # mask's bits
+    return (g * (node._parents[0].data > 0).astype(np.float64),)
+
+
+def _sigmoid_rule(g, node):
+    out = node.data
+    return (g * out * (1.0 - out),)
+
+
+def _slope_rule(g, node):
+    """Saved: the derivative of the op at its input (softplus, abs)."""
+    return (g * node._saved,)
+
+
+def _clip_rule(g, node):
+    # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
+    return (g * (node.data == node._parents[0].data),)
+
+
+def _matmul_rule(g, node):
+    a, b = node._parents
+    return (g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None)
+
+
+def _transpose_rule(g, node):
+    return (g.T,)
+
+
+def _concat_rule(g, node):
+    """Saved: each part's (first, end) column."""
+    return tuple(g[:, lo:hi] for lo, hi in node._saved)
+
+
+def _row_rule(g, node):
+    """Saved: the row index."""
+    full = np.zeros_like(node._parents[0].data)
+    full[node._saved] = g
+    return (full,)
+
+
+def _reshape_col_rule(g, node):
+    return (g.reshape(-1),)
+
+
+def _sum_rule(g, node):
+    """Saved: the reduced axis (None for all)."""
+    return (_spread(g, node._parents[0].data.shape, node._saved),)
+
+
+def _mean_rule(g, node):
+    """Saved: the reduced axis (None for all) and the count averaged over."""
+    axis, n = node._saved
+    return (_spread(g / n, node._parents[0].data.shape, axis),)
+
+
+def _logsumexp_rule(g, node):
+    """Saved: exp(x - max) and its sum, both with the reduced axes kept."""
+    e, s = node._saved
+    return (np.reshape(g, s.shape) * (e / s),)
+
+
+def _eigenvalue_rule(g, node):
+    """Saved: the eigenvectors."""
+    vec = node._saved
+    da = vec @ np.diag(g) @ vec.T
+    return (0.5 * (da + da.T),)
+
+
+def _eigenvector_rule(g, node):
+    """Saved: the eigenvalues."""
+    lam, vec = node._saved, node.data
+    diff = lam[None, :] - lam[:, None]
+    small = np.abs(diff) < 1e-12
+    safe = np.where(small, 1.0, diff)
+    f = np.where(small, 0.0, 1.0 / safe)
+    da = vec @ (f * (vec.T @ g)) @ vec.T
+    return (0.5 * (da + da.T),)
+
+
 # -- elementwise ops ------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "add")
-    return _binary("add", a, b, a.data + b.data, lambda g: g, lambda g: g)
+    return _make(a.data + b.data, "add", (a, b), _add_rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "sub")
-    return _binary("sub", a, b, a.data - b.data, lambda g: g, lambda g: -g)
+    return _make(a.data - b.data, "sub", (a, b), _sub_rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _binary("mul", a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
+    return _make(a.data * b.data, "mul", (a, b), _mul_rule)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -238,71 +405,55 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "div")
     ad, bd = a.data, b.data
     if _above_floor(bd) or _above_floor(-bd):
-        return _binary("div", a, b, ad / bd, lambda g: g / bd,
-                       lambda g: -g * ad / (bd * bd))
+        return _make(ad / bd, "div", (a, b), _div_rule)
     safe = np.where(np.abs(bd) < EPS_FLOOR, np.where(bd < 0, -EPS_FLOOR, EPS_FLOOR), bd)
     inside = np.abs(bd) >= EPS_FLOOR
-    return _binary(
-        "div",
-        a,
-        b,
-        ad / safe,
-        lambda g: g / safe,
-        lambda g: np.where(inside, -g * ad / (safe * safe), 0.0),
-    )
+    return _make(ad / safe, "div", (a, b), _floored_div_rule, (safe, inside))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
+    return _make(-a.data, "neg", (a,), _neg_rule)
 
 
 def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, "exp", (a,), lambda g: (g * out,))
+    return _make(np.exp(a.data), "exp", (a,), _exp_rule)
 
 
 def log(a: Tensor) -> Tensor:
     """Natural log with inputs floored at EPS_FLOOR (clamp, do not error)."""
     x = a.data
     if _above_floor(x):
-        return _make(np.log(x), "log", (a,), lambda g: (g / x,))
+        return _make(np.log(x), "log", (a,), _log_rule)
     x = np.maximum(x, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
-    return _make(np.log(x), "log", (a,), lambda g: (np.where(inside, g / x, 0.0),))
+    return _make(np.log(x), "log", (a,), _floored_log_rule, (x, inside))
 
 
 def sqrt(a: Tensor) -> Tensor:
     """Square root with inputs floored at EPS_FLOOR."""
     if _above_floor(a.data):
-        out = np.sqrt(a.data)
-        return _make(out, "sqrt", (a,), lambda g: (g / (2.0 * out),))
+        return _make(np.sqrt(a.data), "sqrt", (a,), _sqrt_rule)
     x = np.maximum(a.data, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
-    out = np.sqrt(x)
-    return _make(out, "sqrt", (a,), lambda g: (np.where(inside, g / (2.0 * out), 0.0),))
+    return _make(np.sqrt(x), "sqrt", (a,), _floored_sqrt_rule, inside)
 
 
 def square(a: Tensor) -> Tensor:
     ad = a.data
-    return _make(ad * ad, "square", (a,), lambda g: (2.0 * g * ad,))
+    return _make(ad * ad, "square", (a,), _square_rule)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
+    return _make(np.tanh(a.data), "tanh", (a,), _tanh_rule)
 
 
 def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces; a float
-    # mask multiplies without a cast in the loop and gives the bool mask's bits
-    return _make(np.maximum(ad, 0.0), "relu", (a,),
-                 lambda g: (g * (ad > 0).astype(np.float64),))
+    # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces
+    return _make(np.maximum(a.data, 0.0), "relu", (a,), _relu_rule)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _stable_sigmoid(a.data)
-    return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
+    return _make(_stable_sigmoid(a.data), "sigmoid", (a,), _sigmoid_rule)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -318,21 +469,17 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably."""
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = _stable_sigmoid(x)
-    return _make(out, "softplus", (a,), lambda g: (g * sig,))
+    return _make(out, "softplus", (a,), _slope_rule, _stable_sigmoid(x))
 
 
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
-    return _make(np.abs(a.data), "abs", (a,), lambda g: (g * sign,))
+    return _make(np.abs(a.data), "abs", (a,), _slope_rule, sign)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes only inside the range."""
-    x = a.data
-    out = np.clip(x, lo, hi)
-    # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
-    return _make(out, "clip", (a,), lambda g: (g * (out == x),))
+    return _make(np.clip(a.data, lo, hi), "clip", (a,), _clip_rule)
 
 
 # -- matrix ops -------------------------------------------------------------------
@@ -347,37 +494,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    ad, bd = a.data, b.data
-
-    def bw(g: np.ndarray):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
-
-    return _make(ad @ bd, "matmul", (a, b), bw)
+    return _make(a.data @ b.data, "matmul", (a, b), _matmul_rule)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError(f"transpose: expected rank-2, got {a.data.shape}")
-    return _make(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
+    return _make(np.ascontiguousarray(a.data.T), "transpose", (a,), _transpose_rule)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors along axis 1."""
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ContractError("concat_cols: empty input")
     rows = parts[0].data.shape[0]
     for p in parts:
         if p.data.ndim != 2 or p.data.shape[0] != rows:
             raise DimensionError("concat_cols: operands must share the batch axis")
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bw(g: np.ndarray):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), "concat", tuple(parts), bw)
+    ends = list(itertools.accumulate(p.data.shape[1] for p in parts))
+    spans = tuple(zip([0] + ends, ends))
+    return _make(np.concatenate([p.data for p in parts], axis=1), "concat", parts,
+                 _concat_rule, spans)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -386,20 +524,14 @@ def row(a: Tensor, i: int) -> Tensor:
         raise DimensionError(f"row: expected rank-2, got {a.data.shape}")
     if not 0 <= i < a.data.shape[0]:
         raise DimensionError(f"row: index {i} out of range for {a.data.shape}")
-
-    def bw(g: np.ndarray):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return _make(a.data[i].copy(), "row", (a,), bw)
+    return _make(a.data[i].copy(), "row", (a,), _row_rule, i)
 
 
 def reshape_col(a: Tensor) -> Tensor:
     """View a batch vector (B,) as a single column (B, 1)."""
     if a.data.ndim != 1:
         raise DimensionError(f"reshape_col: expected rank-1, got {a.data.shape}")
-    return _make(a.data.reshape(-1, 1), "reshape_col", (a,), lambda g: (g.reshape(-1),))
+    return _make(a.data.reshape(-1, 1), "reshape_col", (a,), _reshape_col_rule)
 
 
 # -- reductions ---------------------------------------------------------------------
@@ -427,17 +559,14 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarr
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "sum")
-    shape = a.data.shape
-    return _make(a.data.sum(axis=axis), "sum", (a,), lambda g: (_spread(g, shape, axis),))
+    return _make(a.data.sum(axis=axis), "sum", (a,), _sum_rule, axis)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "mean")
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
+    n = a.data.size if axis is None else a.data.shape[axis]
     # numpy's mean is this sum divided by the count
-    return _make(a.data.sum(axis=axis) / n, "mean", (a,),
-                 lambda g: (_spread(g / n, shape, axis),))
+    return _make(a.data.sum(axis=axis) / n, "mean", (a,), _mean_rule, (axis, n))
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
@@ -446,10 +575,12 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     x = a.data
     # kept dims broadcast against `x`, also when every axis is reduced
     m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
+    # the shifted copy is exponentiated in place (a fresh array, also for a 0-d x)
+    e = np.subtract(x, m, out=np.empty_like(x))
+    np.exp(e, out=e)
     s = e.sum(axis=axis, keepdims=True)
     return _make(np.squeeze(m + np.log(s), axis=axis), "logsumexp", (a,),
-                 lambda g: (np.reshape(g, s.shape) * (e / s),))
+                 _logsumexp_rule, (e, s))
 
 
 # -- backward pass -----------------------------------------------------------------
@@ -506,7 +637,7 @@ def backward(loss: Tensor) -> None:
             else:
                 node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._bw(g)):
+        for parent, pg in zip(node._parents, node._bw(g, node)):
             if parent.requires_grad:
                 # adjoints are never written in place, so `pg` need not be copied
                 adj = parent._adj
@@ -540,18 +671,6 @@ def sym_eig(a: Tensor) -> tuple[Tensor, Tensor]:
     idx = np.argsort(-lam, kind="stable")
     lam, vec = lam[idx], np.ascontiguousarray(vec[:, idx])
 
-    def bw_lam(g: np.ndarray):
-        da = vec @ np.diag(g) @ vec.T
-        return (0.5 * (da + da.T),)
-
-    def bw_vec(g: np.ndarray):
-        diff = lam[None, :] - lam[:, None]
-        small = np.abs(diff) < 1e-12
-        safe = np.where(small, 1.0, diff)
-        f = np.where(small, 0.0, 1.0 / safe)
-        da = vec @ (f * (vec.T @ g)) @ vec.T
-        return (0.5 * (da + da.T),)
-
-    lam_t = _make(lam, "sym_eig.values", (a,), bw_lam)
-    vec_t = _make(vec, "sym_eig.vectors", (a,), bw_vec)
+    lam_t = _make(lam, "sym_eig.values", (a,), _eigenvalue_rule, vec)
+    vec_t = _make(vec, "sym_eig.vectors", (a,), _eigenvector_rule, lam)
     return lam_t, vec_t

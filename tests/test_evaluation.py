@@ -1,6 +1,7 @@
 """Evaluation metrics: probe oracle, coherence gates, exact-loglik checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,26 @@ def test_chunked_loglik_equals_the_sequential_estimator_bitwise(name):
     for K in (1, chunk + 3, 1000):
         assert joint_log_likelihood(run, data, K=K) == _sequential_log_likelihood(run, data, K)
 
+
+def test_loglik_at_benchmark_scale_keeps_its_traced_peak_under_15_mb():
+    # mopoe's 7-component mixture proposal on 3 views of 24 dims and 500 rows:
+    # K = 1000 runs as 125 chunks of 8 samples on 4000-row tiles, and the
+    # (500, 1000) log-weights alone take 4 MB
+    data = generate_synthetic(SyntheticSpec(n_classes=8, n_samples=500, dims=[24, 24, 24],
+                                            style_noise=0.1, background_noise=1.0, seed=3))
+    cfg = build_config({"model.name": "mopoe", "model.z_dim": 8,
+                        "encoder.default.hidden_layer_dim": [32],
+                        "decoder.default.hidden_layer_dim": [32],
+                        "decoder.default.scale": 0.75, "trainer.max_epochs": 0})
+    run = fit(cfg, data)
+    tracemalloc.start()
+    try:
+        value = joint_log_likelihood(run, data, K=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 15e6, f"traced peak {peak / 1e6:.1f} MB"
 
 @pytest.mark.parametrize("call", ["loglik", "coherence", "probe_fit"])
 def test_non_finite_evaluation_names_the_op(call):

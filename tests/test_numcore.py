@@ -389,7 +389,7 @@ _SIGNED_ZEROS = np.array([[-0.0, 0.0, -1.5, 2.0], [0.0, -0.0, 3.25, -0.5], [1.0,
 
 
 def _rule(node: nc.Tensor, g: np.ndarray) -> np.ndarray:
-    (adjoint,) = node._bw(g)
+    (adjoint,) = node._bw(g, node)
     return adjoint
 
 
@@ -445,9 +445,67 @@ def test_sum_and_mean_return_fresh_writable_adjoints(axis):
         assert not np.shares_memory(first, second)
 
 
+# -- every graph op's node holds a shared module-level rule -------------------------
+
+# numcore's public functions that build no graph node
+_NOT_GRAPH_OPS = {"no_grad", "constant", "parameter", "backward"}
+
+
+def _matrix(low=0.5):
+    return nc.parameter(np.linspace(low, 2.0, 12).reshape(3, 4))
+
+
+_GRAPH_OP_CASES = [
+    ("add", lambda: [nc.add(_matrix(), _matrix())]),
+    ("sub", lambda: [nc.sub(_matrix(), _matrix())]),
+    ("mul", lambda: [nc.mul(_matrix(), _matrix())]),
+    ("div", lambda: [nc.div(_matrix(), _matrix())]),
+    ("div", lambda: [nc.div(_matrix(), _matrix(low=0.0))]),  # floored
+    ("neg", lambda: [nc.neg(_matrix())]),
+    ("exp", lambda: [nc.exp(_matrix())]),
+    ("log", lambda: [nc.log(_matrix())]),
+    ("log", lambda: [nc.log(_matrix(low=-1.0))]),  # floored
+    ("sqrt", lambda: [nc.sqrt(_matrix())]),
+    ("sqrt", lambda: [nc.sqrt(_matrix(low=0.0))]),  # floored
+    ("square", lambda: [nc.square(_matrix())]),
+    ("tanh", lambda: [nc.tanh(_matrix())]),
+    ("relu", lambda: [nc.relu(_matrix(low=-1.0))]),
+    ("sigmoid", lambda: [nc.sigmoid(_matrix(low=-1.0))]),
+    ("softplus", lambda: [nc.softplus(_matrix(low=-1.0))]),
+    ("absolute", lambda: [nc.absolute(_matrix(low=-1.0))]),
+    ("clip", lambda: [nc.clip(_matrix(), 0.0, 1.0)]),
+    ("matmul", lambda: [nc.matmul(_matrix(), nc.constant(np.ones((4, 2))))]),
+    ("transpose", lambda: [nc.transpose(_matrix())]),
+    ("concat_cols", lambda: [nc.concat_cols([_matrix(), _matrix()])]),
+    ("row", lambda: [nc.row(_matrix(), 1)]),
+    ("reshape_col", lambda: [nc.reshape_col(nc.parameter(np.ones(3)))]),
+    ("sum_", lambda: [nc.sum_(_matrix()), nc.sum_(_matrix(), 1)]),
+    ("mean", lambda: [nc.mean(_matrix()), nc.mean(_matrix(), 0)]),
+    ("logsumexp", lambda: [nc.logsumexp(_matrix()), nc.logsumexp(_matrix(), 1)]),
+    ("sym_eig", lambda: list(nc.sym_eig(nc.parameter(np.diag([3.0, 1.0]) + 0.5)))),
+]
+
+
+def test_every_graph_op_case_is_listed():
+    public = {name for name, fn in vars(nc).items() if callable(fn)
+              and getattr(fn, "__module__", None) == nc.__name__
+              and not name.startswith("_") and not isinstance(fn, type)}
+    assert {name for name, _ in _GRAPH_OP_CASES} == public - _NOT_GRAPH_OPS
+
+
+@pytest.mark.parametrize("name, build", _GRAPH_OP_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_GRAPH_OP_CASES)])
+def test_graph_op_nodes_hold_a_module_level_rule(name, build):
+    for node in build():
+        rule = node._bw
+        assert node.requires_grad and rule is not None, name
+        assert rule.__module__ == nc.__name__ and "<" not in rule.__qualname__, rule
+        assert getattr(nc, rule.__qualname__) is rule, rule
+
+
 def _failing(a: nc.Tensor) -> nc.Tensor:
     """`a` passed through a node whose rule raises."""
-    def bw(g):
+    def bw(g, node):
         raise RuntimeError("rule failed")
 
     return nc._make(a.data.copy(), "failing", (a,), bw)

@@ -247,6 +247,13 @@ def test_bad_values_are_rejected_with_the_key_path(key, value, message):
     assert str(err.value) == f"{key}: {message}"
 
 
+def test_jmvae_refuses_alpha_zero():
+    # at alpha = 0 the uni-modal encoders get no gradient, so a step could not run
+    with pytest.raises(ConfigError) as err:
+        build_config({"model.name": "jmvae", "model.z_dim": 4, "model.alpha": 0.0})
+    assert str(err.value) == "model.alpha: must satisfy x > 0"
+
+
 # -- optimizer -------------------------------------------------------------------
 
 

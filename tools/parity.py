@@ -97,9 +97,9 @@ def _capture_variant(mvx, model: str, extra: dict, work: Path) -> dict[str, dict
     nodes = 0
     make = nc._make
 
-    def counting_make(*args):
+    def counting_make(*args, **kwargs):
         nonlocal nodes
-        out = make(*args)
+        out = make(*args, **kwargs)
         nodes += out.requires_grad
         return out
 
