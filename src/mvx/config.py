@@ -118,9 +118,13 @@ class NetSpecConfig:
     distribution: str = _key(
         _as_str, (lambda x: x in Likelihood.KINDS,
                   f"unsupported distribution (choose from {Likelihood.KINDS})"),
-        default="Normal", decoder_only=True)
-    scale: float = _key(_as_float, (lambda x: x > 0, "scale must be positive"),
-                        default=1.0, decoder_only=True)
+        default="Normal", decoder_only=True, read_by=lambda spec, _: spec.encoder != "plain")
+    # read by the Normal and Laplace likelihoods. A plain autoencoder's
+    # decoders score squared error and read neither key, but it still accepts
+    # any scale: the benchmark's mwae workload sets one
+    scale: float = _key(
+        _as_float, (lambda x: x > 0, "scale must be positive"), default=1.0, decoder_only=True,
+        read_by=lambda _, net: net.distribution in ("Normal", "Laplace"))
 
 
 @dataclass
@@ -313,7 +317,9 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     # cross-field checks
     name = cfg.name
     spec = MODEL_SPECS[name]
-    for prefix, section in (("model", cfg), ("trainer", cfg.trainer)):
+    checked = [("model", cfg), ("trainer", cfg.trainer),
+               *((f"decoder.{slot}", net) for slot, net in cfg.decoders.items())]
+    for prefix, section in checked:
         for key, f in _declared_keys(type(section)).items():
             _check_read(name, section, prefix, key, f, getattr(section, f.name))
     if spec.has_private(cfg.private):

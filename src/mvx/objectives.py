@@ -9,7 +9,9 @@ independent recomputations.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -47,6 +49,10 @@ class EpsStream:
     def normal(self, shape) -> Tensor:
         return nc.constant(self.rng.standard_normal(shape))
 
+    def sample(self, q: GaussianParams) -> Tensor:
+        """A reparameterized draw from `q`, taking one normal of its shape."""
+        return rsample(q, self.normal(q.shape))
+
     def integers(self, n: int, high: int) -> np.ndarray:
         return self.rng.integers(0, high, size=n)
 
@@ -60,12 +66,9 @@ class LossBreakdown:
 
     @classmethod
     def from_terms(cls, terms: dict[str, Tensor]) -> "LossBreakdown":
-        total: Tensor | None = None
-        for t in terms.values():
-            total = t if total is None else total + t
-        if total is None:
+        if not terms:
             raise ContractError("LossBreakdown: no terms")
-        return cls(total=total, terms=terms)
+        return cls(total=functools.reduce(operator.add, terms.values()), terms=terms)
 
     def scalars(self) -> dict[str, float]:
         out = {k: v.item() for k, v in self.terms.items()}
@@ -218,6 +221,17 @@ def _kl_prior(state: ModelState, q: GaussianParams, weight: float | None = None,
     return _scaled(beta, nc.mean(kl))
 
 
+def _elbo(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], q: GaussianParams,
+          eps: EpsStream, source, weight: float | None = None, mask: Tensor | None = None,
+          targets: tuple[int, ...] | None = None) -> None:
+    """Add the ELBO terms of the posterior `q`: `recon[<view><-<source>]` of
+    one draw from `q` for every view in `targets` (default: every view), then
+    `kl[<source>]`, each scaled by `weight` and its rows multiplied by `mask`
+    when given (see `_recon` and `_kl_prior`)."""
+    _recon(terms, state, views, eps.sample(q), source, weight, mask, targets)
+    terms[f"kl[{source}]"] = _kl_prior(state, q, weight, mask)
+
+
 def _log_weight(state: ModelState, views: list[Tensor], z: Tensor,
                 proposal: GaussianParams | ExpertSet) -> Tensor:
     """The importance log-weight of `z` drawn from `proposal`, a Gaussian or a
@@ -341,9 +355,9 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     """
     _check_views(state, views)
     [q_z] = _encode(state.encoders, views)
-    z = rsample(q_z, eps.normal(q_z.shape))
+    z = eps.sample(q_z)
     q_h = _encode(state.private_encoders, views) if state.cfg.private else []
-    hs = [rsample(q, eps.normal(q.shape)) for q in q_h]
+    hs = [eps.sample(q) for q in q_h]
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, z, "joint", private=hs or None)
     terms["kl[z]"] = _kl_prior(state, q_z)
@@ -367,14 +381,13 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     _check_views(state, views)
     terms: dict[str, Tensor] = {}
     for m, q_m in enumerate(_encode(state.encoders, views)):
-        if state.cfg.sparse:
-            # a dropout posterior: the mean network and a per-dimension alpha
-            alpha = nc.exp(state.log_alphas[m])
-            z_m = q_m + q_m * (nc.sqrt(alpha) * eps.normal(q_m.shape))
-            kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(alpha, q_m.shape[0])))
-        else:
-            z_m = rsample(q_m, eps.normal(q_m.shape))
-            kl_m = _kl_prior(state, q_m)
+        if not state.cfg.sparse:
+            _elbo(terms, state, views, q_m, eps, m)
+            continue
+        # a dropout posterior: the mean network and a per-dimension alpha
+        alpha = nc.exp(state.log_alphas[m])
+        z_m = q_m + q_m * (nc.sqrt(alpha) * eps.normal(q_m.shape))
+        kl_m = _scaled(state.cfg.beta, nc.mean(kl_sparse(alpha, q_m.shape[0])))
         _recon(terms, state, views, z_m, m)
         terms[f"kl[{m}]"] = kl_m
     return LossBreakdown.from_terms(terms)
@@ -394,11 +407,8 @@ def _joint_elbo(state: ModelState, views: list[Tensor],
     """
     _check_views(state, views)
     experts = _posteriors(state, views)
-    q = _joint(state, experts)
-    z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint")
-    terms["kl[joint]"] = _kl_prior(state, q)
+    _elbo(terms, state, views, _joint(state, experts), eps, "joint")
     return experts, terms
 
 
@@ -421,9 +431,7 @@ def me_mvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Loss
     experts, terms = _joint_elbo(state, views, eps)
     for m in range(state.n_views):
         q_m = MODEL_SPECS[state.cfg.name].pool(state, experts, (m,))
-        z_m = rsample(q_m, eps.normal(q_m.shape))
-        _recon(terms, state, views, z_m, f"uni{m}", targets=(m,))
-        terms[f"kl[uni{m}]"] = _kl_prior(state, q_m)
+        _elbo(terms, state, views, q_m, eps, f"uni{m}", targets=(m,))
     return LossBreakdown.from_terms(terms)
 
 
@@ -444,8 +452,7 @@ def mmvae_iwae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> L
     for m in range(state.n_views):
         log_weights = []
         for _ in range(state.cfg.K):
-            z = rsample(experts[m], eps.normal(experts[m].shape))
-            log_weights.append(_log_weight(state, views, z, moe))
+            log_weights.append(_log_weight(state, views, eps.sample(experts[m]), moe))
         terms[f"iwae[{m}]"] = _k_sample_bound(log_weights, state.n_views)
     return LossBreakdown.from_terms(terms)
 
@@ -467,9 +474,8 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
     m_total = state.n_views
     experts = _encode(state.encoders, views)
     q = _joint(state, experts)
-    z = rsample(q, eps.normal(q.shape))
     terms: dict[str, Tensor] = {}
-    _recon(terms, state, views, z, "joint", (m_total - state.cfg.alpha) / m_total)
+    _recon(terms, state, views, eps.sample(q), "joint", (m_total - state.cfg.alpha) / m_total)
     if state.cfg.alpha < 1.0:
         terms["kl[prior]"] = _kl_prior(state, q, 1.0 - state.cfg.alpha)
     if state.cfg.alpha > 0.0:
@@ -505,16 +511,14 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     terms: dict[str, Tensor] = {}
     for k, subset in enumerate(subsets):
         q_k = MODEL_SPECS[state.cfg.name].pool(state, experts, subset)
-        z_k = rsample(q_k, eps.normal(q_k.shape))
         label = "+".join(str(i) for i in subset)
         if selection is None:
             weight = 1.0 / n_subsets
-            kl_mask = None
+            mask = None
         else:
             weight = 1.0
-            kl_mask = nc.constant((selection == k).astype(np.float64))
-        _recon(terms, state, views, z_k, f"{{{label}}}", weight, kl_mask)
-        terms[f"kl[{{{label}}}]"] = _kl_prior(state, q_k, weight, kl_mask)
+            mask = nc.constant((selection == k).astype(np.float64))
+        _elbo(terms, state, views, q_k, eps, f"{{{label}}}", weight, mask)
     return LossBreakdown.from_terms(terms)
 
 
@@ -553,8 +557,7 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     dynamic_prior = _joint(state, experts)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
-        z_m = rsample(experts[m], eps.normal(experts[m].shape))
-        _recon(terms, state, views, z_m, m, 1.0 / m_total)
+        _recon(terms, state, views, eps.sample(experts[m]), m, 1.0 / m_total)
     for m in range(m_total):
         terms[f"kl[js{m}]"] = _mean_kl(state.cfg.beta * pi[m], experts[m], dynamic_prior)
     prior = standard_normal(experts[0].shape)
@@ -585,8 +588,8 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
     for m in range(m_total):
         log_weights = []
         for _ in range(state.cfg.K):
-            z = rsample(shared[m], eps.normal(shared[m].shape))
-            h_m = rsample(privates[m], eps.normal(privates[m].shape))
+            z = eps.sample(shared[m])
+            h_m = eps.sample(privates[m])
             lw = _decode(state, m, z, h_m).log_prob(views[m])
             lw = lw + gaussian_log_prob(standard_normal(z.shape), z)
             lw = lw + gaussian_log_prob(standard_normal(h_m.shape), h_m)
@@ -624,9 +627,9 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     shared = _encode(state.encoders, views)
     privates = _encode(state.private_encoders, views)
     q_joint = _joint(state, shared)
-    z_joint = rsample(q_joint, eps.normal(q_joint.shape))
-    hs = [rsample(q, eps.normal(q.shape)) for q in privates]
-    z_uni = [rsample(q, eps.normal(q.shape)) for q in shared]
+    z_joint = eps.sample(q_joint)
+    hs = [eps.sample(q) for q in privates]
+    z_uni = [eps.sample(q) for q in shared]
     kl_joint = nc.mean(kl_to_standard(q_joint))
     kl_priv = [nc.mean(kl_to_standard(q)) for q in privates]
     kl_shared = [nc.mean(kl_to_standard(q)) for q in shared]
@@ -647,7 +650,8 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 # ---------------------------------------------------------------------------
 
 
-def _ae_reconstruction(state: ModelState, views: list[Tensor], latents: list[Tensor]) -> LossBreakdown:
+def _ae_reconstruction(state: ModelState, views: list[Tensor],
+                       latents: list[Tensor]) -> LossBreakdown:
     m_total = state.n_views
     w = 1.0 / (m_total * m_total)
     terms: dict[str, Tensor] = {}
@@ -680,15 +684,15 @@ def maae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
     Draws: one (B, z) prior sample per modality, in modality order.
     """
     recon, scores = _adversarial_scores(state, views, eps)
-    disc_total: Tensor | None = None
-    gen_total: Tensor | None = None
+    pairs, gens = [], []
     for d_prior, d_enc in scores:
         log_d_prior = nc.mean(nc.log(d_prior))
         log_one_minus = nc.mean(nc.log(nc.constant(1.0) - d_enc))
-        pair = log_d_prior + log_one_minus
-        disc_total = pair if disc_total is None else disc_total + pair
-        g = nc.neg(nc.mean(nc.log(d_enc))) if state.cfg.non_saturating else log_one_minus
-        gen_total = g if gen_total is None else gen_total + g
+        pairs.append(log_d_prior + log_one_minus)
+        gens.append(nc.neg(nc.mean(nc.log(d_enc))) if state.cfg.non_saturating
+                    else log_one_minus)
+    disc_total = functools.reduce(operator.add, pairs)
+    gen_total = functools.reduce(operator.add, gens)
     inv_m = nc.constant(1.0 / state.n_views)
     disc_loss = nc.neg(disc_total) * inv_m
     gen_loss = gen_total * inv_m
@@ -708,14 +712,13 @@ def mwae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
     Draws: one (B, z) prior sample per modality, in modality order.
     """
     recon, scores = _adversarial_scores(state, views, eps)
-    critic_obj: Tensor | None = None
-    gen_obj: Tensor | None = None
+    pairs, encs = [], []
     for s_prior, s_enc in scores:
-        c_prior = nc.mean(s_prior)
-        c_enc = nc.mean(s_enc)
-        pair = c_prior - c_enc
-        critic_obj = pair if critic_obj is None else critic_obj + pair
-        gen_obj = c_enc if gen_obj is None else gen_obj + c_enc
+        c_prior, c_enc = nc.mean(s_prior), nc.mean(s_enc)
+        pairs.append(c_prior - c_enc)
+        encs.append(c_enc)
+    critic_obj = functools.reduce(operator.add, pairs)
+    gen_obj = functools.reduce(operator.add, encs)
     inv_m = nc.constant(1.0 / state.n_views)
     critic_loss = nc.neg(critic_obj) * inv_m
     gen_loss = nc.neg(gen_obj) * inv_m
@@ -726,36 +729,6 @@ def mwae_losses(state: ModelState, views: list[Tensor], eps: EpsStream) -> Adver
         generator=gen_loss,
         total=audit_total,
     )
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-VARIATIONAL_OBJECTIVES = {
-    "jmvae": jmvae_kl_loss,
-    "dvcca": dvcca_loss,
-    "mcvae": mcvae_loss,
-    "mvae": mvae_loss,
-    "me_mvae": me_mvae_loss,
-    "mmvae": mmvae_iwae_loss,
-    "mvtcae": mvtcae_loss,
-    "mopoe": mopoe_loss,
-    "weighted_mvae": mvae_loss,
-    "mmjsd": mmjsd_loss,
-    "mmvaeplus": mmvaeplus_loss,
-    "dmvae": dmvae_loss,
-}
-
-PLAIN_OBJECTIVES = {
-    "ae": ae_loss,
-    "dccae": dccae_loss,
-}
-
-ADVERSARIAL_OBJECTIVES = {
-    "maae": maae_losses,
-    "mwae": mwae_losses,
-}
 
 
 # A pooling hook maps (state, posteriors, members) to the posterior of the
@@ -850,7 +823,7 @@ def _aux_log_scales(state: ModelState) -> None:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything but the objective that sets one model apart.
+    """Everything that sets one model apart, its loss `objective` first.
 
     `keys` names the model-specific config keys (`model.<key>`) that the
     model reads; config rejects a non-default value of any other one, and
@@ -862,9 +835,12 @@ class ModelSpec:
     log-likelihood. A model lacks whatever its entry leaves as None. The
     objectives pool only through these hooks, so each pooling rule is
     written once; config and the objectives both enforce `n_views` and
-    `alpha_range`.
+    `alpha_range`. A plain autoencoder (`encoder == "plain"`) scores squared
+    error, so config refuses a decoder `distribution` for it.
     """
 
+    # the loss: (state, views, eps) -> the terms that the trainer minimizes
+    objective: Callable[..., LossBreakdown | AdversarialLosses]
     keys: frozenset[str] = frozenset()
     # "plain", "variational", or "reference": one variational encoder, of view 0
     encoder: str = "variational"
@@ -876,8 +852,6 @@ class ModelSpec:
     # the objective pools every non-empty view subset, so config caps the view
     # count at the powerset guard, pooling.MAX_SUBSET_MODALITIES
     subsets: bool = False
-    # decoder likelihood forced on every view, overriding the config
-    likelihood: str | None = None
     # "discriminator" or "critic" (unbounded scores, clipped weights, several steps)
     adversary: str | None = None
     # adds the model's trainable tensors that are not network weights
@@ -897,36 +871,52 @@ class ModelSpec:
 
 
 MODEL_SPECS = {
-    "ae": ModelSpec(encoder="plain", likelihood="Default"),
-    "jmvae": ModelSpec(keys=frozenset({"beta", "alpha"}), n_views=2, joint_encoder=True,
-                       joint=_joint_encoder_posterior, proposal=_joint_encoder_posterior),
-    "dccae": ModelSpec(keys=frozenset({"lambda"}), encoder="plain", n_views=2,
-                       likelihood="Default", full_batch=True,
-                       view_weights=("lambda", lambda n: (1,))),
-    "dvcca": ModelSpec(keys=frozenset({"beta", "private", "s_dim"}), encoder="reference",
-                       n_views=2, proposal=_reference_posterior),
-    "mcvae": ModelSpec(keys=frozenset({"beta", "sparse", "threshold", "join_type"}),
+    "ae": ModelSpec(ae_loss, encoder="plain"),
+    "jmvae": ModelSpec(jmvae_kl_loss, keys=frozenset({"beta", "alpha"}), n_views=2,
+                       joint_encoder=True, joint=_joint_encoder_posterior,
+                       proposal=_joint_encoder_posterior),
+    "dccae": ModelSpec(dccae_loss, keys=frozenset({"lambda"}), encoder="plain", n_views=2,
+                       full_batch=True, view_weights=("lambda", lambda n: (1,))),
+    "dvcca": ModelSpec(dvcca_loss, keys=frozenset({"beta", "private", "s_dim"}),
+                       encoder="reference", n_views=2, proposal=_reference_posterior),
+    "mcvae": ModelSpec(mcvae_loss, keys=frozenset({"beta", "sparse", "threshold", "join_type"}),
                        extras=_sparse_log_alphas, joint=_pool_by_join_type),
-    "mvae": ModelSpec(keys=frozenset({"beta"}), pool=_pool_product_with_prior,
+    "mvae": ModelSpec(mvae_loss, keys=frozenset({"beta"}), pool=_pool_product_with_prior,
                       joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
-    "me_mvae": ModelSpec(keys=frozenset({"beta"}), pool=_pool_product_with_prior,
+    "me_mvae": ModelSpec(me_mvae_loss, keys=frozenset({"beta"}), pool=_pool_product_with_prior,
                          joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
-    "mmvae": ModelSpec(keys=frozenset({"K"}), pool=_pool_mean, joint=_mixture,
+    "mmvae": ModelSpec(mmvae_iwae_loss, keys=frozenset({"K"}), pool=_pool_mean, joint=_mixture,
                        proposal=_mixture),
-    "mvtcae": ModelSpec(keys=frozenset({"beta", "alpha"}), alpha_range=(0.0, 1.0),
+    "mvtcae": ModelSpec(mvtcae_loss, keys=frozenset({"beta", "alpha"}), alpha_range=(0.0, 1.0),
                         pool=_pool_product, joint=_pool_product, proposal=_pool_product),
-    "mopoe": ModelSpec(keys=frozenset({"beta", "stochastic_subsets"}), subsets=True,
+    "mopoe": ModelSpec(mopoe_loss, keys=frozenset({"beta", "stochastic_subsets"}), subsets=True,
                        pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
-    "weighted_mvae": ModelSpec(keys=frozenset({"beta"}), extras=_gpoe_logits, pool=_pool_gpoe,
-                               joint=_pool_gpoe, proposal=_pool_gpoe),
-    "mmjsd": ModelSpec(keys=frozenset({"beta", "pi"}), view_weights=("pi", lambda n: (n + 1,)),
+    "weighted_mvae": ModelSpec(mvae_loss, keys=frozenset({"beta"}), extras=_gpoe_logits,
+                               pool=_pool_gpoe, joint=_pool_gpoe, proposal=_pool_gpoe),
+    "mmjsd": ModelSpec(mmjsd_loss, keys=frozenset({"beta", "pi"}),
+                       view_weights=("pi", lambda n: (n + 1,)),
                        pool=_pool_geometric, joint=_pool_geometric, proposal=_pool_geometric),
-    "mmvaeplus": ModelSpec(keys=frozenset({"s_dim", "K"}), private=True, extras=_aux_log_scales,
-                           pool=_pool_mean, joint=_mixture),
-    "dmvae": ModelSpec(keys=frozenset({"s_dim", "beta", "lambda"}), private=True,
+    "mmvaeplus": ModelSpec(mmvaeplus_loss, keys=frozenset({"s_dim", "K"}), private=True,
+                           extras=_aux_log_scales, pool=_pool_mean, joint=_mixture),
+    "dmvae": ModelSpec(dmvae_loss, keys=frozenset({"s_dim", "beta", "lambda"}), private=True,
                        view_weights=("lambda", lambda n: (1, n)),
                        pool=_pool_product_with_prior, joint=_pool_product_with_prior),
-    "maae": ModelSpec(keys=frozenset({"non_saturating"}), encoder="plain", likelihood="Default",
+    "maae": ModelSpec(maae_losses, keys=frozenset({"non_saturating"}), encoder="plain",
                       adversary="discriminator"),
-    "mwae": ModelSpec(encoder="plain", likelihood="Default", adversary="critic"),
+    "mwae": ModelSpec(mwae_losses, encoder="plain", adversary="critic"),
 }
+
+
+def _loss_kind(spec: ModelSpec) -> str:
+    """The objective table of an entry: "adversarial" when it sets an
+    adversary, else "plain" when its encoder is plain, else "variational"."""
+    if spec.adversary is not None:
+        return "adversarial"
+    return "plain" if spec.encoder == "plain" else "variational"
+
+
+# Each entry's loss, by kind. The trainer looks every loss up here, where the
+# benchmark's tracer finds and wraps them.
+VARIATIONAL_OBJECTIVES, PLAIN_OBJECTIVES, ADVERSARIAL_OBJECTIVES = (
+    {name: spec.objective for name, spec in MODEL_SPECS.items() if _loss_kind(spec) == kind}
+    for kind in ("variational", "plain", "adversarial"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,19 +38,16 @@ class ExpertSet:
 
 def _product_pool(experts: list[GaussianParams], alphas: list[Tensor | float]) -> GaussianParams:
     """Precision-weighted fusion: precision_m scaled by alpha_m."""
-    precision_sum: Tensor | None = None
-    weighted_mean_sum: Tensor | None = None
+    precisions, weighted_means = [], []
     for e, a in zip(experts, alphas):
         prec = nc.exp(nc.neg(e.log_var))
         if not isinstance(a, (int, float)) or a != 1.0:
             a_t = a if isinstance(a, Tensor) else nc.constant(a)
             prec = prec * a_t
-        term_mean = e.mean * prec
-        precision_sum = prec if precision_sum is None else precision_sum + prec
-        weighted_mean_sum = (
-            term_mean if weighted_mean_sum is None else weighted_mean_sum + term_mean
-        )
-    mean = weighted_mean_sum / precision_sum
+        precisions.append(prec)
+        weighted_means.append(e.mean * prec)
+    precision_sum = functools.reduce(operator.add, precisions)
+    mean = functools.reduce(operator.add, weighted_means) / precision_sum
     log_var = nc.neg(nc.log(precision_sum))
     return GaussianParams(mean, log_var)
 
@@ -88,12 +87,8 @@ def moe_log_prob(e: ExpertSet, z: Tensor) -> Tensor:
 def mean_pool(e: ExpertSet) -> GaussianParams:
     """Arithmetic mean of expert means and of expert variances."""
     m = float(len(e.experts))
-    mean_sum: Tensor | None = None
-    var_sum: Tensor | None = None
-    for comp in e.experts:
-        mean_sum = comp.mean if mean_sum is None else mean_sum + comp.mean
-        v = comp.variance()
-        var_sum = v if var_sum is None else var_sum + v
+    mean_sum = functools.reduce(operator.add, [comp.mean for comp in e.experts])
+    var_sum = functools.reduce(operator.add, [comp.variance() for comp in e.experts])
     return GaussianParams(mean_sum / nc.constant(m), nc.log(var_sum / nc.constant(m)))
 
 

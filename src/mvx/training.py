@@ -105,7 +105,7 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
         dec_spec = cfg.decoder_spec(m)
         decoders.append(
             Decoder(_mlp_spec(dec_spec, dec_in, input_dims[m]), rng,
-                    distribution=spec.likelihood or dec_spec.distribution,
+                    distribution="Default" if spec.encoder == "plain" else dec_spec.distribution,
                     scale=dec_spec.scale, name=f"dec{m}")
         )
     state.decoders = decoders

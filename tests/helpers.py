@@ -3,8 +3,10 @@ linear-Gaussian data with its exact log-likelihoods."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,20 @@ from mvx.errors import NumericError
 from mvx.numcore import Tensor
 from mvx.objectives import MODEL_SPECS, EpsStream, ModelState
 from mvx.training import build_model
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name: str):
+    """The script `tools/<name>.py` as a module, with `tools/` importable as
+    it is when the script runs."""
+    if str(TOOLS) not in sys.path:
+        sys.path.append(str(TOOLS))
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_per_op_check_on() -> None:

@@ -1,15 +1,11 @@
 """The paired benchmark tool `tools/ab.py`: its summary of paired runs (no
 benchmark runs here)."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
-ab = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab)
+from helpers import load_tool
+
+ab = load_tool("ab")
 
 
 def test_the_summary_gives_medians_spread_change_and_paired_counts():

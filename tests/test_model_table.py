@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from mvx import evaluation, objectives, training
-from mvx.config import MODEL_KEYS, ModelConfig, TrainerConfig, _declared_keys, build_config
+from mvx.config import (
+    MODEL_KEYS,
+    ModelConfig,
+    NetSpecConfig,
+    TrainerConfig,
+    _declared_keys,
+    build_config,
+)
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
 from mvx.errors import ConfigError, DimensionError, UnsupportedMetricError
@@ -51,9 +58,29 @@ CAPABILITIES = [
 
 
 def test_every_model_has_one_entry_and_one_objective():
-    objectives = [*VARIATIONAL_OBJECTIVES, *PLAIN_OBJECTIVES, *ADVERSARIAL_OBJECTIVES]
-    assert sorted(objectives) == sorted(MODEL_SPECS)
+    # the three objective tables partition the model table by its entries'
+    # adversary and encoder, and hold each entry's own objective
+    tables = {"variational": VARIATIONAL_OBJECTIVES, "plain": PLAIN_OBJECTIVES,
+              "adversarial": ADVERSARIAL_OBJECTIVES}
+    for name, spec in MODEL_SPECS.items():
+        kind = ("adversarial" if spec.adversary is not None
+                else "plain" if spec.encoder == "plain" else "variational")
+        assert [k for k, table in tables.items() if name in table] == [kind], name
+        assert tables[kind][name] is spec.objective, name
+    assert sum(map(len, tables.values())) == len(MODEL_SPECS)
     assert sorted({case[0] for case in CAPABILITIES}) == sorted(MODEL_SPECS)
+
+
+def test_objectives_draw_a_posterior_sample_only_through_the_eps_stream():
+    # every reparameterized draw of the losses is `EpsStream.sample`: the
+    # only reference to `rsample` in objectives.py outside its import
+    def references(node):
+        return [n for n in ast.walk(node)
+                if getattr(n, "id", getattr(n, "attr", None)) == "rsample"]
+    tree = ast.parse(inspect.getsource(objectives))
+    [stream] = [n for n in tree.body if getattr(n, "name", None) == "EpsStream"]
+    [sample] = [n for n in stream.body if getattr(n, "name", None) == "sample"]
+    assert len(references(tree)) == len(references(sample)) == 1
 
 
 def test_model_state_copies_no_config_key():
@@ -271,6 +298,48 @@ def test_a_full_batch_config_refuses_a_batch_size():
         assert str(err.value) == "trainer.batch_size: model 'mvae' does not use this key"
     fit(build_config({**keys, "trainer.batch_size": 64}), data, max_epochs=0, batch_size=64)
     build_config({**_base_keys("mvae"), "trainer.batch_size": 4})
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_a_plain_autoencoder_refuses_a_decoder_distribution(name):
+    # its decoders score squared error whatever the config says. It still
+    # accepts a scale, which it does not read either: the benchmark's mwae
+    # workload sets one
+    plain = MODEL_SPECS[name].encoder == "plain"
+    for slot in ("default", 0):
+        flat = {**_base_keys(name), f"decoder.{slot}.distribution": "Laplace"}
+        if plain:
+            with pytest.raises(ConfigError) as err:
+                build_config(flat)
+            assert str(err.value) == (
+                f"decoder.{slot}.distribution: model '{name}' does not use this key")
+        else:
+            build_config(flat)
+        build_config({**_base_keys(name), f"decoder.{slot}.distribution": "Normal",
+                      f"decoder.{slot}.scale": 0.5})
+    cfg = build_config(_base_keys(name))
+    moved = copy.deepcopy(cfg)
+    moved.decoders = {"default": NetSpecConfig(hidden_layer_dim=[4], distribution="Laplace",
+                                               scale=0.5)}
+    assert (_outputs(moved) != _outputs(cfg)) == (not plain)
+
+
+def test_a_decoder_likelihood_without_a_scale_refuses_one():
+    for distribution in ("Bernoulli", "Categorical", "Default"):
+        keys = {**_base_keys("mvae"), "decoder.default.distribution": distribution}
+        with pytest.raises(ConfigError) as err:
+            build_config({**keys, "decoder.default.scale": 3.0})
+        assert str(err.value) == "decoder.default.scale: model 'mvae' does not use this key"
+        build_config({**keys, "decoder.default.scale": 1.0})
+    # each slot's own likelihood decides, and a model with plain encoders but
+    # variational losses (sparse mcVAE) reads both keys
+    build_config({**_base_keys("mvae"), "decoder.0.distribution": "Bernoulli",
+                  "decoder.default.scale": 3.0})
+    with pytest.raises(ConfigError, match="decoder.0.scale: model 'mvae' does not use"):
+        build_config({**_base_keys("mvae"), "decoder.0.distribution": "Bernoulli",
+                      "decoder.0.scale": 3.0})
+    build_config({**_base_keys("mcvae"), "model.sparse": True,
+                  "decoder.default.distribution": "Laplace", "decoder.default.scale": 0.5})
 
 
 @pytest.mark.parametrize("name", MODEL_SPECS)

@@ -1,17 +1,14 @@
 """The parity harness `tools/parity.py`: a capture repeats exactly in
 process, and the comparison names a one-ulp change."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
+import pytest
 
 from mvx.objectives import MODEL_SPECS
 
-_SPEC = importlib.util.spec_from_file_location(
-    "parity", Path(__file__).resolve().parents[1] / "tools" / "parity.py")
-parity = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(parity)
+from helpers import TOOLS, load_tool
+
+parity = load_tool("parity")
 
 VARIANTS = ["mvae", "mmjsd-pi", "mwae-2-critic-steps"]
 
@@ -39,3 +36,12 @@ def test_a_capture_repeats_and_a_one_ulp_change_is_named():
     variant, artefact, text = changed[0]
     assert (variant, artefact) == ("mmjsd-pi", "checkpoint")
     assert f"first {name};" in text and "max abs diff" in text
+
+
+def test_against_takes_the_directory_of_a_checkout(tmp_path):
+    checkout = load_tool("checkout").checkout
+    with checkout(str(TOOLS.parent)) as tree:
+        assert tree == TOOLS.parent
+    with pytest.raises(SystemExit, match="a directory without src/mvx"):
+        with checkout(str(tmp_path)):
+            pass

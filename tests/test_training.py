@@ -153,6 +153,8 @@ def test_resolved_config_round_trips_every_key():
     # every other key set to a non-default value; distribution and scale on decoders only
     net = {"hidden_layer_dim": [5, 3], "bias": False, "non_linear": False, "activation": "tanh"}
     for name, dims, extra in _ROUND_TRIP_MODELS:
+        # a plain autoencoder reads no decoder distribution: the default on maae and mwae
+        distribution = "Normal" if MODEL_SPECS[name].encoder == "plain" else "Laplace"
         flat = {
             **_MODEL_KEY_DEFAULTS, **extra,
             "model.name": name, "model.z_dim": 3,
@@ -160,7 +162,7 @@ def test_resolved_config_round_trips_every_key():
             "model.save_model": False, "model.input_dims": dims,
             **{f"encoder.{slot}.{k}": v for slot in ("default", 1) for k, v in net.items()},
             **{f"decoder.{slot}.{k}": v for slot in ("default", 0) for k, v in net.items()},
-            **{f"decoder.{slot}.distribution": "Laplace" for slot in ("default", 0)},
+            **{f"decoder.{slot}.distribution": distribution for slot in ("default", 0)},
             **{f"decoder.{slot}.scale": 0.5 for slot in ("default", 0)},
             "trainer.max_epochs": 7,
             **(_FULL_BATCH_KEYS if name == "mopoe" else _BATCH_KEYS),

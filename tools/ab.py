@@ -1,16 +1,19 @@
-"""Paired benchmark runs of this tree against another git revision.
+"""Paired benchmark runs of this tree against another revision or checkout.
 
-    python tools/ab.py --against REV --workload train_poe --pairs 10 --seconds 25
+    python tools/ab.py --against REV_OR_DIR --workload train_poe --pairs 10 --seconds 25
 
-REV is checked out into a temporary `git worktree`, which is removed
-afterwards. For each seed 1..N, `python3 perfbench/run.py` runs the workload
-with `--trace 0` in REV's tree and in this one, back to back so that the two
-runs of a pair see about the same machine; REV runs first on odd seeds and
-second on even ones, so neither side always follows the other. Each pair's end-to-end metrics are printed
-as they arrive; the summary gives, per metric, the medians of both trees, the
-spread between REV's quartiles, the median relative change and the number of
-pairs in which this tree did better (the direction is BENCHMARK.json's
-`better`). It exits 1 when a run fails its output checks.
+REV_OR_DIR is a git revision, exported into a temporary directory that is
+removed afterwards, or the directory of another checkout, whose
+`.perfbench_out/` the runs then write to (see `tools/checkout.py`). For each
+seed 1..N, `python3 perfbench/run.py` runs the workload with `--trace 0` in
+that tree (REV) and in this one, back to back so that the two runs of a pair
+see about the same machine; REV runs first on odd seeds and second on even
+ones, so neither side always follows the other. Each pair's end-to-end
+metrics are printed as they arrive; the summary gives, per metric, the
+medians of both trees, the spread between REV's quartiles, the median
+relative change and the number of pairs in which this tree did better (the
+direction is BENCHMARK.json's `better`). It exits 1 when a run fails its
+output checks.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import argparse
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from checkout import checkout
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,7 +81,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, help="the git revision to compare with")
+    parser.add_argument("--against", required=True,
+                        help="the git revision or checkout directory to compare with")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
@@ -91,24 +96,18 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     pairs, failed = [], 0
-    with tempfile.TemporaryDirectory(prefix="mvx-ab-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base), args.against], check=True)
-        try:
-            for seed in range(1, args.pairs + 1):
-                trees = [base, ROOT] if seed % 2 else [ROOT, base]
-                runs = {tree: _run(tree, args.workload, seed, args.seconds) for tree in trees}
-                (theirs, ok_theirs), (ours, ok_ours) = runs[base], runs[ROOT]
-                failed += (not ok_theirs) + (not ok_ours)
-                pairs.append((theirs, ours))
-                print(f"seed {seed}" + "".join(
-                    f"  {name} {theirs[name]:.6g} -> {ours[name]:.6g}"
-                    f" ({_change(ours[name], theirs[name])})" for name in better)
-                    + ("" if ok_theirs and ok_ours else "  CHECK FAILED"), flush=True)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base)], check=True)
+    with checkout(args.against) as base:
+        for seed in range(1, args.pairs + 1):
+            first = seed % 2  # 1: the other tree runs first
+            runs = [_run(tree, args.workload, seed, args.seconds)
+                    for tree in ((base, ROOT) if first else (ROOT, base))]
+            (theirs, ok_theirs), (ours, ok_ours) = runs if first else runs[::-1]
+            failed += (not ok_theirs) + (not ok_ours)
+            pairs.append((theirs, ours))
+            print(f"seed {seed}" + "".join(
+                f"  {name} {theirs[name]:.6g} -> {ours[name]:.6g}"
+                f" ({_change(ours[name], theirs[name])})" for name in better)
+                + ("" if ok_theirs and ok_ours else "  CHECK FAILED"), flush=True)
 
     print(f"{args.workload}: {args.against} -> this tree, {args.pairs} pairs of "
           f"{args.seconds:g} s")

@@ -1,11 +1,12 @@
-"""Compare this tree's outputs with those of another git revision.
+"""Compare this tree's outputs with those of another revision or checkout.
 
-    python tools/parity.py --against REV
+    python tools/parity.py --against REV_OR_DIR
 
-REV is checked out into a temporary `git worktree`, which is removed
-afterwards. Both trees then run one fixed list of variants, each tree in its
-own subprocess that imports that tree's `src/mvx`. Every variant trains a
-small model for 2 epochs and records:
+REV_OR_DIR is a git revision, exported into a temporary directory that is
+removed afterwards, or the directory of another checkout (see
+`tools/checkout.py`). Both trees then run one fixed list of variants, each
+tree in its own subprocess that imports that tree's `src/mvx`. Every variant
+trains a small model for 2 epochs and records:
 
 - the history, `metrics.csv`, `resolved.cfg` and the checkpoint (its bytes
   and each parameter);
@@ -30,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from checkout import checkout
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,7 +218,8 @@ def _capture_tree(src: Path, out: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", help="the git revision to compare this tree with")
+    parser.add_argument("--against",
+                        help="the git revision or checkout directory to compare this tree with")
     # internal: capture the tree whose package is in --src into the file --capture
     parser.add_argument("--capture", help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)
@@ -226,17 +230,11 @@ def main(argv: list[str] | None = None) -> int:
             pickle.dump(capture(), fh)
         return 0
     if not args.against:
-        parser.error("--against REV is required")
+        parser.error("--against REV_OR_DIR is required")
 
     with tempfile.TemporaryDirectory(prefix="mvx-parity-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base), args.against], check=True)
-        try:
+        with checkout(args.against) as base:
             _capture_tree(base / "src", Path(tmp) / "theirs.pkl")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base)], check=True)
         _capture_tree(ROOT / "src", Path(tmp) / "ours.pkl")
         with open(Path(tmp) / "ours.pkl", "rb") as fh:
             ours = pickle.load(fh)
