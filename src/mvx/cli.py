@@ -1,8 +1,8 @@
 """Command-line front door: train, eval, reconstruct, gen-data, validate-config.
 
 Exit codes: 0 success, 1 usage/validation error or a metric the model does
-not support, 2 runtime error. The env
-var MVX_SEED acts as a lowest-precedence seed override.
+not support, 2 runtime error (a file that cannot be read or written included).
+The env var MVX_SEED acts as a lowest-precedence seed override.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UnsupportedMetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (MvxError, FileNotFoundError) as err:
+    except (MvxError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,14 @@ All data is contiguous row-major float64.
 Tensors are immutable once forward-evaluated; graph construction and backward
 are single-threaded per training run.
 
-A graph node is its value plus three references: its parents, its backward
-rule and the values that rule needs besides them (`Tensor`). Each rule is a
-module-level function `rule(g, node)` shared by every node of its op, so an
-op call builds no closure: after the forward kernels, it allocates only the
-node, its parents tuple and, for some ops, a small tuple of saved values.
+A value and its graph node are two objects, as with saved tensors in
+PyTorch's autograd. An op's `Tensor` holds the value and a reference to its
+`_Node`; the node holds its parents' nodes, its backward rule and `_saved`,
+exactly the arrays that rule reads, but never its own value. So a value that
+no rule reads is freed as soon as the caller drops its `Tensor`: a matmul
+output that feeds a bias add, say, lives only until the add has run. Each
+rule is a module-level function `rule(g, node)` shared by every node of its
+op, so an op call builds no closure.
 """
 
 from __future__ import annotations
@@ -80,30 +83,23 @@ class Tensor:
     """A numpy-backed value participating in the autodiff graph.
 
     `grad` accumulates only on leaf tensors created with `requires_grad=True`
-    (parameters and explicitly tracked inputs). A node built by an op while
-    grad is on and some parent requires grad keeps `_parents`, `_op` (the op
-    name), `_bw`, the op's module-level rule, and `_saved`, what the rule reads
-    besides the parents' values and `data`: an axis and count, a floor mask,
-    the index of a row (None when it needs nothing more). The rule
-    `_bw(g, node)` returns one adjoint per parent, or None for a parent that
-    does not require grad. Any other tensor is a leaf with no parents, rule
-    or saved values. A node's adjoint lives in its
-    `_adj` slot while a `backward` runs: each call resets it on every node it
-    visits (`_mark` holds the call's stamp) and clears it when it runs the
-    node's rule, so repeated `backward` calls accumulate cleanly on the leaves.
+    (parameters and explicitly tracked inputs). A tensor built by an op while
+    grad is on and some parent requires grad keeps its graph node in `_node`
+    (see `_Node`); any other tensor is a leaf, whose `_node` is None. A leaf
+    that requires grad is its own graph node: it has no parents and no rule
+    (`_parents` and `_bw` are class defaults), and `backward` adds its adjoint
+    into its `grad`, using its `_adj` and `_mark` slots as a `_Node` does.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_saved", "_op", "_adj",
-                 "_mark")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_adj", "_mark")
+    _parents: tuple = ()
+    _bw = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._bw: Callable[[np.ndarray, Tensor], Sequence[np.ndarray | None]] | None = None
-        self._saved = None
-        self._op = "leaf"
+        self._node: _Node | None = None
         self._adj: np.ndarray | None = None
         self._mark = 0
 
@@ -114,7 +110,8 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(op={self._op}, shape={self.data.shape})"
+        op = "leaf" if self._node is None else self._node._op
+        return f"Tensor(op={op}, shape={self.data.shape})"
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -169,25 +166,54 @@ def parameter(data) -> Tensor:
 # -- graph construction ---------------------------------------------------------
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], rule, saved=None) -> Tensor:
-    """The node of `op` with value `data`. While grad is on and a parent
-    requires grad, it keeps `parents`, its backward `rule` and `saved` (see
-    `Tensor`); otherwise it is a leaf and keeps none of them."""
-    if _check_ops and not np.isfinite(data).all():
-        raise NumericError(f"non-finite result in op '{op}'")
-    # a kernel's output is kept as it is when it is already what __init__ makes
+class _Node:
+    """The graph node of an op's output, without its value.
+
+    It keeps `_op` (the op name), `shape` (its value's shape), `_parents`
+    (one per operand: the operand's node, the operand itself when it is a
+    leaf that requires grad, None when it does not require grad), `_bw`, the
+    op's module-level rule, and `_saved`, the arrays that rule reads besides
+    the adjoint: an operand or the output, a floor mask, plus an axis and
+    count or the index of a row (None when it reads only shapes). The rule
+    `_bw(g, node)` returns one adjoint per parent, or None for a parent that
+    does not require grad. A node's adjoint lives in its `_adj` slot while a
+    `backward` runs: each call resets it on every node it visits (`_mark`
+    holds the call's stamp) and clears it when it runs the node's rule, so
+    repeated `backward` calls accumulate cleanly on the leaves.
+    """
+
+    __slots__ = ("_op", "shape", "_parents", "_bw", "_saved", "_adj", "_mark")
+
+
+def _as_f64(data) -> np.ndarray:
+    """`data` as the C-contiguous float64 array that `Tensor` keeps: `data`
+    itself when a kernel already made one. An op that saves its output
+    converts it first, so that its node saves the array its tensor keeps (a
+    kernel on a 0-d input returns a numpy scalar)."""
     if type(data) is not np.ndarray or data.dtype is not _F64 or not data.flags.c_contiguous:
         data = np.asarray(data, dtype=np.float64, order="C")
+    return data
+
+
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], rule, saved=None) -> Tensor:
+    """The tensor of `op` with value `data`. While grad is on and a parent
+    requires grad, it gets a node that keeps the parents' nodes, the backward
+    `rule` and `saved` (see `_Node`); otherwise it is a leaf."""
+    if _check_ops and not np.isfinite(data).all():
+        raise NumericError(f"non-finite result in op '{op}'")
     out = object.__new__(Tensor)
-    out.data, out.grad, out._adj, out._mark = data, None, None, 0
+    out.data, out.grad, out._adj, out._mark = _as_f64(data), None, None, 0
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad, out._parents, out._op = True, parents, op
-                out._bw, out._saved = rule, saved
+                node = object.__new__(_Node)
+                node._op, node.shape, node._bw, node._saved = op, out.data.shape, rule, saved
+                node._parents = tuple([q._node or (q if q.requires_grad else None)
+                                       for q in parents])
+                node._adj, node._mark = None, 0
+                out.requires_grad, out._node = True, node
                 return out
-    out.requires_grad, out._parents, out._op = False, (), "leaf"
-    out._bw = out._saved = None
+    out.requires_grad, out._node = False, None
     return out
 
 
@@ -227,41 +253,46 @@ def _above_floor(x: np.ndarray) -> bool:
 # `rule(g, node)` maps the adjoint `g` of `node` to one adjoint per parent, in
 # the order of `node._parents`. A binary rule leaves None for a parent that does
 # not require grad (data, constants) and reduces a broadcast operand's adjoint
-# back to its shape.
+# back to its shape. A rule reads arrays only from `node._saved`; a docstring
+# names what a rule's op saves.
 
 
 def _add_rule(g, node):
     a, b = node._parents
-    return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+    return (None if a is None else _unbroadcast(g, a.shape),
+            None if b is None else _unbroadcast(g, b.shape))
 
 
 def _sub_rule(g, node):
     a, b = node._parents
-    return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+    return (None if a is None else _unbroadcast(g, a.shape),
+            None if b is None else _unbroadcast(-g, b.shape))
 
 
 def _mul_rule(g, node):
+    """Saved: both operands."""
     a, b = node._parents
-    return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+    ad, bd = node._saved
+    return (None if a is None else _unbroadcast(g * bd, ad.shape),
+            None if b is None else _unbroadcast(g * ad, bd.shape))
 
 
 def _div_rule(g, node):
+    """Saved: both operands."""
     a, b = node._parents
-    bd = b.data
-    return (_unbroadcast(g / bd, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (bd * bd), bd.shape) if b.requires_grad else None)
+    ad, bd = node._saved
+    return (None if a is None else _unbroadcast(g / bd, ad.shape),
+            None if b is None else _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
 
 def _floored_div_rule(g, node):
-    """Saved: the floored denominator and where the true one is not floored."""
+    """Saved: the numerator, the floored denominator and where the true one
+    is not floored."""
     a, b = node._parents
-    safe, inside = node._saved
-    return (_unbroadcast(g / safe, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(np.where(inside, -g * a.data / (safe * safe), 0.0), b.data.shape)
-            if b.requires_grad else None)
+    ad, safe, inside = node._saved
+    return (None if a is None else _unbroadcast(g / safe, ad.shape),
+            None if b is None else
+            _unbroadcast(np.where(inside, -g * ad / (safe * safe), 0.0), safe.shape))
 
 
 def _neg_rule(g, node):
@@ -269,11 +300,13 @@ def _neg_rule(g, node):
 
 
 def _exp_rule(g, node):
-    return (g * node.data,)
+    """Saved: the output."""
+    return (g * node._saved,)
 
 
 def _log_rule(g, node):
-    return (g / node._parents[0].data,)
+    """Saved: the input."""
+    return (g / node._saved,)
 
 
 def _floored_log_rule(g, node):
@@ -283,31 +316,38 @@ def _floored_log_rule(g, node):
 
 
 def _sqrt_rule(g, node):
-    return (g / (2.0 * node.data),)
+    """Saved: the output."""
+    return (g / (2.0 * node._saved),)
 
 
 def _floored_sqrt_rule(g, node):
-    """Saved: where the input is not floored."""
-    return (np.where(node._saved, g / (2.0 * node.data), 0.0),)
+    """Saved: the output and where the input is not floored."""
+    out, inside = node._saved
+    return (np.where(inside, g / (2.0 * out), 0.0),)
 
 
 def _square_rule(g, node):
-    return (2.0 * g * node._parents[0].data,)
+    """Saved: the input."""
+    return (2.0 * g * node._saved,)
 
 
 def _tanh_rule(g, node):
-    out = node.data
+    """Saved: the output."""
+    out = node._saved
     return (g * (1.0 - out * out),)
 
 
 def _relu_rule(g, node):
+    """Saved: the output, which is > 0 exactly where the input is (never for
+    -0.0 or NaN)."""
     # a float mask multiplies without a cast in the loop and gives the bool
     # mask's bits
-    return (g * (node._parents[0].data > 0).astype(np.float64),)
+    return (g * (node._saved > 0).astype(np.float64),)
 
 
 def _sigmoid_rule(g, node):
-    out = node.data
+    """Saved: the output."""
+    out = node._saved
     return (g * out * (1.0 - out),)
 
 
@@ -317,14 +357,18 @@ def _slope_rule(g, node):
 
 
 def _clip_rule(g, node):
+    """Saved: the input and the output."""
+    x, out = node._saved
     # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
-    return (g * (node.data == node._parents[0].data),)
+    return (g * (out == x),)
 
 
 def _matmul_rule(g, node):
+    """Saved: both operands."""
     a, b = node._parents
-    return (g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None)
+    ad, bd = node._saved
+    return (None if a is None else g @ bd.T,
+            None if b is None else ad.T @ g)
 
 
 def _transpose_rule(g, node):
@@ -338,7 +382,7 @@ def _concat_rule(g, node):
 
 def _row_rule(g, node):
     """Saved: the row index."""
-    full = np.zeros_like(node._parents[0].data)
+    full = np.zeros(node._parents[0].shape)
     full[node._saved] = g
     return (full,)
 
@@ -349,13 +393,13 @@ def _reshape_col_rule(g, node):
 
 def _sum_rule(g, node):
     """Saved: the reduced axis (None for all)."""
-    return (_spread(g, node._parents[0].data.shape, node._saved),)
+    return (_spread(g, node._parents[0].shape, node._saved),)
 
 
 def _mean_rule(g, node):
     """Saved: the reduced axis (None for all) and the count averaged over."""
     axis, n = node._saved
-    return (_spread(g / n, node._parents[0].data.shape, axis),)
+    return (_spread(g / n, node._parents[0].shape, axis),)
 
 
 def _logsumexp_rule(g, node):
@@ -372,8 +416,8 @@ def _eigenvalue_rule(g, node):
 
 
 def _eigenvector_rule(g, node):
-    """Saved: the eigenvalues."""
-    lam, vec = node._saved, node.data
+    """Saved: the eigenvalues and the eigenvectors (the output)."""
+    lam, vec = node._saved
     diff = lam[None, :] - lam[:, None]
     small = np.abs(diff) < 1e-12
     safe = np.where(small, 1.0, diff)
@@ -397,7 +441,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
-    return _make(a.data * b.data, "mul", (a, b), _mul_rule)
+    ad, bd = a.data, b.data
+    return _make(ad * bd, "mul", (a, b), _mul_rule, (ad, bd))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -405,10 +450,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "div")
     ad, bd = a.data, b.data
     if _above_floor(bd) or _above_floor(-bd):
-        return _make(ad / bd, "div", (a, b), _div_rule)
+        return _make(ad / bd, "div", (a, b), _div_rule, (ad, bd))
     safe = np.where(np.abs(bd) < EPS_FLOOR, np.where(bd < 0, -EPS_FLOOR, EPS_FLOOR), bd)
     inside = np.abs(bd) >= EPS_FLOOR
-    return _make(ad / safe, "div", (a, b), _floored_div_rule, (safe, inside))
+    return _make(ad / safe, "div", (a, b), _floored_div_rule, (ad, safe, inside))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -416,14 +461,15 @@ def neg(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    return _make(np.exp(a.data), "exp", (a,), _exp_rule)
+    out = _as_f64(np.exp(a.data))
+    return _make(out, "exp", (a,), _exp_rule, out)
 
 
 def log(a: Tensor) -> Tensor:
     """Natural log with inputs floored at EPS_FLOOR (clamp, do not error)."""
     x = a.data
     if _above_floor(x):
-        return _make(np.log(x), "log", (a,), _log_rule)
+        return _make(np.log(x), "log", (a,), _log_rule, x)
     x = np.maximum(x, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
     return _make(np.log(x), "log", (a,), _floored_log_rule, (x, inside))
@@ -432,28 +478,33 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     """Square root with inputs floored at EPS_FLOOR."""
     if _above_floor(a.data):
-        return _make(np.sqrt(a.data), "sqrt", (a,), _sqrt_rule)
+        out = _as_f64(np.sqrt(a.data))
+        return _make(out, "sqrt", (a,), _sqrt_rule, out)
     x = np.maximum(a.data, EPS_FLOOR)
     inside = a.data >= EPS_FLOOR
-    return _make(np.sqrt(x), "sqrt", (a,), _floored_sqrt_rule, inside)
+    out = _as_f64(np.sqrt(x))
+    return _make(out, "sqrt", (a,), _floored_sqrt_rule, (out, inside))
 
 
 def square(a: Tensor) -> Tensor:
     ad = a.data
-    return _make(ad * ad, "square", (a,), _square_rule)
+    return _make(ad * ad, "square", (a,), _square_rule, ad)
 
 
 def tanh(a: Tensor) -> Tensor:
-    return _make(np.tanh(a.data), "tanh", (a,), _tanh_rule)
+    out = _as_f64(np.tanh(a.data))
+    return _make(out, "tanh", (a,), _tanh_rule, out)
 
 
 def relu(a: Tensor) -> Tensor:
     # np.maximum(x, 0.0) maps -0.0 to +0.0, like the mask it replaces
-    return _make(np.maximum(a.data, 0.0), "relu", (a,), _relu_rule)
+    out = _as_f64(np.maximum(a.data, 0.0))
+    return _make(out, "relu", (a,), _relu_rule, out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    return _make(_stable_sigmoid(a.data), "sigmoid", (a,), _sigmoid_rule)
+    out = _as_f64(_stable_sigmoid(a.data))
+    return _make(out, "sigmoid", (a,), _sigmoid_rule, out)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -479,7 +530,8 @@ def absolute(a: Tensor) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes only inside the range."""
-    return _make(np.clip(a.data, lo, hi), "clip", (a,), _clip_rule)
+    out = _as_f64(np.clip(a.data, lo, hi))
+    return _make(out, "clip", (a,), _clip_rule, (a.data, out))
 
 
 # -- matrix ops -------------------------------------------------------------------
@@ -494,7 +546,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    return _make(a.data @ b.data, "matmul", (a, b), _matmul_rule)
+    ad, bd = a.data, b.data
+    return _make(ad @ bd, "matmul", (a, b), _matmul_rule, (ad, bd))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -589,12 +642,12 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
 _stamps = itertools.count(1)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    """The requires-grad nodes reachable from `root`, parents first (depth
-    first). Each is stamped as visited by this call and its adjoint reset."""
+def _toposort(root: _Node | Tensor) -> list[_Node | Tensor]:
+    """The graph nodes reachable from `root`, parents first (depth first).
+    Each is stamped as visited by this call and its adjoint reset."""
     stamp = next(_stamps)
-    order: list[Tensor] = []
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    order: list[_Node | Tensor] = []
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -606,7 +659,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         node._adj = None
         stack.append((node, True))
         for parent in node._parents:
-            if parent._mark != stamp and parent.requires_grad:
+            if parent is not None and parent._mark != stamp:
                 stack.append((parent, False))
     return order
 
@@ -623,8 +676,9 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
-    loss._adj = np.ones_like(loss.data)
+    root = loss._node or loss
+    order = _toposort(root)
+    root._adj = np.ones_like(loss.data)
     for node in reversed(order):
         g = node._adj
         if g is None:
@@ -638,7 +692,7 @@ def backward(loss: Tensor) -> None:
                 node.grad += g
             continue
         for parent, pg in zip(node._parents, node._bw(g, node)):
-            if parent.requires_grad:
+            if parent is not None:
                 # adjoints are never written in place, so `pg` need not be copied
                 adj = parent._adj
                 parent._adj = pg if adj is None else adj + pg
@@ -672,5 +726,5 @@ def sym_eig(a: Tensor) -> tuple[Tensor, Tensor]:
     lam, vec = lam[idx], np.ascontiguousarray(vec[:, idx])
 
     lam_t = _make(lam, "sym_eig.values", (a,), _eigenvalue_rule, vec)
-    vec_t = _make(vec, "sym_eig.vectors", (a,), _eigenvector_rule, lam)
+    vec_t = _make(vec, "sym_eig.vectors", (a,), _eigenvector_rule, (lam, vec))
     return lam_t, vec_t

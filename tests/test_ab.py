@@ -1,6 +1,10 @@
 """The paired benchmark tool `tools/ab.py`: its summary of paired runs (no
 benchmark runs here)."""
 
+import contextlib
+import json
+import subprocess
+
 import pytest
 
 from helpers import load_tool
@@ -38,3 +42,58 @@ def test_a_change_from_zero_is_signed_and_equal_values_read_equal():
     assert ab._relative(-2.0, 0.0) == float("-inf")
     assert ab._change(116.728, 116.728) == "="
     assert ab._change(0.9, 1.0) == "-10.0%"
+
+
+def test_the_import_part_is_read_from_the_setup_note():
+    detail = {"setup_s": [0.25, "s", "import 0.171 s + set-up, medians of 3"]}
+    assert ab.import_part(detail) == 0.171
+    with pytest.raises(SystemExit, match="no import time"):
+        ab.import_part({"setup_s": [0.25, "s", "set-up only"]})
+
+
+def test_a_run_reads_its_metrics_and_the_import_part_of_its_saved_result(tmp_path, monkeypatch):
+    out = tmp_path / ".perfbench_out"
+    out.mkdir()
+    (out / "train_poe-seed3-trace0.json").write_text(json.dumps(
+        {"detail": {"setup_s": [0.3, "s", "import 0.2 s + set-up, medians of 3"]}}))
+    printed = json.dumps({"correct": True, "metrics": {"setup_s": {"value": 0.3}}})
+
+    def fake_run(argv, cwd, **kwargs):
+        assert cwd == tmp_path and argv[argv.index("--seed") + 1] == "3"
+        return subprocess.CompletedProcess(argv, 0, stdout="# env {}\n" + printed + "\n")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab._run(tmp_path, "train_poe", 3, 1.0) == ({"setup_s": 0.3, "import_s": 0.2}, True)
+
+
+def test_json_holds_the_pairs_and_summaries(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("theirs" if tree == base else "ours", workload, seed))
+        value = 1.0 if tree == base else 0.8
+        return {name: value for name in ("op_vs_ref_p50", "final_loss", "setup_s",
+                                         "peak_rss_mb", "import_s")}, True
+
+    monkeypatch.setattr(ab, "checkout", lambda against: contextlib.nullcontext(base))
+    monkeypatch.setattr(ab, "_run", fake_run)
+    path = tmp_path / "bench.json"
+    assert ab.main(["--against", "HEAD~1", "--workload", "train_poe", "train_fanout",
+                    "--pairs", "2", "--seconds", "1",
+                    "--json", str(path)]) == 0
+
+    # the other tree runs first on odd seeds
+    assert calls[:4] == [("theirs", "train_poe", 1), ("ours", "train_poe", 1),
+                         ("ours", "train_poe", 2), ("theirs", "train_poe", 2)]
+    report = json.loads(path.read_text())
+    assert (report["against"], report["seconds"]) == ("HEAD~1", 1.0)
+    assert list(report["workloads"]) == ["train_poe", "train_fanout"]
+    poe = report["workloads"]["train_poe"]
+    assert [(p["seed"], p["first"], p["correct"]) for p in poe["pairs"]] == [
+        (1, "theirs", True), (2, "ours", True)]
+    assert poe["pairs"][0]["theirs"]["import_s"] == 1.0
+    assert list(poe["summary"]) == ["op_vs_ref_p50", "final_loss", "setup_s", "peak_rss_mb",
+                                    "import_s"]
+    assert poe["summary"]["peak_rss_mb"]["better"] == 2
+    assert set(report) == {"against", "seconds", "workloads"}

@@ -140,6 +140,22 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert "nope.mvds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "validate-config", "train"])
+def test_a_directory_given_for_a_file_exits_2_without_traceback(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "gen-data": ["gen-data", "--out", str(folder), "--seed", "2"],
+        "validate-config": ["validate-config", "--config", str(folder)],
+        "train": ["train", "--config", str(_write_config(tmp_path)), "--data", str(folder),
+                  "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
+    assert "Traceback" not in err
+
+
 def test_eval_loglik_and_coherence_round_trip(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     train = _gen_data(tmp_path, "train.mvds")

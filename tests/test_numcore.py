@@ -1,6 +1,7 @@
 """Tensor core: op semantics, gradient rules vs finite differences, eigensolver."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -388,7 +389,8 @@ def test_a_scalar_denominator_matches_the_floored_kernel_bitwise(denominator):
 _SIGNED_ZEROS = np.array([[-0.0, 0.0, -1.5, 2.0], [0.0, -0.0, 3.25, -0.5], [1.0, -2.0, -0.0, 0.0]])
 
 
-def _rule(node: nc.Tensor, g: np.ndarray) -> np.ndarray:
+def _rule(out: nc.Tensor, g: np.ndarray) -> np.ndarray:
+    node = out._node
     (adjoint,) = node._bw(g, node)
     return adjoint
 
@@ -436,8 +438,8 @@ def test_reduction_rules_match_the_old_formulas_bitwise(axis):
 def test_sum_and_mean_return_fresh_writable_adjoints(axis):
     x = nc.parameter(_SIGNED_ZEROS)
     g = np.asarray(2.0 if axis is None else np.ones(x.shape[1 - axis]))
-    for node in (nc.sum_(x, axis), nc.mean(x, axis)):
-        first, second = _rule(node, g), _rule(node, g)
+    for out in (nc.sum_(x, axis), nc.mean(x, axis)):
+        first, second = _rule(out, g), _rule(out, g)
         for adjoint in (first, second):
             assert adjoint.shape == x.shape and adjoint.flags.c_contiguous
             assert adjoint.flags.writeable and adjoint.flags.owndata
@@ -486,6 +488,9 @@ _GRAPH_OP_CASES = [
 ]
 
 
+_GRAPH_OP_IDS = [f"{name}-{i}" for i, (name, _) in enumerate(_GRAPH_OP_CASES)]
+
+
 def test_every_graph_op_case_is_listed():
     public = {name for name, fn in vars(nc).items() if callable(fn)
               and getattr(fn, "__module__", None) == nc.__name__
@@ -493,14 +498,61 @@ def test_every_graph_op_case_is_listed():
     assert {name for name, _ in _GRAPH_OP_CASES} == public - _NOT_GRAPH_OPS
 
 
-@pytest.mark.parametrize("name, build", _GRAPH_OP_CASES,
-                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_GRAPH_OP_CASES)])
+@pytest.mark.parametrize("name, build", _GRAPH_OP_CASES, ids=_GRAPH_OP_IDS)
 def test_graph_op_nodes_hold_a_module_level_rule(name, build):
-    for node in build():
-        rule = node._bw
-        assert node.requires_grad and rule is not None, name
+    for out in build():
+        rule = out._node._bw
+        assert out.requires_grad and rule is not None, name
         assert rule.__module__ == nc.__name__ and "<" not in rule.__qualname__, rule
         assert getattr(nc, rule.__qualname__) is rule, rule
+
+
+# -- a node keeps only the arrays its rule reads ------------------------------------
+
+
+def test_values_that_no_rule_reads_are_freed_once_dropped():
+    rng = np.random.default_rng(5)
+    x, w, b = (nc.parameter(rng.normal(size=shape)) for shape in [(4, 3), (3, 2), (2,)])
+    h = nc.matmul(x, w)
+    pre = nc.add(h, b)
+    # the add reads only shapes, and relu's rule reads relu's output
+    values = [weakref.ref(h.data), weakref.ref(pre.data)]
+    out = nc.relu(pre)
+    del h, pre
+    assert [value() for value in values] == [None, None]
+
+    nc.backward(nc.sum_(nc.square(out)))
+    # the rules of sum, square, relu, add and matmul, applied by hand
+    dout = 2.0 * np.ones(out.shape) * out.data
+    dpre = dout * (out.data > 0).astype(np.float64)
+    _assert_bitwise(x.grad, 0.0 + dpre @ w.data.T, "x grad")
+    _assert_bitwise(w.grad, 0.0 + x.data.T @ dpre, "w grad")
+    _assert_bitwise(b.grad, 0.0 + dpre.sum(axis=0), "b grad")
+
+
+@pytest.mark.parametrize("name, build", _GRAPH_OP_CASES, ids=_GRAPH_OP_IDS)
+def test_backward_after_every_intermediate_is_dropped_gives_the_same_bits(name, build):
+    def leaf_grads(keep: bool) -> list[bytes]:
+        handles = build()
+        loss = nc.constant(0.0)
+        for out in list(handles):
+            shifted = out + 0.5
+            squared = nc.square(shifted)
+            loss = loss + nc.sum_(squared)
+            handles += [shifted, squared, loss]
+        leaves = [n for n in nc._toposort(loss._node) if isinstance(n, nc.Tensor)]
+        if not keep:
+            del handles, out, shifted, squared
+        nc.backward(loss)
+        return [leaf.grad.tobytes() for leaf in leaves]
+
+    assert leaf_grads(keep=False) == leaf_grads(keep=True), name
+
+
+def test_a_tensor_names_its_nodes_op():
+    x = nc.parameter([1.0, 2.0])
+    assert repr(nc.exp(x)) == "Tensor(op=exp, shape=(2,))"
+    assert repr(x) == repr(nc.exp(nc.constant([0.0, 1.0]))) == "Tensor(op=leaf, shape=(2,))"
 
 
 def _failing(a: nc.Tensor) -> nc.Tensor:

@@ -6,6 +6,7 @@ import io
 import re
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -917,6 +918,30 @@ def test_every_parameter_requires_grad_after_adversarial_training():
     run = fit(cfg, data, max_epochs=1)
     continue_fit(run, data, 1)
     assert all(p.requires_grad for _, p in run.state.parameters())
+
+
+@pytest.mark.parametrize("name, bound_mb", [("mvae", 2.5), ("mopoe", 9.0)])
+def test_an_epoch_at_benchmark_scale_keeps_its_traced_peak_under_the_bound(name, bound_mb):
+    # the benchmark's shape: 3 views of 24 dims, 2000 rows, batch 256, z_dim 8,
+    # hidden [32]. A graph node keeps only the arrays its backward rule reads:
+    # the peaks are about 7.1 (mopoe) and 1.9 MB (mvae), and nodes that also
+    # kept their values would take them to 16.4 and 3.8 MB
+    data = generate_synthetic(SyntheticSpec(n_classes=8, n_samples=2000, dims=[24, 24, 24],
+                                            style_noise=0.1, background_noise=1.0, seed=1))
+    cfg = build_config({"model.name": name, "model.z_dim": 8, "model.seed": 3,
+                        "encoder.default.hidden_layer_dim": [32],
+                        "decoder.default.hidden_layer_dim": [32],
+                        "decoder.default.distribution": "Normal",
+                        "decoder.default.scale": 0.75,
+                        "trainer.max_epochs": 1, "trainer.batch_size": 256})
+    run = fit(cfg, data)
+    tracemalloc.start()
+    try:
+        continue_fit(run, data, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_non_finite_gradient_names_the_parameter_and_steps_nothing():

@@ -1,25 +1,30 @@
 """Paired benchmark runs of this tree against another revision or checkout.
 
-    python tools/ab.py --against REV_OR_DIR --workload train_poe --pairs 10 --seconds 25
+    python tools/ab.py --against REV_OR_DIR --workload train_poe [train_fanout ...] \
+        --pairs 10 --seconds 25 [--json BENCH.json]
 
 REV_OR_DIR is a git revision, exported into a temporary directory that is
 removed afterwards, or the directory of another checkout, whose
 `.perfbench_out/` the runs then write to (see `tools/checkout.py`). For each
-seed 1..N, `python3 perfbench/run.py` runs the workload with `--trace 0` in
-that tree (REV) and in this one, back to back so that the two runs of a pair
-see about the same machine; REV runs first on odd seeds and second on even
-ones, so neither side always follows the other. Each pair's end-to-end
-metrics are printed as they arrive; the summary gives, per metric, the
+workload and each seed 1..N, `python3 perfbench/run.py` runs the workload
+with `--trace 0` in that tree (REV) and in this one, back to back so that the
+two runs of a pair see about the same machine; REV runs first on odd seeds
+and second on even ones, so neither side always follows the other. Each
+pair's end-to-end metrics are printed as they arrive, with `import_s`, the
+import part of `setup_s` that the run's saved result notes, so that import
+noise can be told from set-up time. The summary gives, per metric, the
 medians of both trees, the spread between REV's quartiles, the median
 relative change and the number of pairs in which this tree did better (the
-direction is BENCHMARK.json's `better`). It exits 1 when a run fails its
-output checks.
+direction is BENCHMARK.json's `better`; `import_s` is lower-better).
+`--json PATH` writes the pairs and the summaries to PATH. It exits 1 when a
+run fails its output checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +34,8 @@ import numpy as np
 from checkout import checkout
 
 ROOT = Path(__file__).resolve().parents[1]
+# perfbench notes setup_s as "import 0.171 s + set-up, medians of 3"
+_IMPORT_NOTE = re.compile(r"\bimport (\S+) s\b")
 
 
 def _change(ours: float, theirs: float) -> str:
@@ -65,9 +72,19 @@ def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]],
     return out
 
 
+def import_part(detail: dict[str, list]) -> float:
+    """The import seconds that the note of `setup_s` gives in a run's saved
+    `detail`."""
+    note = detail["setup_s"][2]
+    match = _IMPORT_NOTE.search(note)
+    if match is None:
+        raise SystemExit(f"ab: no import time in the setup_s note {note!r}")
+    return float(match.group(1))
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], bool]:
-    """The end-to-end metrics of one benchmark run in `tree`, and whether its
-    output checks passed."""
+    """The end-to-end metrics of one benchmark run in `tree` and `import_s`
+    from its saved result, and whether its output checks passed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -76,17 +93,42 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"ab: benchmark run in {tree} exited {proc.returncode}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}, result["correct"]
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    saved = json.loads((tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json")
+                       .read_text())
+    metrics["import_s"] = import_part(saved["detail"])
+    return metrics, result["correct"]
+
+
+def _compare(base: Path, workload: str, pairs: int, seconds: float,
+             better: dict[str, str]) -> tuple[list[dict], dict[str, dict[str, float]], int]:
+    """`pairs` paired runs of `workload`, printed as they arrive: each pair's
+    record, the summary and the number of runs that failed their checks."""
+    records, failed = [], 0
+    for seed in range(1, pairs + 1):
+        first = seed % 2  # 1: the other tree runs first
+        runs = [_run(tree, workload, seed, seconds)
+                for tree in ((base, ROOT) if first else (ROOT, base))]
+        (theirs, ok_theirs), (ours, ok_ours) = runs if first else runs[::-1]
+        failed += (not ok_theirs) + (not ok_ours)
+        records.append({"seed": seed, "first": "theirs" if first else "ours",
+                        "theirs": theirs, "ours": ours, "correct": ok_theirs and ok_ours})
+        print(f"seed {seed}" + "".join(
+            f"  {name} {theirs[name]:.6g} -> {ours[name]:.6g}"
+            f" ({_change(ours[name], theirs[name])})" for name in better)
+            + ("" if ok_theirs and ok_ours else "  CHECK FAILED"), flush=True)
+    return records, summarize([(r["theirs"], r["ours"]) for r in records], better), failed
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True,
                         help="the git revision or checkout directory to compare with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--json", type=Path, help="write the pairs and summaries here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -94,27 +136,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.seconds is None:
         args.seconds = float(spec["run_seconds"])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better["import_s"] = "lower"
 
-    pairs, failed = [], 0
+    report: dict[str, object] = {"against": args.against, "seconds": args.seconds,
+                                 "workloads": {}}
+    failed = 0
     with checkout(args.against) as base:
-        for seed in range(1, args.pairs + 1):
-            first = seed % 2  # 1: the other tree runs first
-            runs = [_run(tree, args.workload, seed, args.seconds)
-                    for tree in ((base, ROOT) if first else (ROOT, base))]
-            (theirs, ok_theirs), (ours, ok_ours) = runs if first else runs[::-1]
-            failed += (not ok_theirs) + (not ok_ours)
-            pairs.append((theirs, ours))
-            print(f"seed {seed}" + "".join(
-                f"  {name} {theirs[name]:.6g} -> {ours[name]:.6g}"
-                f" ({_change(ours[name], theirs[name])})" for name in better)
-                + ("" if ok_theirs and ok_ours else "  CHECK FAILED"), flush=True)
-
-    print(f"{args.workload}: {args.against} -> this tree, {args.pairs} pairs of "
-          f"{args.seconds:g} s")
-    for name, s in summarize(pairs, better).items():
-        print(f"  {name:<16} {s['theirs']:.6g} (IQR {s['theirs_iqr']:.3g}) -> {s['ours']:.6g}"
-              f"  median change {s['change']:+.1%}, better in {s['better']}/{s['pairs']}"
-              f", equal in {s['equal']}/{s['pairs']}")
+        for workload in args.workload:
+            records, summary, n_failed = _compare(base, workload, args.pairs, args.seconds,
+                                                  better)
+            failed += n_failed
+            report["workloads"][workload] = {"pairs": records, "summary": summary}
+            print(f"{workload}: {args.against} -> this tree, {args.pairs} pairs of "
+                  f"{args.seconds:g} s")
+            for name, s in summary.items():
+                print(f"  {name:<16} {s['theirs']:.6g} (IQR {s['theirs_iqr']:.3g}) -> "
+                      f"{s['ours']:.6g}  median change {s['change']:+.1%}, better in "
+                      f"{s['better']}/{s['pairs']}, equal in {s['equal']}/{s['pairs']}")
+    if args.json is not None:
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failed else 0
 
 
