@@ -154,10 +154,25 @@ def _dims(raw: str) -> list[int]:
 
 
 def _cmd_gen_data(args) -> int:
+    dims = _dims(args.dims)
+    # SyntheticSpec's own checks, made first so that the error names the flag
+    for flag, value, ok, rule in [
+        ("--samples", args.samples, args.samples >= 1, "must be >= 1"),
+        ("--classes", args.classes, args.classes >= 1, "must be >= 1"),
+        ("--dims", args.dims, bool(dims), "must list at least one view"),
+        ("--dims", args.dims, all(d >= args.classes for d in dims),
+         f"every view dim must be >= --classes ({args.classes})"),
+        ("--style-noise", args.style_noise, 0 <= args.style_noise < float("inf"),
+         "must be finite and >= 0"),
+        ("--background-noise", args.background_noise, 0 <= args.background_noise < float("inf"),
+         "must be finite and >= 0"),
+    ]:
+        if not ok:
+            raise ConfigError(f"{flag}: {rule}, got {value!r}")
     spec = SyntheticSpec(
         n_classes=args.classes,
         n_samples=args.samples,
-        dims=_dims(args.dims),
+        dims=dims,
         style_noise=args.style_noise,
         background_noise=args.background_noise,
         seed=check_seed(args.seed, "--seed") if args.seed is not None else (_env_seed() or 0),

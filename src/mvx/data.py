@@ -159,6 +159,11 @@ def from_image_arrays(arrays: list[np.ndarray],
 
 
 def write_dataset(path: str | Path, batch: MultiViewBatch) -> None:
+    """Write `batch` in the layout above; a label that does not fit a u32 is
+    refused before the file is opened."""
+    if batch.labels is not None and batch.labels.size and batch.labels.max() > 4294967295:
+        raise ContractError(f"write_dataset: label {batch.labels.max()} exceeds "
+                            "the u32 maximum 4294967295")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIB", VERSION, batch.n_views, batch.n_samples,
@@ -199,6 +204,8 @@ def read_dataset(path: str | Path) -> MultiViewBatch:
             raise FormatError("dataset declares 0 views (byte 8)")
         if n_samples == 0:
             raise FormatError("dataset declares 0 samples (byte 12)")
+        if has_labels not in (0, 1):
+            raise FormatError(f"has_labels is {has_labels} at byte 16: expected 0 or 1")
         dims = [
             struct.unpack("<I", read_exact(fh, 4, f"dim of view {i}"))[0]
             for i in range(n_views)

@@ -11,11 +11,13 @@ are single-threaded per training run.
 A value and its graph node are two objects, as with saved tensors in
 PyTorch's autograd. An op's `Tensor` holds the value and a reference to its
 `_Node`; the node holds its parents' nodes, its backward rule and `_saved`,
-exactly the arrays that rule reads, but never its own value. So a value that
-no rule reads is freed as soon as the caller drops its `Tensor`: a matmul
-output that feeds a bias add, say, lives only until the add has run. Each
-rule is a module-level function `rule(g, node)` shared by every node of its
-op, so an op call builds no closure.
+exactly the arrays that rule reads, but never its own value: a rule reads
+shapes from its parents, and a binary op saves an operand only when the
+other operand's adjoint reads it. So a value that no rule reads is freed as
+soon as the caller drops its `Tensor`: a matmul output that feeds a bias
+add, or an activation scaled by a constant, lives only until that op has
+run. Each op has one rule, a module-level function `rule(g, node)` shared
+by every node of the op, so an op call builds no closure.
 """
 
 from __future__ import annotations
@@ -123,32 +125,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -174,7 +158,10 @@ class _Node:
     leaf that requires grad, None when it does not require grad), `_bw`, the
     op's module-level rule, and `_saved`, the arrays that rule reads besides
     the adjoint: an operand or the output, a floor mask, plus an axis and
-    count or the index of a row (None when it reads only shapes). The rule
+    count or the index of a row (None when it reads only shapes, which it
+    takes from `_parents`). An operand is saved only when the other operand
+    requires grad, since only that one's adjoint reads it, and None stands
+    in its place otherwise, as for a mask when nothing was floored. The rule
     `_bw(g, node)` returns one adjoint per parent, or None for a parent that
     does not require grad. A node's adjoint lives in its `_adj` slot while a
     `backward` runs: each call resets it on every node it visits (`_mark`
@@ -249,12 +236,24 @@ def _above_floor(x: np.ndarray) -> bool:
     return x.size == 0 or x.min() >= EPS_FLOOR
 
 
+def _where_inside(inside: np.ndarray | None, adjoint: np.ndarray) -> np.ndarray:
+    """`adjoint`, zeroed where an op floored its input: `inside` is False
+    there, and None when the op floored nothing."""
+    return adjoint if inside is None else np.where(inside, adjoint, 0.0)
+
+
+def _saved_operands(a: Tensor, b: Tensor) -> tuple:
+    """The operands a binary rule reads: each one whose partner requires
+    grad, None in place of one whose partner does not."""
+    return (a.data if b.requires_grad else None, b.data if a.requires_grad else None)
+
+
 # -- backward rules ---------------------------------------------------------------
 # `rule(g, node)` maps the adjoint `g` of `node` to one adjoint per parent, in
 # the order of `node._parents`. A binary rule leaves None for a parent that does
 # not require grad (data, constants) and reduces a broadcast operand's adjoint
-# back to its shape. A rule reads arrays only from `node._saved`; a docstring
-# names what a rule's op saves.
+# back to its shape. A rule reads shapes from `node._parents` and arrays only
+# from `node._saved` (see `_Node`); a docstring names what a rule's op saves.
 
 
 def _add_rule(g, node):
@@ -270,60 +269,37 @@ def _sub_rule(g, node):
 
 
 def _mul_rule(g, node):
-    """Saved: both operands."""
+    """Saved: each operand whose partner requires grad."""
     a, b = node._parents
     ad, bd = node._saved
-    return (None if a is None else _unbroadcast(g * bd, ad.shape),
-            None if b is None else _unbroadcast(g * ad, bd.shape))
+    return (None if a is None else _unbroadcast(g * bd, a.shape),
+            None if b is None else _unbroadcast(g * ad, b.shape))
 
 
 def _div_rule(g, node):
-    """Saved: both operands."""
+    """Saved: the numerator if the denominator requires grad, the floored
+    denominator and where the true one is not floored (see `_where_inside`)."""
     a, b = node._parents
-    ad, bd = node._saved
-    return (None if a is None else _unbroadcast(g / bd, ad.shape),
-            None if b is None else _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-
-def _floored_div_rule(g, node):
-    """Saved: the numerator, the floored denominator and where the true one
-    is not floored."""
-    a, b = node._parents
-    ad, safe, inside = node._saved
-    return (None if a is None else _unbroadcast(g / safe, ad.shape),
+    ad, bd, inside = node._saved
+    return (None if a is None else _unbroadcast(g / bd, a.shape),
             None if b is None else
-            _unbroadcast(np.where(inside, -g * ad / (safe * safe), 0.0), safe.shape))
+            _unbroadcast(_where_inside(inside, -g * ad / (bd * bd)), b.shape))
 
 
 def _neg_rule(g, node):
     return (-g,)
 
 
-def _exp_rule(g, node):
-    """Saved: the output."""
-    return (g * node._saved,)
-
-
 def _log_rule(g, node):
-    """Saved: the input."""
-    return (g / node._saved,)
-
-
-def _floored_log_rule(g, node):
     """Saved: the floored input and where the true one is not floored."""
     x, inside = node._saved
-    return (np.where(inside, g / x, 0.0),)
+    return (_where_inside(inside, g / x),)
 
 
 def _sqrt_rule(g, node):
-    """Saved: the output."""
-    return (g / (2.0 * node._saved),)
-
-
-def _floored_sqrt_rule(g, node):
     """Saved: the output and where the input is not floored."""
     out, inside = node._saved
-    return (np.where(inside, g / (2.0 * out), 0.0),)
+    return (_where_inside(inside, g / (2.0 * out)),)
 
 
 def _square_rule(g, node):
@@ -352,7 +328,7 @@ def _sigmoid_rule(g, node):
 
 
 def _slope_rule(g, node):
-    """Saved: the derivative of the op at its input (softplus, abs)."""
+    """Saved: the op's derivative at its input (exp's output, softplus, abs)."""
     return (g * node._saved,)
 
 
@@ -364,7 +340,7 @@ def _clip_rule(g, node):
 
 
 def _matmul_rule(g, node):
-    """Saved: both operands."""
+    """Saved: each operand whose partner requires grad."""
     a, b = node._parents
     ad, bd = node._saved
     return (None if a is None else g @ bd.T,
@@ -441,19 +417,18 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _make(ad * bd, "mul", (a, b), _mul_rule, (ad, bd))
+    return _make(a.data * b.data, "mul", (a, b), _mul_rule, _saved_operands(a, b))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Division with the epsilon floor applied to the denominator magnitude."""
     _broadcast_check(a, b, "div")
-    ad, bd = a.data, b.data
-    if _above_floor(bd) or _above_floor(-bd):
-        return _make(ad / bd, "div", (a, b), _div_rule, (ad, bd))
-    safe = np.where(np.abs(bd) < EPS_FLOOR, np.where(bd < 0, -EPS_FLOOR, EPS_FLOOR), bd)
-    inside = np.abs(bd) >= EPS_FLOOR
-    return _make(ad / safe, "div", (a, b), _floored_div_rule, (ad, safe, inside))
+    ad, bd, inside = a.data, b.data, None
+    if not (_above_floor(bd) or _above_floor(-bd)):
+        inside = np.abs(bd) >= EPS_FLOOR
+        bd = np.where(np.abs(bd) < EPS_FLOOR, np.where(bd < 0, -EPS_FLOOR, EPS_FLOOR), bd)
+    return _make(ad / bd, "div", (a, b), _div_rule,
+                 (ad if b.requires_grad else None, bd, inside))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -462,28 +437,24 @@ def neg(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = _as_f64(np.exp(a.data))
-    return _make(out, "exp", (a,), _exp_rule, out)
+    return _make(out, "exp", (a,), _slope_rule, out)
 
 
 def log(a: Tensor) -> Tensor:
     """Natural log with inputs floored at EPS_FLOOR (clamp, do not error)."""
-    x = a.data
-    if _above_floor(x):
-        return _make(np.log(x), "log", (a,), _log_rule, x)
-    x = np.maximum(x, EPS_FLOOR)
-    inside = a.data >= EPS_FLOOR
-    return _make(np.log(x), "log", (a,), _floored_log_rule, (x, inside))
+    x, inside = a.data, None
+    if not _above_floor(x):
+        x, inside = np.maximum(x, EPS_FLOOR), x >= EPS_FLOOR
+    return _make(np.log(x), "log", (a,), _log_rule, (x, inside))
 
 
 def sqrt(a: Tensor) -> Tensor:
     """Square root with inputs floored at EPS_FLOOR."""
-    if _above_floor(a.data):
-        out = _as_f64(np.sqrt(a.data))
-        return _make(out, "sqrt", (a,), _sqrt_rule, out)
-    x = np.maximum(a.data, EPS_FLOOR)
-    inside = a.data >= EPS_FLOOR
+    x, inside = a.data, None
+    if not _above_floor(x):
+        x, inside = np.maximum(x, EPS_FLOOR), x >= EPS_FLOOR
     out = _as_f64(np.sqrt(x))
-    return _make(out, "sqrt", (a,), _floored_sqrt_rule, (out, inside))
+    return _make(out, "sqrt", (a,), _sqrt_rule, (out, inside))
 
 
 def square(a: Tensor) -> Tensor:
@@ -546,8 +517,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    ad, bd = a.data, b.data
-    return _make(ad @ bd, "matmul", (a, b), _matmul_rule, (ad, bd))
+    return _make(a.data @ b.data, "matmul", (a, b), _matmul_rule, _saved_operands(a, b))
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -54,6 +54,24 @@ def test_gen_data_rejects_a_dims_entry_that_is_not_an_integer(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"),
+    ("--classes", "0"),
+    ("--dims", "2"),  # below --classes
+    ("--dims", ","),
+    ("--style-noise", "-1"),
+    ("--style-noise", "nan"),
+    ("--background-noise", "-0.5"),
+    ("--background-noise", "inf"),
+])
+def test_gen_data_refuses_a_bad_flag_by_name_and_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "bad.mvds"
+    argv = ["gen-data", "--out", str(out), "--classes", "3", "--dims", "5,4", flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_validate_config_exit_codes(tmp_path, capsys):
     good = _write_config(tmp_path)
     assert main(["validate-config", "--config", str(good)]) == 0

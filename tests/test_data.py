@@ -93,6 +93,36 @@ def test_trailing_bytes_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("flag", [2, 7, 255])
+def test_a_has_labels_byte_other_than_0_or_1_is_rejected(tmp_path, flag):
+    path = tmp_path / "d.mvds"
+    write_dataset(path, _f32_batch())
+    raw = bytearray(path.read_bytes())
+    assert raw[16] == 1
+    raw[16] = flag
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"has_labels is {flag} at byte 16"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("label", [2**32, 2**32 + 5, 2**62])
+def test_a_label_beyond_u32_is_refused_before_the_file_is_opened(tmp_path, label):
+    batch = _f32_batch()
+    batch.labels[3] = label
+    path = tmp_path / "d.mvds"
+    with pytest.raises(ContractError, match=f"label {label} exceeds the u32 maximum"):
+        write_dataset(path, batch)
+    assert not path.exists()
+
+
+def test_the_largest_u32_label_round_trips(tmp_path):
+    batch = _f32_batch()
+    batch.labels[3] = 2**32 - 1
+    path = tmp_path / "d.mvds"
+    write_dataset(path, batch)
+    assert np.array_equal(read_dataset(path).labels, batch.labels)
+
+
 def test_synthetic_noiseless_classes_are_constant():
     spec = SyntheticSpec(n_classes=3, n_samples=30, dims=[6, 5],
                          style_noise=0.0, background_noise=0.0, seed=4)

@@ -457,12 +457,19 @@ def _matrix(low=0.5):
     return nc.parameter(np.linspace(low, 2.0, 12).reshape(3, 4))
 
 
+def _constant(low=0.5):
+    return nc.constant(np.linspace(low, 2.0, 12).reshape(3, 4))
+
+
 _GRAPH_OP_CASES = [
     ("add", lambda: [nc.add(_matrix(), _matrix())]),
     ("sub", lambda: [nc.sub(_matrix(), _matrix())]),
-    ("mul", lambda: [nc.mul(_matrix(), _matrix())]),
-    ("div", lambda: [nc.div(_matrix(), _matrix())]),
-    ("div", lambda: [nc.div(_matrix(), _matrix(low=0.0))]),  # floored
+    ("mul", lambda: [nc.mul(_matrix(), _matrix()), nc.mul(_matrix(), _constant()),
+                     nc.mul(_constant(), _matrix())]),
+    ("div", lambda: [nc.div(_matrix(), _matrix()), nc.div(_matrix(), _constant()),
+                     nc.div(_constant(), _matrix())]),
+    ("div", lambda: [nc.div(_matrix(), _matrix(low=0.0)),  # floored
+                     nc.div(_matrix(), _constant(low=0.0)), nc.div(_constant(), _matrix(low=0.0))]),
     ("neg", lambda: [nc.neg(_matrix())]),
     ("exp", lambda: [nc.exp(_matrix())]),
     ("log", lambda: [nc.log(_matrix())]),
@@ -476,7 +483,9 @@ _GRAPH_OP_CASES = [
     ("softplus", lambda: [nc.softplus(_matrix(low=-1.0))]),
     ("absolute", lambda: [nc.absolute(_matrix(low=-1.0))]),
     ("clip", lambda: [nc.clip(_matrix(), 0.0, 1.0)]),
-    ("matmul", lambda: [nc.matmul(_matrix(), nc.constant(np.ones((4, 2))))]),
+    ("matmul", lambda: [nc.matmul(_matrix(), nc.constant(np.ones((4, 2)))),
+                        nc.matmul(nc.constant(np.ones((2, 3))), _matrix()),
+                        nc.matmul(_matrix(), nc.parameter(np.ones((4, 2))))]),
     ("transpose", lambda: [nc.transpose(_matrix())]),
     ("concat_cols", lambda: [nc.concat_cols([_matrix(), _matrix()])]),
     ("row", lambda: [nc.row(_matrix(), 1)]),
@@ -507,6 +516,19 @@ def test_graph_op_nodes_hold_a_module_level_rule(name, build):
         assert getattr(nc, rule.__qualname__) is rule, rule
 
 
+def test_each_op_has_one_rule_and_every_rule_is_an_ops():
+    rules: dict[str, set] = {}
+    for name, build in _GRAPH_OP_CASES:
+        rules.setdefault(name, set()).update(out._node._bw for out in build())
+    # div, log and sqrt keep one rule whether or not they floor their input;
+    # sym_eig's two outputs each have one
+    assert all(len(found) == 1 for name, found in rules.items() if name != "sym_eig"), rules
+    assert len(rules["sym_eig"]) == 2
+    module_rules = {fn for name, fn in vars(nc).items()
+                    if name.startswith("_") and name.endswith("_rule")}
+    assert set().union(*rules.values()) == module_rules
+
+
 # -- a node keeps only the arrays its rule reads ------------------------------------
 
 
@@ -528,6 +550,26 @@ def test_values_that_no_rule_reads_are_freed_once_dropped():
     _assert_bitwise(x.grad, 0.0 + dpre @ w.data.T, "x grad")
     _assert_bitwise(w.grad, 0.0 + x.data.T @ dpre, "w grad")
     _assert_bitwise(b.grad, 0.0 + dpre.sum(axis=0), "b grad")
+
+
+@pytest.mark.parametrize("op", ["mul", "div", "matmul"])
+def test_an_operand_whose_partner_is_a_constant_is_freed_once_dropped(op):
+    rng = np.random.default_rng(6)
+    x, y = (nc.parameter(rng.normal(size=(4, 3))) for _ in range(2))
+    c = rng.uniform(0.5, 2.0, size=(2, 4) if op == "matmul" else (3,))
+    h = nc.add(x, y)
+    # the add reads only shapes; the constant's partner is saved by no rule
+    value = weakref.ref(h.data)
+    out = nc.matmul(nc.constant(c), h) if op == "matmul" else getattr(nc, op)(h, nc.constant(c))
+    del h
+    assert value() is None
+
+    nc.backward(nc.sum_(nc.square(out)))
+    # the rules of sum, square, the op and add, applied by hand
+    dout = 2.0 * np.ones(out.shape) * out.data
+    dh = c.T @ dout if op == "matmul" else dout * c if op == "mul" else dout / c
+    _assert_bitwise(x.grad, 0.0 + dh, "x grad")
+    _assert_bitwise(y.grad, 0.0 + dh, "y grad")
 
 
 @pytest.mark.parametrize("name, build", _GRAPH_OP_CASES, ids=_GRAPH_OP_IDS)

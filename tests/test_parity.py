@@ -4,6 +4,7 @@ process, and the comparison names a one-ulp change."""
 import numpy as np
 import pytest
 
+from mvx.distributions import Likelihood
 from mvx.objectives import MODEL_SPECS
 
 from helpers import TOOLS, load_tool
@@ -16,6 +17,15 @@ VARIANTS = ["mvae", "mmjsd-pi", "mwae-2-critic-steps"]
 def test_the_variants_cover_every_model():
     assert sorted(parity.MODELS) == sorted(MODEL_SPECS)
     assert {model for _, model, _ in parity.VARIANTS} == set(MODEL_SPECS)
+
+
+def test_the_variants_cover_every_decoder_kind():
+    kinds = {extra.get("decoder.default.distribution", "Normal")
+             for _, _, extra in parity.VARIANTS}
+    # a plain-encoder model decodes with the squared-error "Default" kind
+    if any(MODEL_SPECS[model].encoder == "plain" for _, model, _ in parity.VARIANTS):
+        kinds.add("Default")
+    assert kinds == set(Likelihood.KINDS)
 
 
 def test_a_capture_repeats_and_a_one_ulp_change_is_named():

@@ -51,9 +51,10 @@ VARIANTS = [(name, name, {}) for name in MODELS] + [
     ("maae-non-saturating", "maae", {"model.non_saturating": True}),
     ("mwae-2-critic-steps", "mwae", {"trainer.critic_steps": 2}),
     ("mmvae-K3", "mmvae", {"model.K": 3}),
-    # Bernoulli stays out: the synthetic views do not lie in [0, 1]
     ("mvae-laplace", "mvae", {"decoder.default.distribution": "Laplace"}),
     ("mvae-categorical", "mvae", {"decoder.default.distribution": "Categorical"}),
+    # trains on the views mapped into [0, 1] (see `_capture_variant`)
+    ("mvae-bernoulli", "mvae", {"decoder.default.distribution": "Bernoulli"}),
 ]
 
 ARTEFACTS = ["history", "metrics.csv", "resolved.cfg", "checkpoint", "predict_latent",
@@ -95,6 +96,10 @@ def _capture_variant(mvx, model: str, extra: dict, work: Path) -> dict[str, dict
     n_views = mvx.objectives.MODEL_SPECS[model].n_views or 3
     data = mvx.data.generate_synthetic(mvx.data.SyntheticSpec(
         n_classes=3, n_samples=48, dims=[4, 3, 5][:n_views], style_noise=0.1, seed=0))
+    if extra.get("decoder.default.distribution") == "Bernoulli":
+        # Bernoulli targets lie in [0, 1]: the logistic of each synthetic value
+        data = mvx.data.MultiViewBatch(views=[1.0 / (1.0 + np.exp(-v)) for v in data.views],
+                                       labels=data.labels)
     cfg = _config(mvx, model, extra)
 
     nodes = 0
