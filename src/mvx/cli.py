@@ -98,6 +98,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.K < 1:
+        raise ConfigError(f"--K: must be >= 1, got {args.K}")
     run_dir = Path(args.run)
     run = load_run(run_dir)
     data = read_dataset(args.data)

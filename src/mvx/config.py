@@ -119,12 +119,12 @@ class NetSpecConfig:
         _as_str, (lambda x: x in Likelihood.KINDS,
                   f"unsupported distribution (choose from {Likelihood.KINDS})"),
         default="Normal", decoder_only=True, read_by=lambda spec, _: spec.encoder != "plain")
-    # read by the Normal and Laplace likelihoods. A plain autoencoder's
+    # read by the likelihoods in Likelihood.SCALED. A plain autoencoder's
     # decoders score squared error and read neither key, but it still accepts
     # any scale: the benchmark's mwae workload sets one
     scale: float = _key(
         _as_float, (lambda x: x > 0, "scale must be positive"), default=1.0, decoder_only=True,
-        read_by=lambda _, net: net.distribution in ("Normal", "Laplace"))
+        read_by=lambda _, net: net.distribution in Likelihood.SCALED)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DomainError, FormatError
+from .errors import ContractError, FormatError
 
 MAGIC = b"MVDS"
 VERSION = 1
@@ -81,10 +81,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_classes < 1 or self.n_samples < 1:
             raise ContractError("SyntheticSpec: n_classes and n_samples must be >= 1")
+        if not self.dims:
+            raise ContractError("SyntheticSpec: dims must list at least one view")
         if any(d < self.n_classes for d in self.dims):
             raise ContractError("SyntheticSpec: every view dim must be >= n_classes")
-        if self.style_noise < 0 or self.background_noise < 0:
-            raise ContractError("SyntheticSpec: noise levels must be >= 0")
+        if not (0 <= self.style_noise < np.inf and 0 <= self.background_noise < np.inf):
+            raise ContractError("SyntheticSpec: noise levels must be finite and >= 0")
 
 
 PROTOTYPE_SCALE = 3.0
@@ -111,50 +113,6 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewBatch:
         clean = prototypes[labels] @ style.T
         noise = spec.background_noise * rng.normal(size=(spec.n_samples, dim))
         views.append(clean + noise)
-    return MultiViewBatch(views=views, labels=labels)
-
-
-def binarize(batch: MultiViewBatch, threshold: float) -> MultiViewBatch:
-    """Threshold values in [0, 1] to {0, 1}; labels pass through."""
-    for v in batch.views:
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise DomainError("binarize: values must lie in [0, 1]")
-    views = [(v >= threshold).astype(np.float64) for v in batch.views]
-    return MultiViewBatch(views=views, labels=batch.labels)
-
-
-def one_hot_labels(batch: MultiViewBatch, n_classes: int | None = None) -> np.ndarray:
-    """Companion one-hot view built from the labels (rows sum to 1)."""
-    if batch.labels is None:
-        raise ContractError("one_hot_labels: batch has no labels")
-    c = int(batch.labels.max()) + 1 if n_classes is None else n_classes
-    out = np.zeros((batch.n_samples, c))
-    out[np.arange(batch.n_samples), batch.labels] = 1.0
-    return out
-
-
-def with_one_hot_label_view(batch: MultiViewBatch, n_classes: int | None = None) -> MultiViewBatch:
-    """Append the one-hot label view as an extra modality."""
-    return MultiViewBatch(
-        views=list(batch.views) + [one_hot_labels(batch, n_classes)],
-        labels=batch.labels,
-    )
-
-
-def from_image_arrays(arrays: list[np.ndarray],
-                      labels: np.ndarray | None = None) -> MultiViewBatch:
-    """Flatten per-view image stacks (n, h, w) into a batch, scaling uint8
-    inputs to [0, 1]. Fetching image datasets is out of scope; this converts
-    arrays the caller already has."""
-    views = []
-    for arr in arrays:
-        arr = np.asarray(arr)
-        if arr.ndim < 2:
-            raise ContractError("from_image_arrays: each view needs at least 2 dims")
-        flat = arr.reshape(arr.shape[0], -1).astype(np.float64)
-        if np.issubdtype(np.asarray(arr).dtype, np.integer):
-            flat = flat / 255.0
-        views.append(flat)
     return MultiViewBatch(views=views, labels=labels)
 
 

@@ -20,6 +20,7 @@ LOG_VAR_MIN = -20.0
 LOG_VAR_MAX = 20.0
 
 LOG_2PI = math.log(2.0 * math.pi)
+CATEGORICAL_ROW_TOL = 1e-6
 
 
 @dataclass
@@ -121,15 +122,28 @@ class Likelihood:
     """Decoder output distribution over one modality's feature space.
 
     `params` are raw network outputs: means for Normal/Laplace/Default,
-    logits for Bernoulli/Categorical. `log_prob` sums over features.
+    logits for Bernoulli/Categorical. `log_prob` sums over features and
+    trusts its targets: `SUPPORT` gives each kind an entrywise test of the
+    targets it accepts and the rule it states, checked by `check_targets`.
     """
 
-    KINDS = ("Normal", "Bernoulli", "Laplace", "Categorical", "Default")
+    SUPPORT = {
+        "Normal": (np.isfinite, "finite"),
+        "Bernoulli": (lambda x: (x >= 0.0) & (x <= 1.0), "in [0, 1]"),
+        "Laplace": (np.isfinite, "finite"),
+        "Categorical": (
+            lambda x: (x >= 0.0) & (np.abs(x.sum(axis=1, keepdims=True) - 1.0)
+                                    <= CATEGORICAL_ROW_TOL),
+            f"non-negative, in rows that sum to 1 within {CATEGORICAL_ROW_TOL}"),
+        "Default": (np.isfinite, "finite"),
+    }
+    KINDS = tuple(SUPPORT)
+    SCALED = ("Normal", "Laplace")
 
     def __init__(self, kind: str, params: Tensor, scale: float = 1.0):
         if kind not in self.KINDS:
             raise DomainError(f"Likelihood: unknown kind '{kind}'")
-        if kind in ("Normal", "Laplace") and scale <= 0:
+        if kind in self.SCALED and scale <= 0:
             raise DomainError(f"Likelihood: scale must be positive, got {scale}")
         self.kind = kind
         self.params = params
@@ -152,8 +166,6 @@ class Likelihood:
             )
             return nc.sum_(nc.neg(per), axis=1)
         if self.kind == "Bernoulli":
-            if np.any((x.data < 0.0) | (x.data > 1.0)):
-                raise DomainError("Bernoulli log_prob: targets must lie in [0, 1]")
             logits = self.params
             per = x * nc.softplus(nc.neg(logits)) + (nc.constant(1.0) - x) * nc.softplus(logits)
             return nc.sum_(nc.neg(per), axis=1)
@@ -178,3 +190,18 @@ class Likelihood:
         log_norm = nc.logsumexp(self.params, axis=1)
         ones = nc.constant(np.ones((1, self.params.shape[1])))
         return self.params - nc.matmul(nc.reshape_col(log_norm), ones)
+
+
+def check_targets(kind: str, x: np.ndarray, view: int) -> None:
+    """Raise a DomainError naming `view`, the row and the value when an entry
+    of the (n, d) targets `x` is outside the support of likelihood `kind`."""
+    ok, rule = Likelihood.SUPPORT[kind]
+    if ok(x).all():
+        return
+    row, col = np.argwhere(~ok(x))[0]
+    if kind == "Categorical":
+        col = np.argmin(x[row] >= 0.0)  # the row's first negative entry, if any
+    value = f"value {float(x[row, col])}"
+    if kind == "Categorical" and x[row, col] >= 0.0:
+        value = f"row sum {float(x[row].sum())}"
+    raise DomainError(f"view {view} row {row}: {kind} targets must be {rule}, got {value}")

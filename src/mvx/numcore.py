@@ -651,8 +651,6 @@ def backward(loss: Tensor) -> None:
     root._adj = np.ones_like(loss.data)
     for node in reversed(order):
         g = node._adj
-        if g is None:
-            continue
         node._adj = None
         if node._bw is None:
             if node.grad is None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import numcore as nc
 from .config import ModelConfig, check_key, check_views, load_config, save_resolved
 from .data import MultiViewBatch, read_exact
-from .distributions import GaussianParams, dropout_rate
+from .distributions import GaussianParams, check_targets, dropout_rate
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .networks import Decoder, Discriminator, Encoder, MlpSpec, VariationalEncoder
 from .numcore import Tensor
@@ -52,6 +52,18 @@ def _mlp_spec(cfg_spec, input_dim: int, output_dim: int) -> MlpSpec:
         bias=cfg_spec.bias,
         activation=cfg_spec.activation,
     )
+
+
+def _decoder_kind(cfg: ModelConfig, m: int) -> str:
+    """The likelihood kind of view `m`'s decoder: squared error (Default) for
+    a plain autoencoder, else the configured distribution."""
+    plain = MODEL_SPECS[cfg.name].encoder == "plain"
+    return "Default" if plain else cfg.decoder_spec(m).distribution
+
+
+def _check_targets(cfg: ModelConfig, data: MultiViewBatch) -> None:
+    for m, x in enumerate(data.views):
+        check_targets(_decoder_kind(cfg, m), x, m)
 
 
 def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generator) -> ModelState:
@@ -105,8 +117,7 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
         dec_spec = cfg.decoder_spec(m)
         decoders.append(
             Decoder(_mlp_spec(dec_spec, dec_in, input_dims[m]), rng,
-                    distribution="Default" if spec.encoder == "plain" else dec_spec.distribution,
-                    scale=dec_spec.scale, name=f"dec{m}")
+                    distribution=_decoder_kind(cfg, m), scale=dec_spec.scale, name=f"dec{m}")
         )
     state.decoders = decoders
 
@@ -383,14 +394,15 @@ def fit(
 ) -> RunState:
     """Train from scratch; overrides win over the config's trainer section.
 
-    The data and the overrides are checked before anything is written into
-    `cfg`, so a call that raises leaves it as it was.
+    The data, their targets included, and the overrides are checked before
+    anything is written into `cfg`, so a call that raises leaves it as it was.
     """
     if cfg.input_dims is not None and cfg.input_dims != data.dims:
         raise DimensionError(
             f"fit: configured input_dims {cfg.input_dims} do not match data {data.dims}"
         )
     check_views(cfg, len(data.dims))
+    _check_targets(cfg, data)
     overrides = {key: check_key(cfg.trainer, "trainer", key, value, cfg.name)
                  for key, value in (("max_epochs", max_epochs), ("batch_size", batch_size))
                  if value is not None}
@@ -423,7 +435,7 @@ def continue_fit(
     The arguments are checked before anything is drawn or written."""
     if epochs < 0:
         raise ContractError(f"continue_fit: epochs must be >= 0, got {epochs}")
-    _check_dims(run, data, "continue_fit")
+    _check_data(run, data, "continue_fit")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -455,18 +467,20 @@ class LatentResult:
     kept_masks: list[np.ndarray] | None = None
 
 
-def _check_dims(run: RunState, data: MultiViewBatch, caller: str) -> None:
-    """Raise a DimensionError naming `caller` when `data`'s dims differ from the model's."""
+def _check_data(run: RunState, data: MultiViewBatch, caller: str) -> None:
+    """Raise a DimensionError naming `caller` when `data`'s dims differ from
+    the model's, then `_check_targets`."""
     if data.dims != run.cfg.input_dims:
         raise DimensionError(f"{caller}: data dims {data.dims} vs model {run.cfg.input_dims}")
+    _check_targets(run.cfg, data)
 
 
 def _read(run: RunState, data: MultiViewBatch,
           caller: str) -> tuple[list[Tensor], list[GaussianParams]]:
-    """The read-out of `data` by the model of `run`, after `_check_dims`: its
+    """The read-out of `data` by the model of `run`, after `_check_data`: its
     views as constants and their `_posteriors`, a plain encoder's with zero
     log-variance. Call it with graph recording off."""
-    _check_dims(run, data, caller)
+    _check_data(run, data, caller)
     views = _as_views(data)
     return views, [q if isinstance(q, GaussianParams)
                    else GaussianParams(q, nc.constant(np.zeros(q.shape)))

@@ -86,6 +86,33 @@ def test_validate_all_shipped_configs():
         assert main(["validate-config", "--config", str(cfg)]) == 0, cfg.name
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_every_shipped_config_trains_on_gen_data_output(tmp_path, config):
+    data = tmp_path / "train.mvds"
+    assert main(["gen-data", "--out", str(data), "--samples", "300"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(out),
+                 "--epochs", "1"]) == 0
+    assert (out / "checkpoint.mvxc").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["decoder.default.distribution = Categorical"],
+     "error: view 0 row 0: Categorical targets must be non-negative"),
+    (["decoder.default.distribution = Bernoulli"],
+     "error: view 0 row 0: Bernoulli targets must be in [0, 1]"),
+], ids=["Categorical", "Bernoulli"])
+def test_train_on_targets_outside_the_support_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                          extra, message):
+    cfg = _write_config(tmp_path, extra=extra)
+    data = _gen_data(tmp_path)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path):
     cfg = _write_config(tmp_path)
     data = _gen_data(tmp_path)
@@ -233,6 +260,15 @@ def test_eval_on_data_with_another_view_count_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2
         assert err.strip() == f"error: {caller}: data dims [5, 4] vs model [5, 4, 3]"
+
+
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_eval_refuses_a_sample_count_below_one_before_loading_the_run(tmp_path, capsys, k):
+    # the run does not exist: the refusal comes before it would be loaded
+    rc = main(["eval", "--run", str(tmp_path / "no-run"), "--data", str(tmp_path / "x.mvds"),
+               "--metric", "loglik", "--K", k])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: --K: must be >= 1, got {k}"
 
 
 def test_eval_corrupt_checkpoint_exits_without_traceback(tmp_path, capsys):

@@ -10,14 +10,11 @@ from mvx.data import (
     VERSION,
     MultiViewBatch,
     SyntheticSpec,
-    binarize,
     generate_synthetic,
-    one_hot_labels,
     read_dataset,
-    with_one_hot_label_view,
     write_dataset,
 )
-from mvx.errors import ContractError, DomainError, FormatError
+from mvx.errors import ContractError, FormatError
 
 
 def _f32_batch(seed=0, n=16, dims=(5, 3), labels=True):
@@ -179,27 +176,6 @@ def test_synthetic_shared_label_structure():
         assert np.mean(np.argmax(x @ w, axis=1) == batch.labels) == 1.0
 
 
-def test_binarize_threshold_and_idempotence():
-    batch = MultiViewBatch(views=[np.array([[0.2, 0.8], [0.5, 0.4]])],
-                           labels=np.array([0, 1]))
-    out = binarize(batch, 0.5)
-    assert np.array_equal(out.views[0], [[0.0, 1.0], [1.0, 0.0]])
-    again = binarize(out, 0.5)
-    assert np.array_equal(out.views[0], again.views[0])
-    with pytest.raises(DomainError):
-        binarize(MultiViewBatch(views=[np.array([[1.2]])]), 0.5)
-
-
-def test_one_hot_label_view():
-    batch = MultiViewBatch(views=[np.zeros((4, 2))], labels=np.array([0, 2, 1, 2]))
-    onehot = one_hot_labels(batch)
-    assert onehot.shape == (4, 3)
-    assert np.array_equal(onehot.sum(axis=1), np.ones(4))
-    extended = with_one_hot_label_view(batch)
-    assert extended.n_views == 2
-    assert extended.dims == [2, 3]
-
-
 def test_batch_validation():
     with pytest.raises(ContractError):
         MultiViewBatch(views=[])
@@ -214,15 +190,10 @@ def test_spec_validation():
         SyntheticSpec(n_classes=5, n_samples=10, dims=[3])
     with pytest.raises(ContractError):
         SyntheticSpec(n_classes=2, n_samples=10, dims=[3], style_noise=-1.0)
-
-
-def test_from_image_arrays():
-    from mvx.data import from_image_arrays
-
-    imgs = (np.arange(2 * 3 * 4) % 256).astype(np.uint8).reshape(2, 3, 4)
-    batch = from_image_arrays([imgs], labels=np.array([0, 1]))
-    assert batch.dims == [12]
-    assert batch.views[0].max() <= 1.0
-    floats = np.random.default_rng(0).random((2, 5))
-    batch2 = from_image_arrays([floats])
-    assert np.allclose(batch2.views[0], floats)
+    # what `mvx gen-data` refuses by flag name, the spec refuses too
+    with pytest.raises(ContractError, match="at least one view"):
+        SyntheticSpec(n_classes=2, n_samples=10, dims=[])
+    for noise in (np.nan, np.inf):
+        for key in ("style_noise", "background_noise"):
+            with pytest.raises(ContractError, match="finite and >= 0"):
+                SyntheticSpec(n_classes=2, n_samples=10, dims=[3], **{key: noise})

@@ -7,9 +7,12 @@ import pytest
 from scipy import integrate
 
 from mvx import numcore as nc
+from mvx.data import MultiViewBatch, read_dataset, write_dataset
 from mvx.distributions import (
+    CATEGORICAL_ROW_TOL,
     GaussianParams,
     Likelihood,
+    check_targets,
     gaussian_log_prob,
     kl_normal,
     kl_sparse,
@@ -192,10 +195,52 @@ def test_default_is_negative_sse():
     assert abs(lp - (-9.0)) < 1e-12
 
 
-def test_bernoulli_rejects_out_of_range_targets():
+# -- each kind's support -------------------------------------------------------------
+
+
+_HUGE = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("kind, good, bad, got", [
+    ("Normal", [-_HUGE, _HUGE], [0.0, np.nan], "value nan"),
+    ("Laplace", [-_HUGE, _HUGE], [np.inf, 0.0], "value inf"),
+    ("Default", [-_HUGE, _HUGE], [0.0, -np.inf], "value -inf"),
+    ("Bernoulli", [0.0, 1.0], [1.5, 0.0], "value 1.5"),
+    ("Bernoulli", [1.0, 0.0], [0.0, -1e-9], "value -1e-09"),
+    ("Categorical", [0.0, 1.0], [-0.25, 1.25], "value -0.25"),
+    ("Categorical", [0.5, 0.5 - 0.9 * CATEGORICAL_ROW_TOL], [0.25, 0.75 + 2 ** -16],
+     "row sum 1.0000152587890625"),
+    ("Categorical", [1.0, 0.0], [np.inf, 0.0], "row sum inf"),
+    ("Categorical", [0.0, 1.0], [0.5, -0.5], "value -0.5"),  # the row sums to 0
+], ids=["Normal-nan", "Laplace-inf", "Default-minus-inf", "Bernoulli-above-1",
+        "Bernoulli-below-0", "Categorical-negative", "Categorical-row-sum", "Categorical-inf",
+        "Categorical-negative-second"])
+def test_check_targets_refuses_the_first_entry_outside_the_support(kind, good, bad, got):
+    _, rule = Likelihood.SUPPORT[kind]
+    x = np.array([good, good, bad, bad])
+    check_targets(kind, x[:2], 0)
+    with pytest.raises(DomainError) as err:
+        check_targets(kind, x, 2)
+    assert str(err.value) == f"view 2 row 2: {kind} targets must be {rule}, got {got}"
+
+
+def test_every_kind_states_its_support_and_log_prob_trusts_its_targets():
+    assert Likelihood.KINDS == ("Normal", "Bernoulli", "Laplace", "Categorical", "Default")
+    assert set(Likelihood.SCALED) < set(Likelihood.KINDS)
     lik = Likelihood("Bernoulli", nc.constant(np.zeros((1, 2))))
-    with pytest.raises(DomainError):
-        lik.log_prob(nc.constant([[1.5, 0.0]]))
+    assert np.isfinite(lik.log_prob(nc.constant([[1.5, 0.0]])).item())
+
+
+def test_probability_rows_pass_after_a_dataset_round_trip(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = rng.dirichlet(np.ones(7), size=200)
+    onehot = np.eye(5)[rng.integers(0, 5, 200)]
+    write_dataset(tmp_path / "rows.mvds", MultiViewBatch(views=[rows, onehot]))
+    back = read_dataset(tmp_path / "rows.mvds")
+    assert not np.array_equal(back.views[0], rows)  # f32 on disk
+    for m, view in enumerate(back.views):
+        check_targets("Categorical", view, m)
+        check_targets("Bernoulli", view, m)
 
 
 def test_log_prob_never_positive_for_discrete_kinds():

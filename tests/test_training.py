@@ -16,7 +16,8 @@ from mvx import numcore as nc
 from mvx import training
 from mvx.config import ModelConfig, build_config, load_config, parse_config_text, resolved_lines
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
-from mvx.errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
+from mvx.errors import (ConfigError, ContractError, DimensionError, DomainError, FormatError,
+                        NumericError)
 from mvx.objectives import ADVERSARIAL_OBJECTIVES, MODEL_SPECS, VARIATIONAL_OBJECTIVES, EpsStream
 from mvx.pooling import MAX_SUBSET_MODALITIES
 from mvx.training import (
@@ -441,6 +442,76 @@ def test_continue_fit_checks_the_data_before_it_draws():
     assert run.history[-1] == uninterrupted.history[-1]
     for (name, a), (_, b) in zip(run.state.parameters(), uninterrupted.state.parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def _into_support(data, kind):
+    """`data` with each view mapped into the support of likelihood `kind`:
+    the logistic for Bernoulli, the row softmax for Categorical."""
+    views = data.views
+    if kind == "Bernoulli":
+        views = [1.0 / (1.0 + np.exp(-v)) for v in views]
+    if kind == "Categorical":
+        views = [np.exp(v) / np.exp(v).sum(axis=1, keepdims=True) for v in views]
+    return MultiViewBatch(views=views, labels=data.labels)
+
+
+def _with_entry(data, view, row, value):
+    views = [v.copy() for v in data.views]
+    views[view][row, 1] = value
+    return MultiViewBatch(views=views, labels=data.labels)
+
+
+# (model, decoder likelihood, bad entry, how the message names it)
+_BAD_TARGETS = [
+    ("mvae", "Normal", np.nan, "finite, got value nan"),
+    ("mvae", "Laplace", -np.inf, "finite, got value -inf"),
+    ("ae", "Default", np.inf, "finite, got value inf"),
+    ("mvae", "Bernoulli", 2.0, "in [0, 1], got value 2.0"),
+    ("mvae", "Categorical", -0.5, "non-negative, in rows that sum to 1 within 1e-06, "
+                                  "got value -0.5"),
+]
+
+
+def _target_run(name, kind):
+    flat = {"model.name": name, "model.z_dim": 2, "trainer.batch_size": 8}
+    if name != "ae":
+        flat["decoder.default.distribution"] = kind
+    return build_config(flat), _into_support(_toy_data(), kind)
+
+
+@pytest.mark.parametrize("name, kind, value, message", _BAD_TARGETS,
+                         ids=[kind for _, kind, _, _ in _BAD_TARGETS])
+def test_fit_refuses_targets_outside_the_support_before_writing(tmp_path, name, kind, value,
+                                                               message):
+    cfg, data = _target_run(name, kind)
+    before = copy.deepcopy(cfg)
+    with pytest.raises(DomainError) as err:
+        fit(cfg, _with_entry(data, 1, 17, value), max_epochs=1, out_dir=tmp_path / "run")
+    assert str(err.value) == f"view 1 row 17: {kind} targets must be {message}"
+    assert cfg == before
+    assert not (tmp_path / "run").exists()
+    fit(cfg, data, max_epochs=1, out_dir=tmp_path / "run")
+
+
+def test_continue_fit_and_the_read_outs_refuse_targets_before_they_draw_or_encode(monkeypatch):
+    from mvx.evaluation import joint_log_likelihood
+
+    cfg, data = _target_run("mvae", "Bernoulli")
+    run = fit(cfg, data, max_epochs=1)
+    bad = _with_entry(data, 0, 3, -0.25)
+    rng_state = run.rng.bit_generator.state
+    with pytest.raises(DomainError, match=r"^view 0 row 3: Bernoulli .* got value -0.25$"):
+        continue_fit(run, bad, 1)
+    assert run.epoch == 1 and len(run.history) == 1
+    assert run.rng.bit_generator.state == rng_state
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("the data were encoded")
+
+    monkeypatch.setattr(training, "_posteriors", no_encode)
+    for read in (lambda: predict_latent(run, bad), lambda: joint_log_likelihood(run, bad, K=3)):
+        with pytest.raises(DomainError, match="^view 0 row 3: "):
+            read()
 
 
 def test_a_hand_built_run_reads_against_the_dims_it_was_built_with():

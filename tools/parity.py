@@ -52,8 +52,8 @@ VARIANTS = [(name, name, {}) for name in MODELS] + [
     ("mwae-2-critic-steps", "mwae", {"trainer.critic_steps": 2}),
     ("mmvae-K3", "mmvae", {"model.K": 3}),
     ("mvae-laplace", "mvae", {"decoder.default.distribution": "Laplace"}),
+    # these two train on the views mapped into their support (see `_capture_variant`)
     ("mvae-categorical", "mvae", {"decoder.default.distribution": "Categorical"}),
-    # trains on the views mapped into [0, 1] (see `_capture_variant`)
     ("mvae-bernoulli", "mvae", {"decoder.default.distribution": "Bernoulli"}),
 ]
 
@@ -96,9 +96,15 @@ def _capture_variant(mvx, model: str, extra: dict, work: Path) -> dict[str, dict
     n_views = mvx.objectives.MODEL_SPECS[model].n_views or 3
     data = mvx.data.generate_synthetic(mvx.data.SyntheticSpec(
         n_classes=3, n_samples=48, dims=[4, 3, 5][:n_views], style_noise=0.1, seed=0))
-    if extra.get("decoder.default.distribution") == "Bernoulli":
+    distribution = extra.get("decoder.default.distribution")
+    if distribution == "Bernoulli":
         # Bernoulli targets lie in [0, 1]: the logistic of each synthetic value
         data = mvx.data.MultiViewBatch(views=[1.0 / (1.0 + np.exp(-v)) for v in data.views],
+                                       labels=data.labels)
+    if distribution == "Categorical":
+        # Categorical targets are probability rows: the row softmax of each view
+        views = [np.exp(v - v.max(axis=1, keepdims=True)) for v in data.views]
+        data = mvx.data.MultiViewBatch(views=[e / e.sum(axis=1, keepdims=True) for e in views],
                                        labels=data.labels)
     cfg = _config(mvx, model, extra)
 
