@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import check_seed, load_config, parse_config_text
 from .data import MultiViewBatch, SyntheticSpec, generate_synthetic, read_dataset, write_dataset
-from .errors import ConfigError, MvxError, UnsupportedMetricError
+from .errors import ConfigError, ContractError, MvxError, UnsupportedMetricError
 from .evaluation import (
     _coherence_pool,
     coherence,
@@ -111,8 +111,7 @@ def _cmd_eval(args) -> int:
     _coherence_pool(run.state)  # refused before any probe is trained
     probe_data = read_dataset(args.probe_data or args.data)
     if probe_data.labels is None:
-        print("error: probe data has no labels", file=sys.stderr)
-        return 2
+        raise ContractError("probe data has no labels")
     probes = [
         train_probe_classifier(view, probe_data.labels, seed=run.cfg.seed)
         for view in probe_data.views

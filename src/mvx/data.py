@@ -164,10 +164,12 @@ def read_dataset(path: str | Path) -> MultiViewBatch:
             raise FormatError("dataset declares 0 samples (byte 12)")
         if has_labels not in (0, 1):
             raise FormatError(f"has_labels is {has_labels} at byte 16: expected 0 or 1")
-        dims = [
-            struct.unpack("<I", read_exact(fh, 4, f"dim of view {i}"))[0]
-            for i in range(n_views)
-        ]
+        dims = []
+        for i in range(n_views):
+            (dim,) = struct.unpack("<I", read_exact(fh, 4, f"dim of view {i}"))
+            if dim == 0:
+                raise FormatError(f"view {i} declares dim 0 (byte {fh.tell() - 4})")
+            dims.append(dim)
         views = []
         for i, dim in enumerate(dims):
             raw = read_exact(fh, 4 * n_samples * dim, f"data of view {i}")

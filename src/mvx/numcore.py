@@ -157,16 +157,17 @@ class _Node:
     (one per operand: the operand's node, the operand itself when it is a
     leaf that requires grad, None when it does not require grad), `_bw`, the
     op's module-level rule, and `_saved`, the arrays that rule reads besides
-    the adjoint: an operand or the output, a floor mask, plus an axis and
-    count or the index of a row (None when it reads only shapes, which it
-    takes from `_parents`). An operand is saved only when the other operand
-    requires grad, since only that one's adjoint reads it, and None stands
-    in its place otherwise, as for a mask when nothing was floored. The rule
-    `_bw(g, node)` returns one adjoint per parent, or None for a parent that
-    does not require grad. A node's adjoint lives in its `_adj` slot while a
-    `backward` runs: each call resets it on every node it visits (`_mark`
-    holds the call's stamp) and clears it when it runs the node's rule, so
-    repeated `backward` calls accumulate cleanly on the leaves.
+    the adjoint: an operand, the output or a slope, a floor mask, plus an
+    axis and count, the index of a row or sub's flag (None when it reads
+    only shapes, which it takes from `_parents`). An operand is saved only
+    when the other operand requires grad, since only that one's adjoint
+    reads it, and None stands in its place otherwise, as for a mask when
+    nothing was floored. The rule `_bw(g, node)` returns one adjoint per
+    parent, or None for a parent that does not require grad. A node's
+    adjoint lives in its `_adj` slot while a `backward` runs: each call
+    resets it on every node it visits (`_mark` holds the call's stamp) and
+    clears it when it runs the node's rule, so repeated `backward` calls
+    accumulate cleanly on the leaves.
     """
 
     __slots__ = ("_op", "shape", "_parents", "_bw", "_saved", "_adj", "_mark")
@@ -253,19 +254,14 @@ def _saved_operands(a: Tensor, b: Tensor) -> tuple:
 # the order of `node._parents`. A binary rule leaves None for a parent that does
 # not require grad (data, constants) and reduces a broadcast operand's adjoint
 # back to its shape. A rule reads shapes from `node._parents` and arrays only
-# from `node._saved` (see `_Node`); a docstring names what a rule's op saves.
+# from `node._saved` (see `_Node`); a docstring names what each op of the rule saves.
 
 
 def _add_rule(g, node):
+    """Saved: True for sub, whose second adjoint is negated."""
     a, b = node._parents
     return (None if a is None else _unbroadcast(g, a.shape),
-            None if b is None else _unbroadcast(g, b.shape))
-
-
-def _sub_rule(g, node):
-    a, b = node._parents
-    return (None if a is None else _unbroadcast(g, a.shape),
-            None if b is None else _unbroadcast(-g, b.shape))
+            None if b is None else _unbroadcast(-g if node._saved else g, b.shape))
 
 
 def _mul_rule(g, node):
@@ -286,20 +282,11 @@ def _div_rule(g, node):
             _unbroadcast(_where_inside(inside, -g * ad / (bd * bd)), b.shape))
 
 
-def _neg_rule(g, node):
-    return (-g,)
-
-
-def _log_rule(g, node):
-    """Saved: the floored input and where the true one is not floored."""
-    x, inside = node._saved
-    return (_where_inside(inside, g / x),)
-
-
-def _sqrt_rule(g, node):
-    """Saved: the output and where the input is not floored."""
-    out, inside = node._saved
-    return (_where_inside(inside, g / (2.0 * out)),)
+def _quotient_rule(g, node):
+    """Saved: the divisor d of the derivative 1 / d (log's floored input,
+    twice sqrt's output) and where the input is not floored."""
+    d, inside = node._saved
+    return (_where_inside(inside, g / d),)
 
 
 def _square_rule(g, node):
@@ -328,15 +315,9 @@ def _sigmoid_rule(g, node):
 
 
 def _slope_rule(g, node):
-    """Saved: the op's derivative at its input (exp's output, softplus, abs)."""
+    """Saved: the op's derivative at its input (exp's output, softplus, abs,
+    -1.0 for neg, clip's pass-through mask)."""
     return (g * node._saved,)
-
-
-def _clip_rule(g, node):
-    """Saved: the input and the output."""
-    x, out = node._saved
-    # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
-    return (g * (out == x),)
 
 
 def _matmul_rule(g, node):
@@ -368,14 +349,10 @@ def _reshape_col_rule(g, node):
 
 
 def _sum_rule(g, node):
-    """Saved: the reduced axis (None for all)."""
-    return (_spread(g, node._parents[0].shape, node._saved),)
-
-
-def _mean_rule(g, node):
-    """Saved: the reduced axis (None for all) and the count averaged over."""
+    """Saved: the reduced axis (None for all) and, for mean, the count
+    averaged over (None for sum)."""
     axis, n = node._saved
-    return (_spread(g / n, node._parents[0].shape, axis),)
+    return (_spread(g if n is None else g / n, node._parents[0].shape, axis),)
 
 
 def _logsumexp_rule(g, node):
@@ -412,7 +389,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "sub")
-    return _make(a.data - b.data, "sub", (a, b), _sub_rule)
+    return _make(a.data - b.data, "sub", (a, b), _add_rule, True)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -432,7 +409,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", (a,), _neg_rule)
+    return _make(-a.data, "neg", (a,), _slope_rule, -1.0)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -445,7 +422,7 @@ def log(a: Tensor) -> Tensor:
     x, inside = a.data, None
     if not _above_floor(x):
         x, inside = np.maximum(x, EPS_FLOOR), x >= EPS_FLOOR
-    return _make(np.log(x), "log", (a,), _log_rule, (x, inside))
+    return _make(np.log(x), "log", (a,), _quotient_rule, (x, inside))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -453,8 +430,8 @@ def sqrt(a: Tensor) -> Tensor:
     x, inside = a.data, None
     if not _above_floor(x):
         x, inside = np.maximum(x, EPS_FLOOR), x >= EPS_FLOOR
-    out = _as_f64(np.sqrt(x))
-    return _make(out, "sqrt", (a,), _sqrt_rule, (out, inside))
+    out = np.sqrt(x)
+    return _make(out, "sqrt", (a,), _quotient_rule, (2.0 * out, inside))
 
 
 def square(a: Tensor) -> Tensor:
@@ -501,8 +478,9 @@ def absolute(a: Tensor) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes only inside the range."""
-    out = _as_f64(np.clip(a.data, lo, hi))
-    return _make(out, "clip", (a,), _clip_rule, (a.data, out))
+    out = np.clip(a.data, lo, hi)
+    # for lo <= hi, out == x exactly where lo <= x <= hi (never for NaN)
+    return _make(out, "clip", (a,), _slope_rule, out == a.data)
 
 
 # -- matrix ops -------------------------------------------------------------------
@@ -582,14 +560,14 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarr
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "sum")
-    return _make(a.data.sum(axis=axis), "sum", (a,), _sum_rule, axis)
+    return _make(a.data.sum(axis=axis), "sum", (a,), _sum_rule, (axis, None))
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis, "mean")
     n = a.data.size if axis is None else a.data.shape[axis]
     # numpy's mean is this sum divided by the count
-    return _make(a.data.sum(axis=axis) / n, "mean", (a,), _mean_rule, (axis, n))
+    return _make(a.data.sum(axis=axis) / n, "mean", (a,), _sum_rule, (axis, n))
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:

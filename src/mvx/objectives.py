@@ -108,30 +108,23 @@ class ModelState:
     alpha_logits: Tensor | None = None
     aux_log_scales: list[Tensor] | None = None
     discriminator: Discriminator | None = None
+    # every trainable tensor, named, in the order `build_model` draws them
+    params: list[tuple[str, Tensor]] = field(default_factory=list)
+
+    def built(self, net):
+        """`net`, its parameters appended to `params`."""
+        self.params.extend(net.parameters())
+        return net
+
+    def new_param(self, name: str, value: np.ndarray) -> Tensor:
+        """A trainable tensor holding `value`, appended to `params` as `name`."""
+        t = nc.parameter(value)
+        self.params.append((name, t))
+        return t
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """All trainable tensors in fixed declaration order."""
-        out: list[tuple[str, Tensor]] = []
-        for enc in self.encoders:
-            out.extend(enc.parameters())
-        if self.joint_encoder is not None:
-            out.extend(self.joint_encoder.parameters())
-        if self.private_encoders is not None:
-            for enc in self.private_encoders:
-                out.extend(enc.parameters())
-        if self.log_alphas is not None:
-            for m, t in enumerate(self.log_alphas):
-                out.append((f"log_alpha{m}", t))
-        if self.alpha_logits is not None:
-            out.append(("gpoe_alpha_logits", self.alpha_logits))
-        if self.aux_log_scales is not None:
-            for m, t in enumerate(self.aux_log_scales):
-                out.append((f"aux_log_scale{m}", t))
-        for dec in self.decoders:
-            out.extend(dec.parameters())
-        if self.discriminator is not None:
-            out.extend(self.discriminator.parameters())
-        return out
+        """All trainable tensors, in the order `build_model` draws them."""
+        return list(self.params)
 
     def phase_groups(self) -> tuple[list[tuple[str, Tensor]], list[tuple[str, Tensor]]]:
         """The parameter groups that the trainer steps, each with its own Adam
@@ -157,9 +150,9 @@ def _check_views(state: ModelState, views: list[Tensor]) -> None:
         lo, hi = spec.alpha_range
         if not lo <= state.cfg.alpha <= hi:
             raise ContractError(f"{name}: alpha must lie in [{lo:g}, {hi:g}]")
-    batch = views[0].shape[0]
+    batch = views[0].shape[:1]
     for v in views:
-        if v.data.ndim != 2 or v.shape[0] != batch:
+        if v.data.ndim != 2 or v.shape[:1] != batch:
             raise DimensionError(f"{name}: views must be (batch, dim) with a shared batch")
 
 
@@ -169,8 +162,11 @@ def _encode(encoders: list, views: list[Tensor]) -> list:
 
 
 def _posteriors(state: ModelState, views: list[Tensor]) -> list:
-    """What the pooling hooks read: each encoder's output for its view, then
-    the joint encoder's for all views when the model has one."""
+    """What the pooling hooks read, after `_check_views`: each encoder's output
+    for its view, then the joint encoder's for all views when the model has
+    one. Every loss encodes its views here, so each checks them before any op
+    or draw."""
+    _check_views(state, views)
     if state.joint_encoder is None:
         return _encode(state.encoders, views)
     return _encode(state.encoders + [state.joint_encoder], views + [nc.concat_cols(views)])
@@ -268,8 +264,7 @@ def ae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreak
 
     Draws: none.
     """
-    _check_views(state, views)
-    return _ae_reconstruction(state, views, _encode(state.encoders, views))
+    return _ae_reconstruction(state, views, _posteriors(state, views))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +326,8 @@ def dccae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
     Full-batch only (the trainer enforces it). Draws: none.
     """
-    _check_views(state, views)
     lam_weight = state.cfg.lam[0] if state.cfg.lam else 1.0
-    h = _encode(state.encoders, views)
+    h = _posteriors(state, views)
     terms: dict[str, Tensor] = {
         "corr": nc.neg(canonical_correlation_sum(h[0], h[1]))
     }
@@ -353,8 +347,7 @@ def dvcca_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
     Draws: z from q(z|x1); with private=True additionally h_m for m = 0, 1.
     """
-    _check_views(state, views)
-    [q_z] = _encode(state.encoders, views)
+    [q_z] = _posteriors(state, views)
     z = eps.sample(q_z)
     q_h = _encode(state.private_encoders, views) if state.cfg.private else []
     hs = [eps.sample(q) for q in q_h]
@@ -378,9 +371,8 @@ def mcvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     variant samples z = mu * (1 + sqrt(alpha) * eps) and swaps the Gaussian
     KL for the log-uniform-prior approximation.
     """
-    _check_views(state, views)
     terms: dict[str, Tensor] = {}
-    for m, q_m in enumerate(_encode(state.encoders, views)):
+    for m, q_m in enumerate(_posteriors(state, views)):
         if not state.cfg.sparse:
             _elbo(terms, state, views, q_m, eps, m)
             continue
@@ -405,7 +397,6 @@ def _joint_elbo(state: ModelState, views: list[Tensor],
 
     Draws: one (B, z) normal for the joint sample.
     """
-    _check_views(state, views)
     experts = _posteriors(state, views)
     terms: dict[str, Tensor] = {}
     _elbo(terms, state, views, _joint(state, experts), eps, "joint")
@@ -445,8 +436,7 @@ def mmvae_iwae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> L
 
     Draws: for each modality m (outer), K normals (B, z) in k order.
     """
-    _check_views(state, views)
-    experts = _encode(state.encoders, views)
+    experts = _posteriors(state, views)
     moe = ExpertSet(experts)
     terms: dict[str, Tensor] = {}
     for m in range(state.n_views):
@@ -468,11 +458,10 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
 
     Draws: one (B, z) normal for the joint sample.
     """
-    _check_views(state, views)
     if state.cfg.beta <= 0.0:
         raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
-    experts = _encode(state.encoders, views)
+    experts = _posteriors(state, views)
     q = _joint(state, experts)
     terms: dict[str, Tensor] = {}
     _recon(terms, state, views, eps.sample(q), "joint", (m_total - state.cfg.alpha) / m_total)
@@ -500,10 +489,9 @@ def mopoe_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
     Draws: stochastic mode first takes one uniform subset index per row, then
     both modes take one (B, z) normal per subset in enumeration order.
     """
-    _check_views(state, views)
     subsets = enumerate_subsets(state.n_views)
     n_subsets = len(subsets)
-    experts = _encode(state.encoders, views)
+    experts = _posteriors(state, views)
     selection = None
     batch = views[0].shape[0]
     if state.cfg.stochastic_subsets:
@@ -550,10 +538,9 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
     Draws: one (B, z) normal per modality, in modality order.
     """
-    _check_views(state, views)
     m_total = state.n_views
     pi = state.cfg.pi or [1.0 / (m_total + 1)] * (m_total + 1)
-    experts = _encode(state.encoders, views)
+    experts = _posteriors(state, views)
     dynamic_prior = _joint(state, experts)
     terms: dict[str, Tensor] = {}
     for m in range(m_total):
@@ -579,9 +566,8 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
     posterior, h_m from the private posterior, then one auxiliary draw per
     n != m in ascending n.
     """
-    _check_views(state, views)
     m_total = state.n_views
-    shared = _encode(state.encoders, views)
+    shared = _posteriors(state, views)
     privates = _encode(state.private_encoders, views)
     moe_shared = ExpertSet(shared)
     terms: dict[str, Tensor] = {}
@@ -618,13 +604,12 @@ def dmvae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
     Draws: joint z, then h_m per modality, then uni-modal z_n per modality.
     """
-    _check_views(state, views)
     m_total = state.n_views
     # config and `check_views` allow 1 or M weights; an empty list means 1
     lam = state.cfg.lam or [1.0]
     if len(lam) == 1:
         lam = lam * m_total
-    shared = _encode(state.encoders, views)
+    shared = _posteriors(state, views)
     privates = _encode(state.private_encoders, views)
     q_joint = _joint(state, shared)
     z_joint = eps.sample(q_joint)
@@ -669,8 +654,7 @@ def _adversarial_scores(state: ModelState, views: list[Tensor],
 
     Draws: one (B, z) prior sample per modality, in modality order.
     """
-    _check_views(state, views)
-    latents = _encode(state.encoders, views)
+    latents = _posteriors(state, views)
     recon = _ae_reconstruction(state, views, latents)
     score = state.discriminator.score
     return recon, [(score(eps.normal(z.shape)), score(z)) for z in latents]
@@ -809,16 +793,18 @@ def _reference_posterior(state, posteriors, members):
 
 def _sparse_log_alphas(state: ModelState) -> None:
     if state.cfg.sparse:
-        state.log_alphas = [nc.parameter(np.full(state.cfg.z_dim, -3.0))
-                            for _ in range(state.n_views)]
+        state.log_alphas = [state.new_param(f"log_alpha{m}", np.full(state.cfg.z_dim, -3.0))
+                            for m in range(state.n_views)]
 
 
 def _gpoe_logits(state: ModelState) -> None:
-    state.alpha_logits = nc.parameter(np.zeros((state.n_views, state.cfg.z_dim)))
+    state.alpha_logits = state.new_param("gpoe_alpha_logits",
+                                         np.zeros((state.n_views, state.cfg.z_dim)))
 
 
 def _aux_log_scales(state: ModelState) -> None:
-    state.aux_log_scales = [nc.parameter(np.zeros(state.cfg.s_dim)) for _ in range(state.n_views)]
+    state.aux_log_scales = [state.new_param(f"aux_log_scale{m}", np.zeros(state.cfg.s_dim))
+                            for m in range(state.n_views)]
 
 
 @dataclass(frozen=True)
@@ -854,7 +840,7 @@ class ModelSpec:
     subsets: bool = False
     # "discriminator" or "critic" (unbounded scores, clipped weights, several steps)
     adversary: str | None = None
-    # adds the model's trainable tensors that are not network weights
+    # makes the model's trainable non-network tensors by `ModelState.new_param`
     extras: Callable[[ModelState], None] | None = None
     # forced on: the objective degrades under mini-batching
     full_batch: bool = False

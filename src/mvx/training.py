@@ -69,8 +69,9 @@ def _check_targets(cfg: ModelConfig, data: MultiViewBatch) -> None:
 def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generator) -> ModelState:
     """Construct all networks for the configured model from its MODEL_SPECS entry.
 
-    Parameter initialization consumes `rng` in a fixed order: per-modality
-    encoders, joint encoder, private encoders, decoders, discriminator.
+    Parameter initialization consumes `rng` in a fixed order, which
+    `state.params` lists: per-modality encoders, joint encoder, private
+    encoders, the extras (which draw nothing), decoders, discriminator.
     `cfg.input_dims` records `input_dims`, which the read-outs check data against.
     """
     spec = MODEL_SPECS[cfg.name]
@@ -88,23 +89,23 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     encoder_cls = Encoder if kind == "plain" else VariationalEncoder
     n_encoders = 1 if kind == "reference" else m_total
     state.encoders = [
-        encoder_cls(_mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.z_dim), rng,
-                    name=f"enc{m}")
+        state.built(encoder_cls(_mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.z_dim), rng,
+                                name=f"enc{m}"))
         for m in range(n_encoders)
     ]
 
     if spec.joint_encoder:
-        state.joint_encoder = VariationalEncoder(
+        state.joint_encoder = state.built(VariationalEncoder(
             _mlp_spec(cfg.encoder_spec(0), sum(input_dims), cfg.z_dim), rng, name="enc_joint"
-        )
+        ))
 
     dec_in = cfg.z_dim
     if spec.has_private(cfg.private):
         state.private_encoders = [
-            VariationalEncoder(
+            state.built(VariationalEncoder(
                 _mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.s_dim), rng,
                 name=f"penc{m}"
-            )
+            ))
             for m in range(m_total)
         ]
         dec_in = cfg.z_dim + cfg.s_dim
@@ -112,18 +113,17 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
     if spec.extras is not None:
         spec.extras(state)
 
-    decoders = []
     for m in range(m_total):
         dec_spec = cfg.decoder_spec(m)
-        decoders.append(
+        state.decoders.append(state.built(
             Decoder(_mlp_spec(dec_spec, dec_in, input_dims[m]), rng,
                     distribution=_decoder_kind(cfg, m), scale=dec_spec.scale, name=f"dec{m}")
-        )
-    state.decoders = decoders
+        ))
 
     if spec.adversary is not None:
-        state.discriminator = Discriminator(_mlp_spec(cfg.encoder_spec(0), cfg.z_dim, 1), rng,
-                                            critic=(spec.adversary == "critic"), name="disc")
+        state.discriminator = state.built(Discriminator(
+            _mlp_spec(cfg.encoder_spec(0), cfg.z_dim, 1), rng,
+            critic=(spec.adversary == "critic"), name="disc"))
     return state
 
 

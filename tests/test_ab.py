@@ -1,9 +1,11 @@
-"""The paired benchmark tool `tools/ab.py`: its summary of paired runs (no
-benchmark runs here)."""
+"""The paired benchmark tool `tools/ab.py`: its summary of paired runs and
+the copies it runs in (no benchmark runs here)."""
 
 import contextlib
 import json
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +78,8 @@ def test_json_holds_the_pairs_and_summaries(tmp_path, monkeypatch):
         return {name: value for name in ("op_vs_ref_p50", "final_loss", "setup_s",
                                          "peak_rss_mb", "import_s")}, True
 
-    monkeypatch.setattr(ab, "checkout", lambda against: contextlib.nullcontext(base))
+    monkeypatch.setattr(ab, "run_trees",
+                        lambda against: contextlib.nullcontext((base, tmp_path / "ours")))
     monkeypatch.setattr(ab, "_run", fake_run)
     path = tmp_path / "bench.json"
     assert ab.main(["--against", "HEAD~1", "--workload", "train_poe", "train_fanout",
@@ -97,3 +100,32 @@ def test_json_holds_the_pairs_and_summaries(tmp_path, monkeypatch):
                                     "import_s"]
     assert poe["summary"]["peak_rss_mb"]["better"] == 2
     assert set(report) == {"against", "seconds", "workloads"}
+
+
+def test_both_sides_run_from_copies_at_paths_of_equal_length(tmp_path, monkeypatch):
+    other = tmp_path / "other-checkout"
+    for name in ("src/mvx/__init__.py", ".git/HEAD", ".perfbench_out/old.json"):
+        (other / name).parent.mkdir(parents=True, exist_ok=True)
+        (other / name).write_text(name)
+    # this tree's files as git lists them, one of them edited and not committed
+    monkeypatch.setattr(ab, "_working_files", lambda: ["tools/ab.py", "src/mvx/__init__.py"])
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds):
+        runs.append((tree, {str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*")
+                            if p.is_file()}))
+        return {name: 1.0 for name in ("op_vs_ref_p50", "final_loss", "setup_s",
+                                       "peak_rss_mb", "import_s")}, True
+
+    monkeypatch.setattr(ab, "_run", fake_run)
+    assert ab.main(["--against", str(other), "--workload", "train_poe", "--pairs", "1",
+                    "--seconds", "1"]) == 0
+
+    [(theirs, theirs_files), (ours, ours_files)] = runs
+    assert theirs != ours and len(str(theirs)) == len(str(ours))
+    temp = Path(tempfile.gettempdir()).resolve()
+    assert theirs.parent == ours.parent and theirs.parent.parent.resolve() == temp
+    assert theirs_files == {"src/mvx/__init__.py": b"src/mvx/__init__.py"}
+    assert ours_files == {name: (ab.ROOT / name).read_bytes()
+                          for name in ("tools/ab.py", "src/mvx/__init__.py")}
+    assert not theirs.exists() and not ours.exists()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mvx.cli import main
-from mvx.data import read_dataset
+from mvx.data import MultiViewBatch, read_dataset, write_dataset
 
 from helpers import corrupt_first_moment_size
 
@@ -242,6 +242,26 @@ def test_eval_unsupported_metric_exits_1(tmp_path, capsys, monkeypatch):
                    "--metric", "coherence"])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+
+def test_eval_coherence_with_unlabelled_probe_data_exits_2(tmp_path, capsys, monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a probe was trained")
+
+    monkeypatch.setattr("mvx.cli.train_probe_classifier", no_probe)
+    cfg = _write_config(tmp_path)
+    train = _gen_data(tmp_path)
+    unlabelled = tmp_path / "unlabelled.mvds"
+    write_dataset(unlabelled, MultiViewBatch(views=read_dataset(train).views))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(train),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--run", str(out), "--data", str(train), "--metric", "coherence",
+               "--probe-data", str(unlabelled)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: probe data has no labels\n"
+    assert not (out / "coherence.csv").exists()
 
 
 def test_eval_on_data_with_another_view_count_exits_2(tmp_path, capsys):

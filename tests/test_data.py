@@ -81,6 +81,18 @@ def test_zero_views_rejected(tmp_path):
     assert "0 views" in str(err.value)
 
 
+@pytest.mark.parametrize("dims", [(3, 0), (0, 3)])
+def test_a_view_of_dim_0_is_rejected_with_its_byte(tmp_path, dims):
+    # view i's dim sits at byte 17 + 4 * i
+    payload = MAGIC + struct.pack("<IIIB", VERSION, 2, 4, 0) + struct.pack("<II", *dims)
+    path = tmp_path / "d.mvds"
+    path.write_bytes(payload + np.zeros(4 * sum(dims), dtype="<f4").tobytes())
+    view = dims.index(0)
+    with pytest.raises(FormatError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"view {view} declares dim 0 (byte {17 + 4 * view})"
+
+
 def test_trailing_bytes_rejected(tmp_path):
     batch = _f32_batch()
     path = tmp_path / "d.mvds"

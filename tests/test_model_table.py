@@ -6,11 +6,14 @@ import copy
 import inspect
 import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvx
 from mvx import evaluation, objectives, training
+from mvx import numcore as nc
 from mvx.config import (
     MODEL_KEYS,
     ModelConfig,
@@ -21,12 +24,13 @@ from mvx.config import (
 )
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
-from mvx.errors import ConfigError, DimensionError, UnsupportedMetricError
+from mvx.errors import ConfigError, ContractError, DimensionError, UnsupportedMetricError
 from mvx.evaluation import coherence, joint_log_likelihood, train_probe_classifier
 from mvx.objectives import (
     ADVERSARIAL_OBJECTIVES,
     MODEL_SPECS,
     PLAIN_OBJECTIVES,
+    EpsStream,
     ModelState,
     VARIATIONAL_OBJECTIVES,
 )
@@ -183,6 +187,95 @@ def test_losses_decode_only_through_the_shared_helpers():
         ("load_checkpoint", "decode", "stored"),
         ("load_checkpoint", "decode", "blob"),
     }
+
+
+class _Callers(ast.NodeVisitor):
+    """The innermost function around every call of `callee`."""
+
+    def __init__(self, callee: str):
+        self.callee = callee
+        self.function = None
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == self.callee:
+            self.found.append(self.function)
+        self.generic_visit(node)
+
+
+def test_the_views_are_checked_only_where_the_losses_encode_them():
+    callers = _Callers("_check_views")
+    for path in sorted(Path(mvx.__file__).parent.glob("*.py")):
+        callers.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert callers.found == ["_posteriors"]
+
+
+def _loss_refusal(monkeypatch, name: str, views, error, message: str) -> None:
+    """The loss of `name`, on the views that `views(state)` returns for a tiny
+    model, raises `error` with exactly `message` before any op runs or any
+    number is drawn."""
+    n_views = MODEL_SPECS[name].n_views or 3
+    state = make_tiny_state(name, dims=(2,) * n_views)
+
+    def no_op(*args, **kwargs):
+        raise AssertionError("an op ran before the views were checked")
+
+    monkeypatch.setattr(nc, "_make", no_op)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(error) as err:
+        MODEL_SPECS[name].objective(state, views(state), EpsStream(rng))
+    assert str(err.value) == message
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+def test_every_loss_refuses_one_view_too_few_before_any_op_or_draw(monkeypatch, name):
+    n = MODEL_SPECS[name].n_views or 3
+    _loss_refusal(monkeypatch, name, lambda state: make_tiny_views(dims=(2,) * (n - 1)),
+                  DimensionError, f"{name}: got {n - 1} views, model has {n}")
+
+
+@pytest.mark.parametrize("name", MODEL_SPECS)
+@pytest.mark.parametrize("first", ["matrix", "scalar"])
+def test_every_loss_refuses_a_ragged_batch_before_any_op_or_draw(monkeypatch, name, first):
+    n = MODEL_SPECS[name].n_views or 3
+
+    def ragged(state):
+        views = make_tiny_views(dims=(2,) * n, batch=3)
+        if first == "scalar":
+            views[0] = nc.constant(1.0)
+        return views[:-1] + make_tiny_views(dims=(2,), batch=2)
+
+    _loss_refusal(monkeypatch, name, ragged, DimensionError,
+                  f"{name}: views must be (batch, dim) with a shared batch")
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODEL_SPECS.items() if spec.n_views])
+def test_a_loss_refuses_a_state_with_another_view_count_than_its_entry(monkeypatch, name):
+    # config and build_model refuse such a state; a hand-edited one meets the loss's check
+    n = MODEL_SPECS[name].n_views
+
+    def more_views(state):
+        state.n_views = n + 1
+        return make_tiny_views(dims=(2,) * (n + 1))
+
+    _loss_refusal(monkeypatch, name, more_views, ContractError,
+                  f"{name}: exactly {n} views required")
+
+
+def test_a_loss_refuses_an_alpha_outside_its_entrys_range(monkeypatch):
+    def alpha_above_one(state):
+        state.cfg.alpha = 1.5
+        return make_tiny_views(dims=(2, 2, 2))
+
+    _loss_refusal(monkeypatch, "mvtcae", alpha_above_one, ContractError,
+                  "mvtcae: alpha must lie in [0, 1]")
 
 
 def test_mmjsd_pools_every_subset_by_one_rule():

@@ -7,7 +7,7 @@ import pytest
 
 from mvx import numcore as nc
 from mvx.distributions import gaussian_log_prob, rsample, standard_normal
-from mvx.errors import ContractError
+from mvx.errors import ContractError, DimensionError
 from mvx.objectives import (
     EpsStream,
     PLAIN_OBJECTIVES,
@@ -124,7 +124,7 @@ def test_jmvae_prior_encoders_zero_kl():
 
 def test_jmvae_requires_two_views():
     state = make_tiny_state("jmvae")
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionError, match=r"^jmvae: got 3 views, model has 2$"):
         jmvae_kl_loss(state, make_tiny_views(dims=(2, 2, 2)), _eps())
 
 

@@ -39,6 +39,7 @@ import oracle
 from helpers import (
     assert_per_op_check_on,
     corrupt_first_moment_size,
+    make_tiny_state,
     s_dim_key,
     step_count_offsets,
 )
@@ -89,6 +90,29 @@ def test_validation_messages_name_key_paths():
         with pytest.raises(ConfigError) as err:
             load_config(FIXTURES / fixture)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model.name mvae", "line 1: expected 'section.key = value', got 'model.name mvae'"),
+    ("name = mvae", "line 1: key must be dotted (section.key), got 'name'"),
+    ("model.name = mvae\nmodel.name = mvae", "line 2: duplicate key 'model.name'"),
+    ("model.a.b = 1", "model.a.b: malformed model key"),
+    ("encoder.x = 1", "encoder.x: expected encoder.<modality|default>.<key>"),
+    ("loss.beta = 1", "loss.beta: unknown section 'loss'"),
+], ids=["no_equals", "undotted", "duplicate", "model_depth", "encoder_depth", "section"])
+def test_config_text_errors_name_the_line_or_key(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message
+
+
+def test_a_missing_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"config file not found: {path}"
 
 
 def test_defaults_filled():
@@ -412,6 +436,27 @@ def test_a_failed_fit_leaves_the_config_unchanged(name, overrides):
     assert cfg == before
 
 
+def test_fit_refuses_data_of_other_dims_than_configured_before_writing(tmp_path):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "model.input_dims": [3, 5],
+                        "trainer.max_epochs": 1})
+    before = copy.deepcopy(cfg)
+    with pytest.raises(DimensionError) as err:
+        fit(cfg, _toy_data(dims=(3, 4)), out_dir=tmp_path / "run")
+    assert str(err.value) == "fit: configured input_dims [3, 5] do not match data [3, 4]"
+    assert cfg == before and not (tmp_path / "run").exists()
+
+
+def test_fit_starts_the_metrics_of_an_out_dir_afresh(tmp_path):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.max_epochs": 1,
+                        "trainer.batch_size": 8})
+    fit(copy.deepcopy(cfg), _toy_data(), out_dir=tmp_path / "fresh")
+    (tmp_path / "used").mkdir()
+    (tmp_path / "used" / "metrics.csv").write_text("epoch,term,value\n7,total,1.0\n")
+    fit(cfg, _toy_data(), out_dir=tmp_path / "used")
+    assert ((tmp_path / "used" / "metrics.csv").read_bytes()
+            == (tmp_path / "fresh" / "metrics.csv").read_bytes())
+
+
 def test_continue_fit_rejects_negative_epochs(tmp_path):
     data = _toy_data()
     cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.batch_size": 8})
@@ -712,6 +757,53 @@ def test_load_run_round_trips_parameters(tmp_path):
                                   back.state.parameters()):
         assert na == nb
         assert pa.data.tobytes() == pb.data.tobytes()
+
+
+def test_load_run_refuses_a_resolved_config_without_input_dims(tmp_path):
+    cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.max_epochs": 1})
+    fit(cfg, _toy_data(), out_dir=tmp_path)
+    resolved = tmp_path / "resolved.cfg"
+    lines = resolved.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("model.input_dims")]
+    assert len(kept) == len(lines) - 1
+    resolved.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_run(tmp_path)
+    assert str(err.value) == "model.input_dims: missing from resolved config"
+
+
+def _mlp_names(name: str) -> list[str]:
+    return [f"{name}.layer{i}.{p}" for i in range(2) for p in "Wb"]
+
+
+def _variational_names(name: str) -> list[str]:
+    return [f"{name}.{layer}.{p}" for layer in ("layer0", "mean", "log_var") for p in "Wb"]
+
+
+@pytest.mark.parametrize("name, keys, names", [
+    ("mcvae", {"sparse": True}, _mlp_names("enc0") + _mlp_names("enc1")
+     + ["log_alpha0", "log_alpha1"] + _mlp_names("dec0") + _mlp_names("dec1")),
+    ("weighted_mvae", {}, _variational_names("enc0") + _variational_names("enc1")
+     + ["gpoe_alpha_logits"] + _mlp_names("dec0") + _mlp_names("dec1")),
+    ("mmvaeplus", {}, _variational_names("enc0") + _variational_names("enc1")
+     + _variational_names("penc0") + _variational_names("penc1")
+     + ["aux_log_scale0", "aux_log_scale1"] + _mlp_names("dec0") + _mlp_names("dec1")),
+    ("maae", {}, _mlp_names("enc0") + _mlp_names("enc1") + _mlp_names("dec0")
+     + _mlp_names("dec1") + _mlp_names("disc")),
+], ids=["mcvae-sparse", "weighted_mvae", "mmvaeplus", "maae"])
+def test_parameters_are_listed_in_the_order_the_model_is_built(name, keys, names):
+    state = make_tiny_state(name, **keys)
+    params = state.parameters()
+    assert [n for n, _ in params] == names
+    # the networks' and the extras' own tensors, each listed once
+    networks = [*state.encoders, *(state.private_encoders or []), *state.decoders]
+    if state.discriminator is not None:
+        networks.append(state.discriminator)
+    owned = [t for net in networks for _, t in net.parameters()]
+    owned += [*(state.log_alphas or []), *(state.aux_log_scales or [])]
+    if state.alpha_logits is not None:
+        owned.append(state.alpha_logits)
+    assert sorted(map(id, owned)) == sorted(id(t) for _, t in params)
 
 
 def test_wrong_moment_size_in_checkpoint_is_a_format_error(tmp_path):

@@ -3,30 +3,36 @@
     python tools/ab.py --against REV_OR_DIR --workload train_poe [train_fanout ...] \
         --pairs 10 --seconds 25 [--json BENCH.json]
 
-REV_OR_DIR is a git revision, exported into a temporary directory that is
-removed afterwards, or the directory of another checkout, whose
-`.perfbench_out/` the runs then write to (see `tools/checkout.py`). For each
-workload and each seed 1..N, `python3 perfbench/run.py` runs the workload
-with `--trace 0` in that tree (REV) and in this one, back to back so that the
-two runs of a pair see about the same machine; REV runs first on odd seeds
-and second on even ones, so neither side always follows the other. Each
-pair's end-to-end metrics are printed as they arrive, with `import_s`, the
-import part of `setup_s` that the run's saved result notes, so that import
-noise can be told from set-up time. The summary gives, per metric, the
-medians of both trees, the spread between REV's quartiles, the median
-relative change and the number of pairs in which this tree did better (the
-direction is BENCHMARK.json's `better`; `import_s` is lower-better).
-`--json PATH` writes the pairs and the summaries to PATH. It exits 1 when a
-run fails its output checks.
+REV_OR_DIR is a git revision or the directory of another checkout (see
+`tools/checkout.py`). Both sides run from copies at paths of equal length,
+`a` (REV) and `b` (this tree) in one temporary directory that is removed
+afterwards, since where a tree lies moves its timings by itself: REV's tree
+without `.git`, `.perfbench_out` or `__pycache__`, and this tree's tracked
+files as they stand in the working tree. For each workload and each seed
+1..N, `python3 perfbench/run.py` runs the workload with `--trace 0` in REV's
+copy and in this tree's, back to back so that the two runs of a pair see
+about the same machine; REV runs first on odd seeds and second on even ones,
+so neither side always follows the other. Each pair's end-to-end metrics are
+printed as they arrive, with `import_s`, the import part of `setup_s` that
+the run's saved result notes, so that import noise can be told from set-up
+time. The summary gives, per metric, the medians of both trees, the spread
+between REV's quartiles, the median relative change and the number of pairs
+in which this tree did better (the direction is BENCHMARK.json's `better`;
+`import_s` is lower-better). `--json PATH` writes the pairs and the
+summaries to PATH. It exits 1 when a run fails its output checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +88,27 @@ def import_part(detail: dict[str, list]) -> float:
     return float(match.group(1))
 
 
+def _working_files() -> list[str]:
+    """This tree's tracked files that exist in the working tree, relative to its root."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z"],
+                            stdout=subprocess.PIPE, check=True).stdout
+    return [name for name in listed.decode().split("\0") if (ROOT / name).is_file()]
+
+
+@contextlib.contextmanager
+def run_trees(against: str) -> Iterator[tuple[Path, Path]]:
+    """The copies that the runs use, REV's and this tree's (see the module
+    docstring), for the context's duration."""
+    with checkout(against) as base, tempfile.TemporaryDirectory(prefix="mvx-ab-") as tmp:
+        theirs, ours = Path(tmp) / "a", Path(tmp) / "b"
+        shutil.copytree(base, theirs,
+                        ignore=shutil.ignore_patterns(".git", ".perfbench_out", "__pycache__"))
+        for name in _working_files():
+            (ours / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, ours / name)
+        yield theirs, ours
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], bool]:
     """The end-to-end metrics of one benchmark run in `tree` and `import_s`
     from its saved result, and whether its output checks passed."""
@@ -100,15 +127,15 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str
     return metrics, result["correct"]
 
 
-def _compare(base: Path, workload: str, pairs: int, seconds: float,
+def _compare(theirs_tree: Path, ours_tree: Path, workload: str, pairs: int, seconds: float,
              better: dict[str, str]) -> tuple[list[dict], dict[str, dict[str, float]], int]:
     """`pairs` paired runs of `workload`, printed as they arrive: each pair's
     record, the summary and the number of runs that failed their checks."""
     records, failed = [], 0
     for seed in range(1, pairs + 1):
         first = seed % 2  # 1: the other tree runs first
-        runs = [_run(tree, workload, seed, seconds)
-                for tree in ((base, ROOT) if first else (ROOT, base))]
+        order = (theirs_tree, ours_tree) if first else (ours_tree, theirs_tree)
+        runs = [_run(tree, workload, seed, seconds) for tree in order]
         (theirs, ok_theirs), (ours, ok_ours) = runs if first else runs[::-1]
         failed += (not ok_theirs) + (not ok_ours)
         records.append({"seed": seed, "first": "theirs" if first else "ours",
@@ -141,10 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     report: dict[str, object] = {"against": args.against, "seconds": args.seconds,
                                  "workloads": {}}
     failed = 0
-    with checkout(args.against) as base:
+    with run_trees(args.against) as (theirs_tree, ours_tree):
         for workload in args.workload:
-            records, summary, n_failed = _compare(base, workload, args.pairs, args.seconds,
-                                                  better)
+            records, summary, n_failed = _compare(theirs_tree, ours_tree, workload, args.pairs,
+                                                  args.seconds, better)
             failed += n_failed
             report["workloads"][workload] = {"pairs": records, "summary": summary}
             print(f"{workload}: {args.against} -> this tree, {args.pairs} pairs of "
