@@ -130,10 +130,10 @@ def _cmd_reconstruct(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ["source,target,file"]
-    n_sources = len(grid)
-    joint_row = n_sources - 1 if n_sources > run.state.n_views else None
+    # one row per encoder, then the joint's when the model has one
+    n_encoders = len(run.state.encoders)
     for s, row in enumerate(grid):
-        source = "joint" if s == joint_row else str(s)
+        source = "joint" if s == n_encoders else str(s)
         for t, recon in enumerate(row):
             fname = f"recon_src{source}_dec{t}.mvds"
             write_dataset(out_dir / fname, MultiViewBatch(views=[recon]))

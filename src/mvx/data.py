@@ -38,12 +38,14 @@ class MultiViewBatch:
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise ContractError("MultiViewBatch: views must be (n, dim) with a shared n")
             views.append(arr)
+        if n == 0:
+            raise ContractError("MultiViewBatch: at least one row required")
         self.views = views
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=np.int64)
             if lab.shape != (n,):
                 raise ContractError("MultiViewBatch: labels must be a vector of length n")
-            if lab.size and lab.min() < 0:
+            if lab.min() < 0:
                 raise ContractError("MultiViewBatch: labels must be non-negative")
             self.labels = lab
 
@@ -119,7 +121,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewBatch:
 def write_dataset(path: str | Path, batch: MultiViewBatch) -> None:
     """Write `batch` in the layout above; a label that does not fit a u32 is
     refused before the file is opened."""
-    if batch.labels is not None and batch.labels.size and batch.labels.max() > 4294967295:
+    if batch.labels is not None and batch.labels.max() > 4294967295:
         raise ContractError(f"write_dataset: label {batch.labels.max()} exceeds "
                             "the u32 maximum 4294967295")
     with open(path, "wb") as fh:

@@ -14,7 +14,7 @@ from .distributions import GaussianParams, Likelihood, rsample
 from .errors import ContractError, DegenerateLabelError, UnsupportedMetricError
 from .networks import Mlp, MlpSpec
 from .numcore import Tensor
-from .objectives import MODEL_SPECS, ModelState, _log_weight
+from .objectives import MODEL_SPECS, ModelState, _joint, _log_weight
 from .pooling import MAX_SUBSET_MODALITIES, ExpertSet, enumerate_subsets
 from .training import Adam, RunState, _backward_phase, _decode_mean, _read
 
@@ -158,6 +158,11 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
                          eval_seed: int = 0) -> float:
     """Importance-sampled estimate of the mean per-sample log p(X) in nats.
 
+    The proposal is the model's `joint`; a model without one, or with private
+    latents, raises `UnsupportedMetricError` once the data are checked. A
+    joint narrower than the true posterior, such as mcvae's PoE without a
+    prior expert, gives a valid but loose lower bound at K = 1000.
+
     Draws from `eval_seed`, per importance sample k = 1..K in turn: for a
     mixture proposal a uniform component index, then one (B, z) standard
     normal. The samples are evaluated in chunks of C = LOGLIK_CHUNK_ROWS // B
@@ -167,24 +172,20 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
     """
     if K < 1:
         raise ContractError("joint_log_likelihood: K must be >= 1")
-    state = run.state
-    make_proposal = MODEL_SPECS[state.cfg.name].proposal
-    # the decoders of a private-latent model need a private code besides z
-    if make_proposal is None or state.private_encoders is not None:
-        raise UnsupportedMetricError(
-            f"joint_log_likelihood: model '{state.cfg.name}' is not supported"
-        )
-    return nc._checked_once(
-        lambda: _log_likelihood(run, make_proposal, test, K, eval_seed))
+    return nc._checked_once(lambda: _log_likelihood(run, test, K, eval_seed))
 
 
-def _log_likelihood(run: RunState, make_proposal, test: MultiViewBatch, K: int,
-                    eval_seed: int) -> float:
+def _log_likelihood(run: RunState, test: MultiViewBatch, K: int, eval_seed: int) -> float:
     state = run.state
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
         views, posteriors = _read(run, test, "joint_log_likelihood")
-        proposal = make_proposal(state, posteriors, tuple(range(state.n_views)))
+        proposal = _joint(state, posteriors)
+        # the decoders of a private-latent model need a private code besides z
+        if proposal is None or state.private_encoders is not None:
+            raise UnsupportedMetricError(
+                f"joint_log_likelihood: model '{state.cfg.name}' is not supported"
+            )
         mixture = isinstance(proposal, ExpertSet)
         components = proposal.experts if mixture else [proposal]
         rows = views[0].shape[0]

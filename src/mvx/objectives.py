@@ -137,19 +137,14 @@ class ModelState:
 
 
 def _check_views(state: ModelState, views: list[Tensor]) -> None:
-    """Reject views, a view count or an alpha that the model's entry does not allow."""
+    """Reject a batch of another view count than the model's, or whose views
+    are not (batch, dim) with a shared batch. The entry's own rules, such as
+    its view count and alpha range, are config's to enforce."""
     name = state.cfg.name
-    spec = MODEL_SPECS[name]
     if len(views) != state.n_views:
         raise DimensionError(
             f"{name}: got {len(views)} views, model has {state.n_views}"
         )
-    if spec.n_views is not None and state.n_views != spec.n_views:
-        raise ContractError(f"{name}: exactly {spec.n_views} views required")
-    if spec.alpha_range is not None:
-        lo, hi = spec.alpha_range
-        if not lo <= state.cfg.alpha <= hi:
-            raise ContractError(f"{name}: alpha must lie in [{lo:g}, {hi:g}]")
     batch = views[0].shape[:1]
     for v in views:
         if v.data.ndim != 2 or v.shape[:1] != batch:
@@ -458,8 +453,6 @@ def mvtcae_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossB
 
     Draws: one (B, z) normal for the joint sample.
     """
-    if state.cfg.beta <= 0.0:
-        raise ContractError("mvtcae_loss: beta must be positive")
     m_total = state.n_views
     experts = _posteriors(state, views)
     q = _joint(state, experts)
@@ -816,13 +809,13 @@ class ModelSpec:
     the union of every entry's `keys` is the set of model-specific keys.
     `pool` pools any modality subset (coherence and the subset terms of the
     objectives); `joint` is the joint posterior of every view, which the
-    objective trains and the prediction API reports (a mixture by its mean
-    pooling); `proposal` is the importance-sampling proposal of the joint
-    log-likelihood. A model lacks whatever its entry leaves as None. The
-    objectives pool only through these hooks, so each pooling rule is
-    written once; config and the objectives both enforce `n_views` and
-    `alpha_range`. A plain autoencoder (`encoder == "plain"`) scores squared
-    error, so config refuses a decoder `distribution` for it.
+    objective trains, the prediction API reports (a mixture by its mean
+    pooling) and the joint log-likelihood samples. A model lacks whatever its
+    entry leaves as None. The objectives pool only through these hooks, so
+    each pooling rule is written once; config alone enforces the entry's
+    rules, such as `n_views` and `alpha_range`. A plain autoencoder
+    (`encoder == "plain"`) scores squared error, so config refuses a decoder
+    `distribution` for it.
     """
 
     # the loss: (state, views, eps) -> the terms that the trainer minimizes
@@ -850,7 +843,6 @@ class ModelSpec:
     view_weights: tuple[str, Callable[[int], tuple[int, ...]]] | None = None
     pool: PoolHook | None = None
     joint: PoolHook | None = None
-    proposal: PoolHook | None = None
 
     def has_private(self, private: bool) -> bool:
         return self.private or ("private" in self.keys and private)
@@ -859,29 +851,27 @@ class ModelSpec:
 MODEL_SPECS = {
     "ae": ModelSpec(ae_loss, encoder="plain"),
     "jmvae": ModelSpec(jmvae_kl_loss, keys=frozenset({"beta", "alpha"}), n_views=2,
-                       joint_encoder=True, joint=_joint_encoder_posterior,
-                       proposal=_joint_encoder_posterior),
+                       joint_encoder=True, joint=_joint_encoder_posterior),
     "dccae": ModelSpec(dccae_loss, keys=frozenset({"lambda"}), encoder="plain", n_views=2,
                        full_batch=True, view_weights=("lambda", lambda n: (1,))),
     "dvcca": ModelSpec(dvcca_loss, keys=frozenset({"beta", "private", "s_dim"}),
-                       encoder="reference", n_views=2, proposal=_reference_posterior),
+                       encoder="reference", n_views=2, joint=_reference_posterior),
     "mcvae": ModelSpec(mcvae_loss, keys=frozenset({"beta", "sparse", "threshold", "join_type"}),
                        extras=_sparse_log_alphas, joint=_pool_by_join_type),
     "mvae": ModelSpec(mvae_loss, keys=frozenset({"beta"}), pool=_pool_product_with_prior,
-                      joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
+                      joint=_pool_product_with_prior),
     "me_mvae": ModelSpec(me_mvae_loss, keys=frozenset({"beta"}), pool=_pool_product_with_prior,
-                         joint=_pool_product_with_prior, proposal=_pool_product_with_prior),
-    "mmvae": ModelSpec(mmvae_iwae_loss, keys=frozenset({"K"}), pool=_pool_mean, joint=_mixture,
-                       proposal=_mixture),
+                         joint=_pool_product_with_prior),
+    "mmvae": ModelSpec(mmvae_iwae_loss, keys=frozenset({"K"}), pool=_pool_mean, joint=_mixture),
     "mvtcae": ModelSpec(mvtcae_loss, keys=frozenset({"beta", "alpha"}), alpha_range=(0.0, 1.0),
-                        pool=_pool_product, joint=_pool_product, proposal=_pool_product),
+                        pool=_pool_product, joint=_pool_product),
     "mopoe": ModelSpec(mopoe_loss, keys=frozenset({"beta", "stochastic_subsets"}), subsets=True,
-                       pool=_pool_product, joint=_subset_mixture, proposal=_subset_mixture),
+                       pool=_pool_product, joint=_subset_mixture),
     "weighted_mvae": ModelSpec(mvae_loss, keys=frozenset({"beta"}), extras=_gpoe_logits,
-                               pool=_pool_gpoe, joint=_pool_gpoe, proposal=_pool_gpoe),
+                               pool=_pool_gpoe, joint=_pool_gpoe),
     "mmjsd": ModelSpec(mmjsd_loss, keys=frozenset({"beta", "pi"}),
                        view_weights=("pi", lambda n: (n + 1,)),
-                       pool=_pool_geometric, joint=_pool_geometric, proposal=_pool_geometric),
+                       pool=_pool_geometric, joint=_pool_geometric),
     "mmvaeplus": ModelSpec(mmvaeplus_loss, keys=frozenset({"s_dim", "K"}), private=True,
                            extras=_aux_log_scales, pool=_pool_mean, joint=_mixture),
     "dmvae": ModelSpec(dmvae_loss, keys=frozenset({"s_dim", "beta", "lambda"}), private=True,

@@ -328,6 +328,25 @@ def test_reconstruct_grid_and_manifest(tmp_path):
         assert batch.n_samples == 48
 
 
+def test_reconstruct_names_the_joint_row_after_the_encoders_of_dvcca(tmp_path):
+    # dvcca has one (reference) encoder over 2 views: its second row is its
+    # joint, which is the reference encoder's posterior
+    cfg = _write_config(tmp_path, name="dvcca")
+    train = _gen_data(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(train),
+                 "--out", str(out)]) == 0
+    rec_dir = tmp_path / "recon"
+    assert main(["reconstruct", "--run", str(out), "--data", str(train),
+                 "--out", str(rec_dir)]) == 0
+    manifest = (rec_dir / "manifest.csv").read_text().splitlines()
+    assert manifest[1:] == [f"{src},{t},recon_src{src}_dec{t}.mvds"
+                            for src in ("0", "joint") for t in (0, 1)]
+    for t in (0, 1):
+        joint = (rec_dir / f"recon_srcjoint_dec{t}.mvds").read_bytes()
+        assert joint == (rec_dir / f"recon_src0_dec{t}.mvds").read_bytes()
+
+
 def test_reconstruct_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     train = _gen_data(tmp_path)

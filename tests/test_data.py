@@ -197,6 +197,21 @@ def test_batch_validation():
         MultiViewBatch(views=[np.zeros((3, 2))], labels=np.array([0, 1]))
 
 
+def test_a_batch_of_0_rows_is_refused_where_it_is_made(tmp_path):
+    # `fit`, the log-likelihood and `write_dataset` all take a batch, so none
+    # of them sees 0 rows
+    for labels in (None, np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ContractError) as err:
+            MultiViewBatch(views=[np.zeros((0, 2)), np.zeros((0, 3))], labels=labels)
+        assert str(err.value) == "MultiViewBatch: at least one row required"
+    # a file that declares 0 rows is refused at its header's byte
+    path = tmp_path / "empty.mvds"
+    path.write_bytes(MAGIC + struct.pack("<IIIB", VERSION, 1, 0, 0) + struct.pack("<I", 3))
+    with pytest.raises(FormatError) as err:
+        read_dataset(path)
+    assert str(err.value) == "dataset declares 0 samples (byte 12)"
+
+
 def test_spec_validation():
     with pytest.raises(ContractError):
         SyntheticSpec(n_classes=5, n_samples=10, dims=[3])

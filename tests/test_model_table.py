@@ -24,7 +24,7 @@ from mvx.config import (
 )
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
-from mvx.errors import ConfigError, ContractError, DimensionError, UnsupportedMetricError
+from mvx.errors import ConfigError, DimensionError, UnsupportedMetricError
 from mvx.evaluation import coherence, joint_log_likelihood, train_probe_classifier
 from mvx.objectives import (
     ADVERSARIAL_OBJECTIVES,
@@ -44,9 +44,9 @@ CAPABILITIES = [
     ("ae", {}, 3, False, 3, False, False),
     ("jmvae", {}, 2, True, 3, False, True),
     ("dccae", {}, 2, False, 2, False, False),
-    ("dvcca", {}, 2, False, 1, False, True),
-    ("dvcca", {"model.private": True}, 2, False, 1, False, False),
-    ("mcvae", {}, 3, True, 4, False, False),
+    ("dvcca", {}, 2, True, 2, False, True),
+    ("dvcca", {"model.private": True}, 2, True, 2, False, False),
+    ("mcvae", {}, 3, True, 4, False, True),
     ("mvae", {}, 3, True, 4, True, True),
     ("me_mvae", {}, 3, True, 4, True, True),
     ("mmvae", {}, 3, True, 4, True, True),
@@ -140,6 +140,22 @@ def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
             with pytest.raises(DimensionError) as err:
                 read(other)
             assert str(err.value) == f"{caller}: data dims {other.dims} vs model {data.dims}"
+
+
+@pytest.mark.parametrize("extra", [{}, {"model.private": True, "model.s_dim": 1}],
+                         ids=["dvcca", "dvcca-private"])
+def test_dvccas_joint_row_is_its_reference_row_bit_for_bit(extra):
+    # the reference encoder's posterior is dvcca's joint: the read-outs report
+    # it once per encoder and once as the joint
+    data = generate_synthetic(SyntheticSpec(n_classes=2, n_samples=10, dims=[2, 3], seed=0))
+    cfg = build_config({"model.name": "dvcca", "model.z_dim": 2, "trainer.batch_size": 5,
+                        **extra})
+    run = fit(cfg, data, max_epochs=2)
+    latent = predict_latent(run, data)
+    assert np.array_equal(latent.joint, latent.per_modality[0])
+    [reference, joint] = predict_reconstruction(run, data)
+    for ref, jnt in zip(reference, joint, strict=True):
+        assert np.array_equal(ref, jnt)
 
 
 def test_objectives_pool_only_through_the_table_hooks():
@@ -256,37 +272,14 @@ def test_every_loss_refuses_a_ragged_batch_before_any_op_or_draw(monkeypatch, na
                   f"{name}: views must be (batch, dim) with a shared batch")
 
 
-@pytest.mark.parametrize("name", [name for name, spec in MODEL_SPECS.items() if spec.n_views])
-def test_a_loss_refuses_a_state_with_another_view_count_than_its_entry(monkeypatch, name):
-    # config and build_model refuse such a state; a hand-edited one meets the loss's check
-    n = MODEL_SPECS[name].n_views
-
-    def more_views(state):
-        state.n_views = n + 1
-        return make_tiny_views(dims=(2,) * (n + 1))
-
-    _loss_refusal(monkeypatch, name, more_views, ContractError,
-                  f"{name}: exactly {n} views required")
-
-
-def test_a_loss_refuses_an_alpha_outside_its_entrys_range(monkeypatch):
-    def alpha_above_one(state):
-        state.cfg.alpha = 1.5
-        return make_tiny_views(dims=(2, 2, 2))
-
-    _loss_refusal(monkeypatch, "mvtcae", alpha_above_one, ContractError,
-                  "mvtcae: alpha must lie in [0, 1]")
-
-
 def test_mmjsd_pools_every_subset_by_one_rule():
     state = make_tiny_state("mmjsd", pi=[0.2, 0.3, 0.5])
     posteriors = [enc.forward(x) for enc, x in zip(state.encoders, make_tiny_views())]
     spec = MODEL_SPECS["mmjsd"]
     full = spec.pool(state, posteriors, (0, 1))
-    for hook in (spec.joint, spec.proposal):
-        q = hook(state, posteriors, (0, 1))
-        assert np.array_equal(q.mean.data, full.mean.data)
-        assert np.array_equal(q.log_var.data, full.log_var.data)
+    q = spec.joint(state, posteriors, (0, 1))
+    assert np.array_equal(q.mean.data, full.mean.data)
+    assert np.array_equal(q.log_var.data, full.log_var.data)
     # a subset takes the exponents of its members and the prior, renormalized
     sub = spec.pool(state, posteriors, (1,))
     ref = gpoe([posteriors[1], standard_normal(posteriors[1].shape)],

@@ -157,6 +157,24 @@ def test_backward_requires_scalar():
         nc.backward(nc.parameter(np.ones(3)))
 
 
+def test_backward_of_a_loss_that_needs_no_grad_returns_and_leaves_every_grad_none():
+    w = nc.parameter([1.0, 2.0])
+    with nc.no_grad():
+        loss = nc.sum_(nc.square(w))
+    nc.backward(loss)
+    assert w.grad is None and loss.grad is None
+
+
+def test_sym_eig_names_itself_when_the_eigendecomposition_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError) as err:
+        nc.sym_eig(nc.constant(np.eye(2)))
+    assert str(err.value) == "sym_eig: eigendecomposition failed (Eigenvalues did not converge)"
+
+
 def test_backward_accumulates_across_calls():
     w = nc.parameter([1.0, 2.0])
     loss = nc.sum_(nc.square(w))

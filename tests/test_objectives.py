@@ -7,7 +7,7 @@ import pytest
 
 from mvx import numcore as nc
 from mvx.distributions import gaussian_log_prob, rsample, standard_normal
-from mvx.errors import ContractError, DimensionError
+from mvx.errors import DimensionError
 from mvx.objectives import (
     EpsStream,
     PLAIN_OBJECTIVES,
@@ -332,13 +332,6 @@ def test_mvtcae_alpha_one_drops_prior_term_and_scales_recon():
     m = 2
     for key in ("recon[0<-joint]", "recon[1<-joint]"):
         assert abs(out.terms[key].item() - base.terms[key].item() * (m - 1) / m) < 1e-12
-
-
-def test_mvtcae_rejects_bad_alpha():
-    state = make_tiny_state("mvtcae")
-    state.cfg.alpha = 1.5
-    with pytest.raises(ContractError):
-        mvtcae_loss(state, make_tiny_views(), _eps())
 
 
 # -- MoPoE --------------------------------------------------------------------------------

@@ -293,6 +293,22 @@ def test_adam_zero_gradient_is_identity():
     assert np.array_equal(p.data, [1.0, -2.0])
 
 
+def test_adam_step_of_no_parameters_changes_nothing_and_makes_no_group():
+    p = nc.parameter(np.array([1.0, -2.0]))
+    p.grad = np.array([0.5, 0.5])
+    opt = Adam(0.1)
+    opt.step([])
+    assert opt.moments == {}
+    opt.step([("p", p)])
+    m, v, t = opt.moments["p"]
+    data, m, v = p.data.copy(), m.copy(), v.copy()
+    opt.step([])
+    assert np.array_equal(p.data, data)
+    assert list(opt.moments) == ["p"]
+    m_after, v_after, t_after = opt.moments["p"]
+    assert np.array_equal(m_after, m) and np.array_equal(v_after, v) and t_after == t
+
+
 def test_adam_first_step_magnitude():
     # with bias correction the first step is learning_rate * sign(grad)
     p = nc.parameter(np.array([0.0]))
