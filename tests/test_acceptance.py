@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing PASS/FAIL.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The desk-scale experiment (criterion 5) dominates the runtime.
+lines. The desk-scale experiment (criterion 5) dominates the runtime; the
+learning check of the two IWAE models reuses its data.
 """
 
 import math
@@ -27,7 +28,7 @@ from mvx.objectives import (
     mvtcae_loss,
 )
 from mvx.pooling import enumerate_subsets, gpoe, poe
-from mvx.training import fit
+from mvx.training import fit, predict_reconstruction
 
 import oracle
 from helpers import RecordingEps, make_tiny_state, make_tiny_views, s_dim_key
@@ -250,6 +251,25 @@ def test_criterion_5_desk_scale_coherence(synthetic_splits):
     _report(5, "desk-scale coherence",
             all_above and nondecreasing and elapsed < 600.0,
             f"{summary}; mvtcae non-decreasing={nondecreasing}; {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("name, extra", [("mmvae", {}), ("mmvaeplus", {"model.s_dim": 4})])
+def test_the_iwae_models_learn_at_desk_scale(synthetic_splits, name, extra):
+    # model seeds 0/1/2 gave coherence 0.894/0.871/0.824 and error
+    # 0.677/0.672/0.673 (mmvae), 0.863/0.879/0.799 and 0.663/0.659/0.679
+    # (mmvaeplus); seed 0 is asserted
+    train, test = synthetic_splits
+    probes = [train_probe_classifier(v, train.labels, seed=0) for v in train.views]
+    flat = {"model.name": name, "model.z_dim": 8, "model.seed": 0, "model.K": 4,
+            "encoder.default.hidden_layer_dim": [32], "decoder.default.hidden_layer_dim": [32],
+            "decoder.default.distribution": "Normal", "decoder.default.scale": 0.75,
+            "trainer.max_epochs": 20, "trainer.batch_size": 256, **extra}
+    run = fit(build_config(flat), train)
+    assert coherence(run, test, probes).mean_cross_modal() >= 0.75
+    # the worst held-out self-reconstruction error, over the view's variance
+    recon = predict_reconstruction(run, test)
+    assert max(np.mean((recon[m][m] - x) ** 2) / x.var()
+               for m, x in enumerate(test.views)) <= 0.72
 
 
 # -- criterion 6: joint log-likelihood estimator -------------------------------------------
