@@ -92,10 +92,10 @@ def _key(parse, *rules, default=MISSING, key: str | None = None,
     `parse(value, path)` type-checks the parsed value and converts it; each
     rule is a (predicate, message) pair checked on the result, and `{x}` in a
     message stands for the value. `key` is the key name when it is not the
-    field name. A field without a default is a required key. `read_by(spec,
-    section)` says whether the model of `MODEL_SPECS` entry `spec` reads the
-    key of the parsed `section`; without it, a model reads every key but the
-    model-specific ones outside its `keys`.
+    field name. A field without a default is a required key. A model reads
+    every key but the model-specific ones outside its `keys`, and, given
+    `read_by(spec, section)`, only where it says that the model of
+    `MODEL_SPECS` entry `spec` reads the key of the parsed `section`.
     """
     meta = {"parse": parse, "rules": rules, "key": key, "decoder_only": decoder_only,
             "read_by": read_by}
@@ -143,7 +143,8 @@ class TrainerConfig:
 class ModelConfig:
     name: str = _key(_as_str, (lambda x: x in MODEL_SPECS, "unknown model '{x}'"))
     z_dim: int = _key(_as_int, (lambda x: x >= 1, "must be >= 1"))
-    s_dim: int = _key(_as_int, (lambda x: x >= 0, "must be >= 0"), default=0)
+    s_dim: int = _key(_as_int, (lambda x: x >= 0, "must be >= 0"), default=0,
+                      read_by=lambda spec, cfg: spec.has_private(cfg))
     beta: float = _key(_as_float, (lambda x: x > 0, "must satisfy x > 0"), default=1.0)
     alpha: float = _key(_as_float, (lambda x: x > 0, "must satisfy x > 0"), default=1.0)
     K: int = _key(_as_int, (lambda x: x >= 1, "must satisfy x >= 1"), default=1)
@@ -158,11 +159,11 @@ class ModelConfig:
     sparse: bool = _key(_as_bool, default=False)
     threshold: float = _key(
         _as_threshold, (lambda x: x == 0 or 0.0 < x < 1.0, "must satisfy 0 < x < 1, or 0"),
-        default=0.0)
+        default=0.0, read_by=lambda _, cfg: cfg.sparse)
     private: bool = _key(_as_bool, default=False)
     join_type: str = _key(
         _as_str, (lambda x: x in SUPPORTED_JOIN, "unsupported or invalid join type"),
-        default="PoE")
+        default="PoE", read_by=lambda _, cfg: not cfg.sparse)
     non_saturating: bool = _key(_as_bool, default=False)
     stochastic_subsets: bool = _key(_as_bool, default=False)
     pi: list[float] | None = _key(
@@ -232,7 +233,7 @@ def _check_read(model: str, section, prefix: str, key: str, f: Field, value) -> 
     """Refuse a non-default `value` of a key that `model` does not read in `section`."""
     spec = MODEL_SPECS[model]
     read_by = f.metadata["read_by"]
-    reads = read_by(spec, section) if read_by else key not in MODEL_KEYS or key in spec.keys
+    reads = (key not in MODEL_KEYS or key in spec.keys) and (not read_by or read_by(spec, section))
     if not reads and value != _default(f):
         raise ConfigError(f"{prefix}.{key}: model '{model}' does not use this key")
 
@@ -322,9 +323,13 @@ def build_config(flat: dict[str, object]) -> ModelConfig:
     for prefix, section in checked:
         for key, f in _declared_keys(type(section)).items():
             _check_read(name, section, prefix, key, f, getattr(section, f.name))
-    if spec.has_private(cfg.private):
+    if spec.has_private(cfg):
         _expect(cfg.s_dim >= 1, "model.s_dim",
                 f"model '{name}' requires a private latent dimension (s_dim >= 1)")
+    elif spec.encoder == "reference":
+        for slot in cfg.encoders:
+            _expect(slot in (0, "default"), f"encoder.{slot}",
+                    f"model '{name}' does not use this slot")
     if spec.full_batch:
         cfg.trainer.full_batch = True
     if spec.alpha_range is not None:

@@ -224,12 +224,13 @@ def _elbo(terms: dict[str, Tensor], state: ModelState, views: list[Tensor], q: G
 
 
 def _log_weight(state: ModelState, views: list[Tensor], z: Tensor,
-                proposal: GaussianParams | ExpertSet) -> Tensor:
+                proposal: GaussianParams | ExpertSet, codes: list[Tensor] | None = None) -> Tensor:
     """The importance log-weight of `z` drawn from `proposal`, a Gaussian or a
-    uniform mixture q: log p(z) + sum_m log p(x_m | z) - log q(z)."""
+    uniform mixture q: log p(z) + sum_m log p(x_m | z) - log q(z). Given
+    `codes`, view m is decoded from z and the private code `codes[m]`."""
     lw = gaussian_log_prob(standard_normal(z.shape), z)
     for m in range(state.n_views):
-        lw = lw + _decode(state, m, z).log_prob(views[m])
+        lw = lw + _decode(state, m, z, None if codes is None else codes[m]).log_prob(views[m])
     if isinstance(proposal, ExpertSet):
         return lw - moe_log_prob(proposal, z)
     return lw - gaussian_log_prob(proposal, z)
@@ -551,9 +552,9 @@ def mmjsd_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBr
 
 
 def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> LossBreakdown:
-    """Mixture-of-experts bound with shared and private latents; cross
-    reconstructions draw the private code from the learnable-scale auxiliary
-    prior of the target modality.
+    """mmVAE's bound with private latents: each log-weight gains log p(h_m) -
+    log q(h_m | x_m), and a view n != m is decoded with a private code drawn
+    from its learnable-scale auxiliary prior.
 
     Draws, for each modality m (outer) and each k (inner): z from the shared
     posterior, h_m from the private posterior, then one auxiliary draw per
@@ -569,18 +570,11 @@ def mmvaeplus_loss(state: ModelState, views: list[Tensor], eps: EpsStream) -> Lo
         for _ in range(state.cfg.K):
             z = eps.sample(shared[m])
             h_m = eps.sample(privates[m])
-            lw = _decode(state, m, z, h_m).log_prob(views[m])
-            lw = lw + gaussian_log_prob(standard_normal(z.shape), z)
+            codes = [h_m if n == m else nc.exp(state.aux_log_scales[n]) * eps.normal(q.shape)
+                     for n, q in enumerate(privates)]
+            lw = _log_weight(state, views, z, moe_shared, codes)
             lw = lw + gaussian_log_prob(standard_normal(h_m.shape), h_m)
-            lw = lw - moe_log_prob(moe_shared, z)
-            lw = lw - gaussian_log_prob(privates[m], h_m)
-            for n in range(m_total):
-                if n == m:
-                    continue
-                scale_n = nc.exp(state.aux_log_scales[n])
-                h_tilde = scale_n * eps.normal(privates[n].shape)
-                lw = lw + _decode(state, n, z, h_tilde).log_prob(views[n])
-            log_weights.append(lw)
+            log_weights.append(lw - gaussian_log_prob(privates[m], h_m))
         terms[f"iwae[{m}]"] = _k_sample_bound(log_weights, m_total)
     return LossBreakdown.from_terms(terms)
 
@@ -806,7 +800,8 @@ class ModelSpec:
 
     `keys` names the model-specific config keys (`model.<key>`) that the
     model reads; config rejects a non-default value of any other one, and
-    the union of every entry's `keys` is the set of model-specific keys.
+    the union of every entry's `keys` is the set of model-specific keys. A
+    model whose `keys` name "s_dim" has private latents (see `has_private`).
     `pool` pools any modality subset (coherence and the subset terms of the
     objectives); `joint` is the joint posterior of every view, which the
     objective trains, the prediction API reports (a mixture by its mean
@@ -824,9 +819,6 @@ class ModelSpec:
     # "plain", "variational", or "reference": one variational encoder, of view 0
     encoder: str = "variational"
     joint_encoder: bool = False
-    # always private latents; a model whose `keys` hold "private" has them
-    # when model.private is set
-    private: bool = False
     n_views: int | None = None
     # the objective pools every non-empty view subset, so config caps the view
     # count at the powerset guard, pooling.MAX_SUBSET_MODALITIES
@@ -844,8 +836,10 @@ class ModelSpec:
     pool: PoolHook | None = None
     joint: PoolHook | None = None
 
-    def has_private(self, private: bool) -> bool:
-        return self.private or ("private" in self.keys and private)
+    def has_private(self, cfg: ModelConfig) -> bool:
+        """Whether the model of config `cfg` has private latents: its `keys`
+        hold "s_dim" and, when they hold "private" too, `cfg.private` is set."""
+        return "s_dim" in self.keys and ("private" not in self.keys or cfg.private)
 
 
 MODEL_SPECS = {
@@ -872,9 +866,9 @@ MODEL_SPECS = {
     "mmjsd": ModelSpec(mmjsd_loss, keys=frozenset({"beta", "pi"}),
                        view_weights=("pi", lambda n: (n + 1,)),
                        pool=_pool_geometric, joint=_pool_geometric),
-    "mmvaeplus": ModelSpec(mmvaeplus_loss, keys=frozenset({"s_dim", "K"}), private=True,
+    "mmvaeplus": ModelSpec(mmvaeplus_loss, keys=frozenset({"s_dim", "K"}),
                            extras=_aux_log_scales, pool=_pool_mean, joint=_mixture),
-    "dmvae": ModelSpec(dmvae_loss, keys=frozenset({"s_dim", "beta", "lambda"}), private=True,
+    "dmvae": ModelSpec(dmvae_loss, keys=frozenset({"s_dim", "beta", "lambda"}),
                        view_weights=("lambda", lambda n: (1, n)),
                        pool=_pool_product_with_prior, joint=_pool_product_with_prior),
     "maae": ModelSpec(maae_losses, keys=frozenset({"non_saturating"}), encoder="plain",

@@ -100,7 +100,7 @@ def build_model(cfg: ModelConfig, input_dims: list[int], rng: np.random.Generato
         ))
 
     dec_in = cfg.z_dim
-    if spec.has_private(cfg.private):
+    if spec.has_private(cfg):
         state.private_encoders = [
             state.built(VariationalEncoder(
                 _mlp_spec(cfg.encoder_spec(m), input_dims[m], cfg.s_dim), rng,

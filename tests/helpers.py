@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mvx import numcore as nc
-from mvx.config import build_config
+from mvx.config import ModelConfig, build_config
 from mvx.errors import NumericError
 from mvx.numcore import Tensor
 from mvx.objectives import MODEL_SPECS, EpsStream, ModelState
@@ -46,16 +46,19 @@ def poison_layers(net) -> None:
         w.data[...] = 1e200
 
 
-def s_dim_key(name: str, s_dim: int) -> dict[str, int]:
-    """`model.s_dim = s_dim` for a model that reads the key, else nothing."""
-    return {"model.s_dim": s_dim} if "s_dim" in MODEL_SPECS[name].keys else {}
+def s_dim_key(name: str, s_dim: int, private: bool = False) -> dict[str, int]:
+    """`model.s_dim = s_dim` for a model that has private latents given
+    `model.private = private`, else nothing."""
+    cfg = ModelConfig(name=name, z_dim=1, private=private)
+    return {"model.s_dim": s_dim} if MODEL_SPECS[name].has_private(cfg) else {}
 
 
 def make_tiny_state(name: str, dims=(2, 2), z_dim=2, s_dim=2, seed=3,
                     **model_keys) -> ModelState:
     """Seeded micro-instance of any model over `dims` views; `s_dim` is set
-    only on a model that reads it."""
-    flat = {"model.name": name, "model.z_dim": z_dim, **s_dim_key(name, s_dim)}
+    only on a model with private latents."""
+    flat = {"model.name": name, "model.z_dim": z_dim,
+            **s_dim_key(name, s_dim, model_keys.get("private", False))}
     for key, value in model_keys.items():
         flat[f"model.{key}"] = value
     cfg = build_config(flat)

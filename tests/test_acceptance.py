@@ -311,7 +311,8 @@ def test_criterion_7_optimization_sanity(linear_gaussian_toy):
     ]
     failures = []
     for name, extra in cases:
-        flat = {"model.name": name, "model.z_dim": 2, **s_dim_key(name, 2),
+        flat = {"model.name": name, "model.z_dim": 2,
+                **s_dim_key(name, 2, extra.get("model.private", False)),
                 "model.seed": 1,
                 "encoder.default.hidden_layer_dim": [16],
                 "decoder.default.hidden_layer_dim": [16],

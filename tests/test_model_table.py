@@ -21,6 +21,8 @@ from mvx.config import (
     TrainerConfig,
     _declared_keys,
     build_config,
+    parse_config_text,
+    resolved_lines,
 )
 from mvx.data import SyntheticSpec, generate_synthetic
 from mvx.distributions import standard_normal
@@ -104,7 +106,8 @@ def test_model_state_rejects_a_hyperparameter_write():
 def test_capability_matrix(name, extra, n_views, joint, rows, coherent, loglik):
     data = generate_synthetic(SyntheticSpec(
         n_classes=2, n_samples=10, dims=[2, 3, 2][:n_views], seed=0))
-    cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
+    cfg = build_config({"model.name": name, "model.z_dim": 2,
+                        **s_dim_key(name, 1, extra.get("model.private", False)),
                         "encoder.default.hidden_layer_dim": [4],
                         "decoder.default.hidden_layer_dim": [4], **extra})
     run = fit(cfg, data, max_epochs=0)
@@ -296,7 +299,8 @@ _OTHER_VALUES = {
     "stochastic_subsets": True, "pi": [0.1, 0.2, 0.3, 0.4],
 }
 # keys that only act together with another one
-_COMPANIONS = {("dvcca", "s_dim"): {"private": True}, ("mcvae", "threshold"): {"sparse": True}}
+_COMPANIONS = {("dvcca", "s_dim"): {"private": True, "s_dim": 1},
+               ("dvcca", "private"): {"s_dim": 1}, ("mcvae", "threshold"): {"sparse": True}}
 
 
 def _base_keys(name: str) -> dict:
@@ -321,6 +325,28 @@ def test_a_model_accepts_only_the_defaults_of_keys_it_does_not_read(name):
         default = getattr(defaults, _declared_keys(ModelConfig)[key].name)
         if default is not None:  # an unset model.pi is its default
             build_config({**_base_keys(name), f"model.{key}": default})
+
+
+# a key or encoder slot that a flag turns off: (model, the key or slot, the
+# flag that turns it on); each is refused with the flag at its default
+_FLAGGED = [
+    ("dvcca", "model.s_dim", 3, "model.private", True),
+    ("mcvae", "model.threshold", 0.3, "model.sparse", True),
+    ("mcvae", "model.join_type", "Mean", "model.sparse", False),
+    ("dvcca", "encoder.1.hidden_layer_dim", [3], "model.private", True),
+]
+
+
+@pytest.mark.parametrize("name, key, value, flag, on", _FLAGGED,
+                         ids=[f"{name}-{key}" for name, key, *_ in _FLAGGED])
+def test_a_key_that_a_flag_turns_off_is_refused(name, key, value, flag, on):
+    base = {"model.name": name, "model.z_dim": 2, key: value}
+    with pytest.raises(ConfigError) as err:
+        build_config({**base, flag: not on})
+    where, what = (key, "key") if key.startswith("model.") else (key.rsplit(".", 1)[0], "slot")
+    assert str(err.value) == f"{where}: model '{name}' does not use this {what}"
+    cfg = build_config({**s_dim_key(name, 1, flag == "model.private"), **base, flag: on})
+    assert parse_config_text("\n".join(resolved_lines(cfg)))[key] == value
 
 
 def _outputs(cfg: ModelConfig) -> tuple:

@@ -43,7 +43,7 @@ def _build(name: str, seed: int = 3):
     flat = {
         "model.name": base_name,
         "model.z_dim": 2,
-        **s_dim_key(base_name, 2),
+        **s_dim_key(base_name, 2, name.endswith("_private")),
         "encoder.default.hidden_layer_dim": [3],
         "encoder.default.activation": "tanh",
         "decoder.default.hidden_layer_dim": [3],

@@ -19,6 +19,15 @@ def test_the_variants_cover_every_model():
     assert {model for _, model, _ in parity.VARIANTS} == set(MODEL_SPECS)
 
 
+def test_every_variant_config_builds():
+    # tier-1 captures only a few variants; a read rule that refuses a key
+    # of another variant fails here
+    import mvx
+
+    for variant, model, extra in parity.VARIANTS:
+        assert parity._config(mvx, model, extra).name == model, variant
+
+
 def test_the_variants_cover_every_decoder_kind():
     kinds = {extra.get("decoder.default.distribution", "Normal")
              for _, _, extra in parity.VARIANTS}

@@ -152,8 +152,9 @@ _MODEL_KEY_DEFAULTS = {
 
 # models that, between them, set every model-specific key to a non-default value
 _ROUND_TRIP_MODELS = [
-    ("mcvae", [3, 4, 2], {"model.beta": 2.5, "model.sparse": True, "model.threshold": 0.5,
-                          "model.join_type": "Mean"}),
+    # a sparse mcvae reads the threshold, a dense one the join type
+    ("mcvae", [3, 4, 2], {"model.beta": 2.5, "model.sparse": True, "model.threshold": 0.5}),
+    ("mcvae", [3, 4, 2], {"model.join_type": "Mean"}),
     ("dvcca", [3, 4], {"model.s_dim": 2, "model.private": True}),
     ("jmvae", [3, 4], {"model.alpha": 0.5}),
     ("mmvae", [3, 4, 2], {"model.K": 3}),
@@ -1084,7 +1085,8 @@ def test_every_stepped_parameter_has_a_gradient_at_every_step(monkeypatch, name,
 
     monkeypatch.setattr(Adam, "step", checked_step)
     data = _toy_data(dims=(3, 4, 2)[:MODEL_SPECS[name].n_views or 3])
-    cfg = build_config({"model.name": name, "model.z_dim": 2, **s_dim_key(name, 1),
+    cfg = build_config({"model.name": name, "model.z_dim": 2,
+                        **s_dim_key(name, 1, extra.get("model.private", False)),
                         **({} if MODEL_SPECS[name].full_batch else {"trainer.batch_size": 8}),
                         **({"trainer.critic_steps": 2} if name == "mwae" else {}), **extra})
     fit(cfg, data, max_epochs=2)

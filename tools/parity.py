@@ -66,7 +66,8 @@ def _config(mvx, model: str, extra: dict):
     flat = {"model.name": model, "model.z_dim": 2, "trainer.max_epochs": 2,
             "encoder.default.hidden_layer_dim": [8], "decoder.default.hidden_layer_dim": [8],
             **extra}
-    if spec.private or flat.get("model.private"):
+    # a model with private latents reads s_dim (`ModelSpec.has_private`)
+    if "s_dim" in spec.keys and ("private" not in spec.keys or flat.get("model.private")):
         flat["model.s_dim"] = 2
     if not spec.full_batch:  # a full-batch model does not read the batch size
         flat["trainer.batch_size"] = 16
