@@ -327,8 +327,8 @@ def test_a_model_accepts_only_the_defaults_of_keys_it_does_not_read(name):
             build_config({**_base_keys(name), f"model.{key}": default})
 
 
-# a key or encoder slot that a flag turns off: (model, the key or slot, the
-# flag that turns it on); each is refused with the flag at its default
+# a key or encoder slot that a flag turns off: (model, key, a value of it,
+# the flag, the flag's value under which the model reads the key)
 _FLAGGED = [
     ("dvcca", "model.s_dim", 3, "model.private", True),
     ("mcvae", "model.threshold", 0.3, "model.sparse", True),
