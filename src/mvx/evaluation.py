@@ -3,6 +3,10 @@ sampled joint log-likelihood."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,10 +25,12 @@ from .training import Adam, RunState, _backward_phase, _decode_mean, _read
 PROBE_HIDDEN = 64
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
-# rows per stacked batch of the log-likelihood (8 samples of 500 test rows):
-# large enough that per-op overhead no longer dominates, small enough that a
-# chunk's activations stay at a few MB
+# rows of the log-likelihood's stacked batches in flight over all its workers
+# (two chunks of 4 samples of 500 test rows): large enough that per-op overhead
+# no longer dominates, small enough that the activations stay at a few MB
 LOGLIK_CHUNK_ROWS = 4000
+# threads that evaluate the log-likelihood's chunks
+LOGLIK_WORKERS = 2
 
 
 class ProbeClassifier:
@@ -165,17 +171,69 @@ def joint_log_likelihood(run: RunState, test: MultiViewBatch, K: int = 1000,
 
     Draws from `eval_seed`, per importance sample k = 1..K in turn: for a
     mixture proposal a uniform component index, then one (B, z) standard
-    normal. The samples are evaluated in chunks of C = LOGLIK_CHUNK_ROWS // B
-    (at least 1): each chunk stacks its samples into one (C * B, z) batch,
-    so every decoder runs once per chunk. At K = 1000 and B = 500 that is
-    125 chunks of 8 samples, and the (B, K) log-weights take 4 MB.
+    normal. The calling thread makes every draw, in that order, a chunk of
+    C = LOGLIK_CHUNK_ROWS // (W * B) samples (at least 1) at a time, and
+    hands each chunk to one of W worker threads, with at most W chunks in
+    flight. W is LOGLIK_WORKERS when the process may use that many CPUs and
+    numpy's bundled OpenBLAS can be held to one thread, else 1. A worker
+    stacks its chunk's samples into one (C * B, z) batch, so every decoder
+    runs once per chunk, and writes the chunk's own columns of the (B, K)
+    log-weights, so the estimate is the same to the bit for any W and C. At
+    K = 1000 and B = 500 on two workers that is 250 chunks of 4 samples,
+    and the log-weights take 4 MB. OpenBLAS runs on one thread during the
+    call and gets its previous thread count back on every exit.
     """
     if K < 1:
         raise ContractError("joint_log_likelihood: K must be >= 1")
     return nc._checked_once(lambda: _log_likelihood(run, test, K, eval_seed))
 
 
+@functools.cache
+def _openblas():
+    """`(get, set)` for the thread count of numpy's bundled OpenBLAS, or None
+    when numpy bundles none that exports them."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(blas):
+    """OpenBLAS held to one thread inside the context, given `_openblas()`."""
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    prev = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prev)
+
+
+def _loglik_workers(blas) -> int:
+    """LOGLIK_WORKERS when the process may use that many CPUs and OpenBLAS
+    can be held to one thread, else 1: while OpenBLAS's own threads spin,
+    two workers are slower than one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return LOGLIK_WORKERS if blas is not None and (cpus or 1) >= LOGLIK_WORKERS else 1
+
+
 def _log_likelihood(run: RunState, test: MultiViewBatch, K: int, eval_seed: int) -> float:
+    # loaded on the first call, not with the package
+    from concurrent.futures import ThreadPoolExecutor
+
     state = run.state
     eval_rng = np.random.default_rng(eval_seed)
     with nc.no_grad():
@@ -189,7 +247,9 @@ def _log_likelihood(run: RunState, test: MultiViewBatch, K: int, eval_seed: int)
         mixture = isinstance(proposal, ExpertSet)
         components = proposal.experts if mixture else [proposal]
         rows = views[0].shape[0]
-        chunk = min(K, max(1, LOGLIK_CHUNK_ROWS // rows))
+        blas = _openblas()
+        workers = _loglik_workers(blas)
+        chunk = min(K, max(1, LOGLIK_CHUNK_ROWS // (workers * rows)))
 
         def stacked(copies: int):
             return ([nc.constant(np.tile(v.data, (copies, 1))) for v in views],
@@ -197,23 +257,35 @@ def _log_likelihood(run: RunState, test: MultiViewBatch, K: int, eval_seed: int)
 
         full = stacked(chunk)
         log_w = np.empty((rows, K))
-        for start in range(0, K, chunk):
-            n = min(chunk, K - start)
+
+        def evaluate(start: int, picks: list[GaussianParams], eps: list[np.ndarray]) -> None:
+            n = len(picks)
             xs, tiled = full if n == chunk else stacked(n)
-            picks, eps = [], []
-            for _ in range(n):
-                # i.i.d. mixture draws: uniform component pick per sample
-                comp = components[eval_rng.integers(len(components))] if mixture else proposal
-                picks.append(comp)
-                eps.append(eval_rng.standard_normal(comp.shape))
             q = GaussianParams(nc.constant(np.concatenate([p.mean.data for p in picks])),
                                nc.constant(np.concatenate([p.log_var.data for p in picks])))
             z = rsample(q, nc.constant(np.concatenate(eps)))
             q_tiled = ExpertSet(tiled) if mixture else tiled[0]
             lw = nc._finite(_log_weight(state, xs, z, q_tiled).data, "importance log-weights")
             log_w[:, start:start + n] = lw.reshape(n, rows).T
+
+        # the pool stops before OpenBLAS, no_grad and the per-op check are
+        # restored, so a worker's error leaves only once every worker is done
+        with _one_blas_thread(blas), ThreadPoolExecutor(workers) as pool:
+            in_flight = deque()
+            for start in range(0, K, chunk):
+                picks, eps = [], []
+                for _ in range(min(chunk, K - start)):
+                    # i.i.d. mixture draws: uniform component pick per sample
+                    comp = components[eval_rng.integers(len(components))] if mixture else proposal
+                    picks.append(comp)
+                    eps.append(eval_rng.standard_normal(comp.shape))
+                if len(in_flight) == workers:
+                    in_flight.popleft().result()
+                in_flight.append(pool.submit(evaluate, start, picks, eps))
+            for done in in_flight:
+                done.result()
         # released first: the reduction's (rows, K) temporaries would come on top
-        del full, xs, tiled, q, z, q_tiled, lw
+        del full
         per_sample = nc.logsumexp(nc.constant(log_w), axis=1) - nc.constant(np.log(K))
         return float(nc.mean(per_sample).item())
 

@@ -6,7 +6,9 @@ scalar operand along the leading axis of a matrix operand and nothing else.
 All data is contiguous row-major float64.
 
 Tensors are immutable once forward-evaluated; graph construction and backward
-are single-threaded per training run.
+are single-threaded per training run. A read-out's workers share
+`_grad_enabled` and `_check_ops`, which the caller sets before the first
+worker starts and restores after the last one stops.
 
 A value and its graph node are two objects, as with saved tensors in
 PyTorch's autograd. An op's `Tensor` holds the value and a reference to its

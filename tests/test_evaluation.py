@@ -1,11 +1,14 @@
 """Evaluation metrics: probe oracle, coherence gates, exact-loglik checks."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mvx import evaluation
 from mvx import numcore as nc
 from mvx.config import build_config
 from mvx.data import MultiViewBatch, SyntheticSpec, generate_synthetic
@@ -406,18 +409,24 @@ def _sequential_log_likelihood(run, test, K, eval_seed=0):
         return float(nc.mean(per_sample).item())
 
 
-@pytest.mark.parametrize("name", ["mvae", "mopoe"])
-def test_chunked_loglik_equals_the_sequential_estimator_bitwise(name):
-    # 300 rows: chunks of 13 samples, and K = 1000 ends on a partial chunk
-    rows = 300
-    chunk = LOGLIK_CHUNK_ROWS // rows
+def _small_run(name: str, rows: int):
+    """A model with 6-unit networks fitted for one epoch on `rows` rows of 3 views."""
     data = generate_synthetic(SyntheticSpec(n_classes=3, n_samples=rows, dims=[4, 3, 5],
                                             seed=4, background_noise=0.5))
     cfg = build_config({"model.name": name, "model.z_dim": 2, "model.seed": 3,
                         "encoder.default.hidden_layer_dim": [6],
                         "decoder.default.hidden_layer_dim": [6],
-                        "trainer.max_epochs": 1, "trainer.batch_size": 100})
-    run = fit(cfg, data)
+                        "trainer.max_epochs": 1, "trainer.batch_size": rows // 3})
+    return fit(cfg, data), data
+
+
+@pytest.mark.parametrize("name", ["mvae", "mopoe"])
+def test_chunked_loglik_equals_the_sequential_estimator_bitwise(name):
+    # 300 rows: chunks of 13 samples on one worker and of 6 on two, and
+    # K = 1000 ends on a partial chunk either way
+    rows = 300
+    chunk = LOGLIK_CHUNK_ROWS // rows
+    run, data = _small_run(name, rows)
     for K in (1, chunk + 3, 1000):
         assert joint_log_likelihood(run, data, K=K) == _sequential_log_likelihood(run, data, K)
 
@@ -441,6 +450,91 @@ def test_loglik_at_benchmark_scale_keeps_its_traced_peak_under_15_mb():
         tracemalloc.stop()
     assert math.isfinite(value)
     assert peak < 15e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+_BLAS = evaluation._openblas()
+_needs_openblas = pytest.mark.skipif(_BLAS is None, reason="numpy bundles no OpenBLAS")
+_needs_two_workers = pytest.mark.skipif(
+    evaluation._loglik_workers(_BLAS) < 2, reason="needs 2 CPUs and numpy's bundled OpenBLAS")
+
+
+def _record_log_weight_calls(monkeypatch) -> list[tuple[int, int, int | None]]:
+    """(thread, rows, OpenBLAS threads) of each `_log_weight` call of the log-likelihood."""
+    calls = []
+    log_weight = evaluation._log_weight
+
+    def recording(state, views, z, proposal):
+        calls.append((threading.get_ident(), z.shape[0], None if _BLAS is None else _BLAS[0]()))
+        return log_weight(state, views, z, proposal)
+
+    monkeypatch.setattr(evaluation, "_log_weight", recording)
+    return calls
+
+
+@_needs_two_workers
+@pytest.mark.parametrize("name", ["mvae", "mopoe"])
+def test_two_workers_give_the_one_worker_estimate_bitwise(name, monkeypatch):
+    # 48 rows: two workers take chunks of 41 samples, one worker of 83, and
+    # K = 100 ends on a partial chunk either way
+    rows, K = 48, 100
+    run, data = _small_run(name, rows)
+    calls = _record_log_weight_calls(monkeypatch)
+    two = joint_log_likelihood(run, data, K=K)
+    chunk = LOGLIK_CHUNK_ROWS // (2 * rows)
+    assert sorted(n for _, n, _ in calls) == sorted([chunk * rows, chunk * rows,
+                                                     (K - 2 * chunk) * rows])
+    calls.clear()
+    monkeypatch.setattr(evaluation, "_openblas", lambda: None)
+    one = joint_log_likelihood(run, data, K=K)
+    chunk = LOGLIK_CHUNK_ROWS // rows
+    assert [n for _, n, _ in calls] == [chunk * rows, (K - chunk) * rows]
+    assert two == one
+
+
+def test_more_workers_than_cores_under_fast_thread_switching_keep_the_bits(monkeypatch):
+    # 4 workers on chunks of 3 samples, switching threads every microsecond:
+    # a chunk written to another's columns would change the estimate
+    run, data = _small_run("mopoe", 300)
+    monkeypatch.setattr(evaluation, "_loglik_workers", lambda blas: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        value = joint_log_likelihood(run, data, K=100)
+    finally:
+        sys.setswitchinterval(interval)
+    assert value == _sequential_log_likelihood(run, data, 100)
+
+
+@_needs_openblas
+@pytest.mark.parametrize("fault", [False, True], ids=["return", "numeric_error"])
+def test_loglik_holds_openblas_to_one_thread_and_gives_its_count_back(fault, monkeypatch):
+    get, put = _BLAS
+    original = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS keeps one thread here")
+        data = _clean_data(n=40)
+        cfg = build_config({"model.name": "mvae", "model.z_dim": 2, "trainer.max_epochs": 1,
+                            "trainer.batch_size": 20})
+        run = fit(cfg, data)
+        calls = _record_log_weight_calls(monkeypatch)
+        # 40 rows: K = 200 spans several chunks, so the fault arises in a worker
+        if fault:
+            poison_layers(run.state.decoders[1])
+            with (pytest.warns(RuntimeWarning),
+                  pytest.raises(NumericError, match="non-finite result in op 'matmul'")):
+                joint_log_likelihood(run, data, K=200)
+            assert_per_op_check_on()
+        else:
+            assert math.isfinite(joint_log_likelihood(run, data, K=200))
+        assert get() == 2
+        assert nc._grad_enabled
+        assert calls and {blas for _, _, blas in calls} == {1}
+        assert threading.get_ident() not in {thread for thread, _, _ in calls}
+    finally:
+        put(original)
+
 
 @pytest.mark.parametrize("call", ["loglik", "coherence", "probe_fit"])
 def test_non_finite_evaluation_names_the_op(call):

@@ -823,6 +823,16 @@ def test_parameters_are_listed_in_the_order_the_model_is_built(name, keys, names
     assert sorted(map(id, owned)) == sorted(id(t) for _, t in params)
 
 
+def test_jmvaes_joint_encoder_is_built_from_encoder_slot_0():
+    # no key sets the joint encoder alone: view 0's settings shape it too
+    cfg = build_config({"model.name": "jmvae", "model.z_dim": 2,
+                        "encoder.0.hidden_layer_dim": [5], "encoder.1.hidden_layer_dim": [7]})
+    shapes = {n: t.shape for n, t in build_model(cfg, [3, 4], np.random.default_rng(0)).parameters()}
+    assert shapes["enc0.layer0.W"] == (3, 5)
+    assert shapes["enc1.layer0.W"] == (4, 7)
+    assert shapes["enc_joint.layer0.W"] == (3 + 4, 5)
+
+
 def test_wrong_moment_size_in_checkpoint_is_a_format_error(tmp_path):
     cfg = build_config({"model.name": "mvae", "model.z_dim": 2,
                         "trainer.max_epochs": 1, "trainer.batch_size": 8})

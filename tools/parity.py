@@ -11,7 +11,7 @@ trains a small model for 2 epochs and records:
 - the history, `metrics.csv`, `resolved.cfg` and the checkpoint (its bytes
   and each parameter);
 - the `predict_latent` and `predict_reconstruction` arrays;
-- coherence by subset size, and the K=13 joint log-likelihood (or the error
+- coherence by subset size, and the K=100 joint log-likelihood (or the error
   that either raises);
 - a `load_run` + `continue_fit` resume of one more epoch;
 - the graph nodes that the fit builds.
@@ -56,6 +56,10 @@ VARIANTS = [(name, name, {}) for name in MODELS] + [
     ("mvae-categorical", "mvae", {"decoder.default.distribution": "Categorical"}),
     ("mvae-bernoulli", "mvae", {"decoder.default.distribution": "Bernoulli"}),
 ]
+
+# importance samples of the log-likelihood artefact: at 48 rows, 3 chunks on
+# two workers (41, 41 and a partial 18), so more than one chunk is in flight
+LOGLIK_K = 100
 
 ARTEFACTS = ["history", "metrics.csv", "resolved.cfg", "checkpoint", "predict_latent",
              "predict_reconstruction", "coherence", "loglik", "resume", "graph_nodes"]
@@ -132,7 +136,7 @@ def _capture_variant(mvx, model: str, extra: dict, work: Path) -> dict[str, dict
     probes = [mvx.evaluation.train_probe_classifier(v, data.labels, epochs=5)
               for v in data.views]
     coherence = _or_error(mvx, lambda: mvx.evaluation.coherence(run, data, probes).per_size)
-    loglik = _or_error(mvx, lambda: mvx.evaluation.joint_log_likelihood(run, data, K=13))
+    loglik = _or_error(mvx, lambda: mvx.evaluation.joint_log_likelihood(run, data, K=LOGLIK_K))
 
     resumed = mvx.training.load_run(work / "run")
     mvx.training.continue_fit(resumed, data, 1, out_dir=work / "resume")
